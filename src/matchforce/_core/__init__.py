@@ -4,7 +4,9 @@ The hot kernels (matching counts, matching enumeration, forcing-set scans)
 exist twice: a pure-Python implementation in :mod:`.pure` and a compiled
 Cython twin in ``_speedups``.  The compiled module is used when it imported
 cleanly and the graph fits in 64-bit rows; set ``MATCHFORCE_PURE_KERNELS=1``
-to force the pure path (the benchmark suite compares the two).
+to force the pure path.  Compare the two by running
+``python3 perfbench/run.py --workload all --seed N --seconds 30 --trace 0|1``
+once under each backend.
 """
 
 import os

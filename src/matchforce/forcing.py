@@ -16,6 +16,8 @@ from typing import Optional
 from ._core.cycles import alternating_cycle_first
 from .errors import CycleOverflowError, NoPerfectMatchingError, PreconditionError
 from .graph import (
+    CROSSED,
+    PARALLEL,
     AlternatingCycle,
     Edge,
     Graph,
@@ -23,6 +25,7 @@ from .graph import (
     _kernel,
     alternating_four_cycles,
     check_perfect_matching,
+    connector_codes,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
 )
@@ -117,21 +120,16 @@ def is_forcing_set(
     return False, AlternatingCycle.canonical(raw)
 
 
-def _four_cycle_triples(g: Graph, m: PerfectMatching) -> list[tuple[int, int, int]]:
-    """Alternating 4-cycles as (vertex mask, edge index, edge index),
-    pair-scan order.  Each 4-cycle joins exactly two matching edges, either
-    by the parallel connectors or by the crossed ones."""
+def _four_cycle_triples(g, m, edge_masks) -> list[tuple[int, int, int]]:
+    """Alternating 4-cycles as (vertex mask, edge index, edge index), in
+    pair-scan order: one per connector class a pair contains, parallel
+    before crossed."""
     out = []
-    edges = m.edges
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            vm = (1 << a) | (1 << b) | (1 << c) | (1 << d)
-            if g.has_edge(a, c) and g.has_edge(b, d):
-                out.append((vm, i, j))
-            if g.has_edge(a, d) and g.has_edge(b, c):
-                out.append((vm, i, j))
+    for i, j, code in connector_codes(g.rows, m.edges):
+        if code & PARALLEL == PARALLEL:
+            out.append((edge_masks[i] | edge_masks[j], i, j))
+        if code & CROSSED == CROSSED:
+            out.append((edge_masks[i] | edge_masks[j], i, j))
     return out
 
 
@@ -185,7 +183,7 @@ def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     check_perfect_matching(g, m)
     kern = _kernel(g)
     edge_masks = [e.mask for e in m.edges]
-    triples = _four_cycle_triples(g, m)
+    triples = _four_cycle_triples(g, m, edge_masks)
     lower = _greedy_four_cycle_packing(triples)
     greedy = _greedy_forcing_set(g, m, kern, edge_masks, triples)
     upper = len(greedy)

@@ -312,27 +312,57 @@ def enumerate_alternating_cycles(
     return tuple(cyc)
 
 
+# Connector-code classes of matching edges (a, b), (c, d).  The pair spans
+# one alternating 4-cycle per class its code contains, and induces exactly
+# a 4-cycle iff its code is a class.
+PARALLEL = 0b0011  # a~c and b~d
+CROSSED = 0b1100  # a~d and b~c
+
+
+def connector_codes(
+    rows: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """(i, j, code) for each pair i < j of matching edges (a, b) = pairs[i]
+    and (c, d) = pairs[j], in scan order; ``pairs`` are sorted by smaller
+    endpoint.  The code's bits are a~c, b~d, a~d and b~c."""
+    for i, (a, b) in enumerate(pairs):
+        ra = rows[a]
+        rb = rows[b]
+        for j in range(i + 1, len(pairs)):
+            c, d = pairs[j]
+            code = (ra >> c & 1) | (rb >> d & 1) << 1
+            yield i, j, code | (ra >> d & 1) << 2 | (rb >> c & 1) << 3
+
+
+def four_cycle_switches(
+    rows: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, y, w) for every alternating 4-cycle a-b-w-y, in scan order,
+    parallel class first: its 2-switch turns matching edges (a, b) and
+    {y, w}, in that order in ``pairs``, into (a, y) and (b, w)."""
+    for i, j, code in connector_codes(rows, pairs):
+        a, b = pairs[i]
+        c, d = pairs[j]
+        if code & PARALLEL == PARALLEL:
+            yield a, b, c, d
+        if code & CROSSED == CROSSED:
+            yield a, b, d, c
+
+
+def switch_cycle(a: int, b: int, y: int, w: int) -> AlternatingCycle:
+    """Canonical form of the 4-cycle a-b-w-y whose smallest vertex is a."""
+    return AlternatingCycle((a, b, w, y) if b < y else (a, y, w, b))
+
+
 def alternating_four_cycles(
     g: Graph, m: PerfectMatching
 ) -> tuple[AlternatingCycle, ...]:
-    """All m-alternating 4-cycles, canonicalized and sorted.
-
-    A 4-cycle alternating with m joins two matching edges either by the two
-    "parallel" connectors or by the two "crossed" ones, so a pair scan over
-    matching edges finds every witness.
-    """
-    out = []
-    edges = m.edges
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if g.has_edge(a, c) and g.has_edge(b, d):
-                out.append(AlternatingCycle.canonical((a, c, d, b)))
-            if g.has_edge(a, d) and g.has_edge(b, c):
-                out.append(AlternatingCycle.canonical((a, d, c, b)))
-    out.sort(key=lambda cy: cy.vertices)
-    return tuple(out)
+    """All m-alternating 4-cycles, canonicalized and sorted."""
+    cycles = [
+        switch_cycle(a, b, y, w)
+        for a, b, y, w in four_cycle_switches(g.rows, m.edges)
+    ]
+    return tuple(sorted(cycles, key=lambda cy: cy.vertices))
 
 
 def apply_cycle(m: PerfectMatching, c: AlternatingCycle) -> PerfectMatching:

@@ -36,7 +36,6 @@ from .structure import (
     has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
-    is_minimal_max_forcing,
     matching_pairs_exact_four_cycles,
     max_independent_set_size,
     pairwise_alternating_condition,
@@ -105,6 +104,14 @@ class _GraphContext:
         return is_knn_plus(self.g) if self.g.order % 2 == 0 else None
 
     @cached_property
+    def minimal_max_forcing(self) -> bool:
+        # is_minimal_max_forcing over the profile's matchings: same set, same cap
+        return any(
+            matching_pairs_exact_four_cycles(self.g, m)
+            for m in self.profile.per_matching
+        )
+
+    @cached_property
     def switch_graph(self):
         return build_switch_graph(self.g, profile=self.profile)
 
@@ -132,7 +139,7 @@ def _block_lemma23(ctx: _GraphContext):
         return 1, False
     if vertex_connectivity(ctx.g) < ctx.n:
         return 1, False
-    if is_minimal_max_forcing(ctx.g):
+    if ctx.minimal_max_forcing:
         if any(ctx.g.degree(v) != ctx.n for v in range(ctx.g.order)):
             return 1, False
     return 1, True
@@ -188,7 +195,7 @@ def _block_lemma22min(ctx: _GraphContext):
     matching is inspected?  Never fails; differing graphs are counted."""
     if not ctx.max_is_top:
         return 0, True
-    some = is_minimal_max_forcing(ctx.g)
+    some = ctx.minimal_max_forcing
     every = all(
         matching_pairs_exact_four_cycles(ctx.g, m)
         for m, f in ctx.profile.per_matching.items()

@@ -16,11 +16,14 @@ from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
 from .graph import (
+    CROSSED,
+    PARALLEL,
     Edge,
     Graph,
     PerfectMatching,
     complement,
     components_masks,
+    connector_codes,
     enumerate_perfect_matchings,
     has_perfect_matching,
     iter_bits,
@@ -108,38 +111,19 @@ def pairwise_alternating_condition(
     offending pair is returned.
     """
     edges = m.edges
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            parallel = g.has_edge(a, c) and g.has_edge(b, d)
-            crossed = g.has_edge(a, d) and g.has_edge(b, c)
-            if not (parallel or crossed):
-                return False, (edges[i], edges[j])
+    for i, j, code in connector_codes(g.rows, edges):
+        if code & PARALLEL != PARALLEL and code & CROSSED != CROSSED:
+            return False, (edges[i], edges[j])
     return True, None
 
 
-def _pair_exact_four_cycle(g: Graph, e1: Edge, e2: Edge) -> bool:
-    """True iff the subgraph induced by the two matching edges is exactly a
-    4-cycle: an alternating connector pair and no further edges."""
-    a, b = e1
-    c, d = e2
-    connectors = sum(
-        1 for (x, y) in ((a, c), (b, d), (a, d), (b, c)) if g.has_edge(x, y)
-    )
-    parallel = g.has_edge(a, c) and g.has_edge(b, d)
-    crossed = g.has_edge(a, d) and g.has_edge(b, c)
-    return connectors == 2 and (parallel or crossed)
-
-
 def matching_pairs_exact_four_cycles(g: Graph, m: PerfectMatching) -> bool:
-    """Whether every pair of matching edges induces exactly a 4-cycle."""
-    edges = m.edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if not _pair_exact_four_cycle(g, edges[i], edges[j]):
-                return False
-    return True
+    """Whether every pair of matching edges induces exactly a 4-cycle: one
+    alternating connector class and no further edges."""
+    return all(
+        code == PARALLEL or code == CROSSED
+        for _i, _j, code in connector_codes(g.rows, m.edges)
+    )
 
 
 def has_max_forcing_n_minus_1(
@@ -161,12 +145,10 @@ def is_minimal_max_forcing(g: Graph, matching_cap: int | None = None) -> bool:
     """True iff some matching attains the maximal forcing number with every
     edge pair inducing exactly a 4-cycle (4 vertices, 4 edges).  Graphs
     without a perfect matching, or without a maximal matching, give False."""
-    if not has_perfect_matching(g):
-        return False
-    for m in enumerate_perfect_matchings(g, cap=matching_cap):
-        if matching_pairs_exact_four_cycles(g, m):
-            return True
-    return False
+    return any(
+        matching_pairs_exact_four_cycles(g, m)
+        for m in enumerate_perfect_matchings(g, cap=matching_cap)
+    )
 
 
 def classify_min_forcing(

@@ -2,8 +2,9 @@
 
 Nodes of the switch graph are the perfect matchings of a host graph;
 two matchings are adjacent when they differ by one alternating 4-cycle.
-Several distinct 4-cycles can realize the same transition, so the graph is
-kept simple and the realizing cycles ride along as edge annotations.
+The symmetric difference of adjacent matchings is that cycle's edge set,
+so each switch edge is realized by exactly one cycle, which rides along as
+the edge's annotation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .graph import (
     alternating_four_cycles,
     apply_cycle,
     check_perfect_matching,
+    four_cycle_switches,
     is_alternating_cycle,
+    switch_cycle,
 )
 
 
@@ -113,26 +116,30 @@ def build_switch_graph(
     matching_cap: int | None = None,
     profile: SpectrumReport | None = None,
 ) -> SwitchGraph:
-    """Full switch graph with forcing numbers annotated per node."""
+    """Full switch graph with forcing numbers annotated per node.  Each
+    2-switch rewrites four mates and looks the result up among the nodes'
+    mate tuples (KeyError if it is not a node)."""
     if profile is None:
         profile = forcing_profile(g, matching_cap=matching_cap)
     nodes = tuple(profile.per_matching)
-    forcing = tuple(profile.per_matching[m] for m in nodes)
-    index = {m: i for i, m in enumerate(nodes)}
-    neighbor_sets: list[set[int]] = [set() for _ in nodes]
-    edge_cycles: dict[tuple[int, int], set[AlternatingCycle]] = {}
+    forcing = tuple(profile.per_matching.values())
+    mates = [m.mates(g.order) for m in nodes]
+    index = {mate: i for i, mate in enumerate(mates)}
+    adjacency = []
+    edge_cycles: dict[tuple[int, int], tuple[AlternatingCycle, ...]] = {}
     for i, m in enumerate(nodes):
-        for cyc in alternating_four_cycles(g, m):
-            j = index[apply_cycle(m, cyc)]
-            key = (i, j) if i < j else (j, i)
-            neighbor_sets[i].add(j)
-            edge_cycles.setdefault(key, set()).add(cyc)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    cycles_sorted = {
-        key: tuple(sorted(v, key=lambda c: c.vertices))
-        for key, v in sorted(edge_cycles.items())
-    }
-    return SwitchGraph(nodes, forcing, adjacency, cycles_sorted)
+        neighbors = []
+        for a, b, y, w in four_cycle_switches(g.rows, m.edges):
+            mate = list(mates[i])
+            mate[a], mate[y], mate[b], mate[w] = y, a, w, b
+            j = index[tuple(mate)]
+            neighbors.append(j)
+            if i < j:
+                edge_cycles[(i, j)] = (switch_cycle(a, b, y, w),)
+        adjacency.append(tuple(sorted(neighbors)))
+    return SwitchGraph(
+        nodes, forcing, tuple(adjacency), dict(sorted(edge_cycles.items()))
+    )
 
 
 def switch_path(

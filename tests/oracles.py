@@ -32,6 +32,17 @@ def oracle_perfect_matchings(g: Graph) -> list[frozenset]:
     return out
 
 
+def oracle_switch_edges(g: Graph) -> list[tuple[int, int]]:
+    """Switch-graph edges over `oracle_perfect_matchings` order: matchings
+    i < j are adjacent iff they differ in exactly two edges."""
+    pms = oracle_perfect_matchings(g)
+    return [
+        (i, j)
+        for i, j in combinations(range(len(pms)), 2)
+        if len(pms[i] - pms[j]) == 2
+    ]
+
+
 def oracle_has_pm_tutte(g: Graph) -> bool:
     """Tutte condition: every vertex set S leaves at most |S| odd components."""
     for size in range(g.order + 1):

@@ -5,10 +5,12 @@ pytest with -s to watch them).  The corpus-wide theorem sweeps are shared
 session fixtures so the exhaustive corpus is only analyzed once.
 """
 
+import hashlib
 import time
 
 import pytest
 
+from matchforce import records
 from matchforce import (
     Graph,
     PerfectMatching,
@@ -56,6 +58,23 @@ def exhaustive6_report():
 def families_report():
     corpus = [to_graph6(g) for _, g in family_corpus(10)]
     return verify_graphs("families-10", corpus, theorems="all", workers=8)
+
+
+# sha256 of the default `verify` report bytes; a change to any block's
+# verdicts, counts, counterexamples or info sums moves them.
+REPORT_SHA256 = {
+    "exhaustive6_report": "87839662a42eb13e2563477f02fd13a606e15af32016d33b95cb3ed95216a198",
+    "families_report": "67aef10666a2122ad5a12b6795b73ef916382ca054be7580e5be011976532cde",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPORT_SHA256))
+def test_default_report_bytes_pinned(fixture, request):
+    rep = request.getfixturevalue(fixture)
+    text = records.dumps(
+        records.make_record("verification", records.verification_payload(rep))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[fixture]
 
 
 def test_criterion_01_classification_exhaustive():

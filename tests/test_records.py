@@ -75,7 +75,7 @@ def test_switch_payloads(k33):
     payload = roundtrips(records.switch_payload(sg, cont))
     assert len(payload["nodes"]) == 6
     assert payload["reach_max"] is True
-    assert all(mult >= 1 for mult in payload["cycle_multiplicity"].values())
+    assert all(mult == 1 for mult in payload["cycle_multiplicity"].values())
     path = switch_path(sg, sg.nodes[0], sg.nodes[-1])
     path_payload = roundtrips(records.switch_path_payload(path))
     assert len(path_payload["matchings"]) == len(path_payload["cycles"]) + 1

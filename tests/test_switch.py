@@ -2,13 +2,17 @@ import pytest
 
 from matchforce import (
     AlternatingCycle,
+    Connector,
+    PairSignature,
     PerfectMatching,
     PreconditionError,
     alternating_4_cycles,
     build_switch_graph,
     enumerate_perfect_matchings,
     forcing_profile,
+    gen_complete_multipartite,
     gen_h_k,
+    gen_minimal_from_signature,
     gen_random,
     switch_path,
     two_switch,
@@ -16,7 +20,20 @@ from matchforce import (
     verify_switch_bound,
 )
 
-from oracles import oracle_alternating_cycles
+from oracles import (
+    oracle_alternating_cycles,
+    oracle_perfect_matchings,
+    oracle_switch_edges,
+)
+
+
+def _signature_graph(n, mask):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    choice = {
+        p: Connector.PARALLEL if (mask >> b) & 1 else Connector.CROSS
+        for b, p in enumerate(pairs)
+    }
+    return gen_minimal_from_signature(PairSignature(n, choice)).graph
 
 
 class TestFourCycleListing:
@@ -90,6 +107,33 @@ class TestSwitchGraph:
             if not pms:
                 continue
             assert len(build_switch_graph(g).nodes) == len(pms)
+
+    @pytest.mark.parametrize(
+        "g",
+        [gen_random(6, "1/2" if s % 2 else "2/3", s) for s in range(16)]
+        + [gen_complete_multipartite((4, 4))]
+        + [_signature_graph(4, mask) for mask in (0, 5, 63)]
+        + [_signature_graph(5, mask) for mask in (0, 341, 1023)],
+    )
+    def test_matches_oracle(self, g):
+        sg = build_switch_graph(g) if enumerate_perfect_matchings(g) else None
+        pms = oracle_perfect_matchings(g)
+        if sg is None:
+            assert pms == []
+            return
+        node = [sg.node_index[PerfectMatching(tuple(sorted(pm)))] for pm in pms]
+        assert sorted(node) == list(range(len(sg.nodes)))
+        expected = sorted(
+            (min(node[i], node[j]), max(node[i], node[j]))
+            for i, j in oracle_switch_edges(g)
+        )
+        forward = [(i, j) for i, nbrs in enumerate(sg.adjacency) for j in nbrs]
+        assert sorted((i, j) for i, j in forward if i < j) == expected
+        assert sorted((j, i) for i, j in forward if i > j) == expected
+        assert sg.edges() == expected
+        for (i, j), (cyc,) in sg.edge_cycles.items():
+            diff = set(sg.nodes[i].edges) ^ set(sg.nodes[j].edges)
+            assert set(cyc.pairs()) == diff
 
     def test_annotations_match_profile(self, k33):
         profile = forcing_profile(k33)
