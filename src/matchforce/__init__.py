@@ -6,7 +6,7 @@ dynamics, and a small-graph verification harness, all on an immutable
 bitmask graph substrate.
 """
 
-from ._core import COMPILED_AVAILABLE, kernel_backend
+from ._core import kernel_backend
 from .errors import (
     CycleOverflowError,
     MatchforceError,
@@ -94,7 +94,6 @@ from .switch import (
     ContinuityReport,
     SwitchGraph,
     SwitchPath,
-    alternating_4_cycles,
     build_switch_graph,
     switch_path,
     two_switch,

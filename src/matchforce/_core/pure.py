@@ -5,8 +5,7 @@ masks (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).  It memoizes the number
 of perfect matchings (capped at 2) per vertex subset, which is the inner
 primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
-matching.  The compiled twin in ``_speedups.pyx`` mirrors this class
-bit for bit; both must stay behaviourally identical.
+matching.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class Kernel:
                 break
         cache[mask] = total
         return total
-
-    def pm_exists(self, mask: int) -> bool:
-        return self.count2(mask) > 0
 
     def enumerate_pms(self, mask: int, cap: int) -> list:
         """All perfect matchings of the induced subgraph, lexicographically.

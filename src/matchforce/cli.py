@@ -213,11 +213,12 @@ def _cmd_generate(args) -> int:
 
 
 def _load_corpus(source: str) -> tuple[str, list[str]]:
+    path = Path(source)
     try:
         return source, builtin_corpus(source)
-    except ValueError:
-        pass
-    path = Path(source)
+    except ValueError as exc:
+        if not path.exists():
+            raise ValueError(f"{exc}, and no file {source!r} exists") from None
     try:
         graphs = read_graph6_collection(path.read_text())
     except OSError as exc:

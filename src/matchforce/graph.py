@@ -358,6 +358,7 @@ def alternating_four_cycles(
     g: Graph, m: PerfectMatching
 ) -> tuple[AlternatingCycle, ...]:
     """All m-alternating 4-cycles, canonicalized and sorted."""
+    check_perfect_matching(g, m)
     cycles = [
         switch_cycle(a, b, y, w)
         for a, b, y, w in four_cycle_switches(g.rows, m.edges)

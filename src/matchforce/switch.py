@@ -20,21 +20,12 @@ from .graph import (
     AlternatingCycle,
     Graph,
     PerfectMatching,
-    alternating_four_cycles,
     apply_cycle,
     check_perfect_matching,
     four_cycle_switches,
     is_alternating_cycle,
     switch_cycle,
 )
-
-
-def alternating_4_cycles(
-    g: Graph, m: PerfectMatching
-) -> tuple[AlternatingCycle, ...]:
-    """All m-alternating 4-cycles, canonical rotation, sorted."""
-    check_perfect_matching(g, m)
-    return alternating_four_cycles(g, m)
 
 
 def two_switch(

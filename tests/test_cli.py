@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from matchforce import to_edge_list, to_graph6
 from matchforce.cli import main
 
@@ -226,6 +228,27 @@ class TestVerify:
         code = main(["verify", "--corpus", str(tmp_path / "missing.g6")])
         _, err = capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("exhaustive-9", "exhaustive corpora exist for orders 1..6"),
+            ("families-99", "unknown builtin corpus 'families-99'"),
+        ],
+    )
+    def test_bad_builtin_name_exit_1(self, capsys, name, message):
+        code = main(["verify", "--corpus", name])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "parse error" not in err
+
+    def test_corpus_directory_exit_1(self, capsys, tmp_path):
+        code = main(["verify", "--corpus", str(tmp_path)])
+        _, err = capsys.readouterr()
+        assert code == 1
+        assert "cannot read corpus" in err
 
     def test_usage_error_exit_1(self, capsys):
         code = main(["verify", "--workers", "x"])

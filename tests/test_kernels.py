@@ -1,93 +1,78 @@
-"""Pure and compiled kernels must be indistinguishable."""
+"""The matching kernel against the brute-force oracles."""
+
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchforce import gen_random
-from matchforce._core import COMPILED_AVAILABLE, pure
+from matchforce import PerfectMatching, gen_random, induced_subgraph
+from matchforce._core import make_kernel, pure
 from matchforce.errors import MatchingOverflowError
 
-if COMPILED_AVAILABLE:
-    from matchforce._core import _speedups
-
-needs_compiled = pytest.mark.skipif(
-    not COMPILED_AVAILABLE, reason="compiled kernels not built"
-)
+from oracles import oracle_is_forcing, oracle_perfect_matchings
 
 
-def kernels_for(rows):
-    return pure.Kernel(rows), _speedups.Kernel(rows)
+def _flat(pm) -> tuple[int, ...]:
+    """Oracle matching as the kernel's flat (u0, v0, u1, v1, ...) tuple."""
+    return tuple(x for e in sorted(pm) for x in e)
 
 
-@needs_compiled
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.integers(0, 255))
-def test_count2_agrees(seed, mask_seed):
+def test_count2_matches_oracle(seed, mask_seed):
     g = gen_random(8, "1/2", seed)
-    py, cy = kernels_for(g.rows)
     mask = mask_seed & g.full_mask
-    assert py.count2(mask) == cy.count2(mask)
+    vertices = [v for v in range(g.order) if (mask >> v) & 1]
+    sub = induced_subgraph(g, vertices)
+    expected = min(2, len(oracle_perfect_matchings(sub)))
+    assert pure.Kernel(g.rows).count2(mask) == expected
 
 
-@needs_compiled
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
-def test_enumeration_agrees(seed):
+def test_enumeration_matches_oracle(seed):
     g = gen_random(8, "2/3", seed)
-    py, cy = kernels_for(g.rows)
-    assert py.enumerate_pms(g.full_mask, 10**6) == cy.enumerate_pms(
-        g.full_mask, 10**6
-    )
+    expected = sorted(_flat(pm) for pm in oracle_perfect_matchings(g))
+    assert pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6) == expected
 
 
-@needs_compiled
-def test_enumeration_overflow_agrees():
+def test_enumeration_overflow():
     g = gen_random(8, 1, 0)  # complete graph, 105 matchings
-    py, cy = kernels_for(g.rows)
+    kern = pure.Kernel(g.rows)
+    assert len(kern.enumerate_pms(g.full_mask, 105)) == 105
     with pytest.raises(MatchingOverflowError):
-        py.enumerate_pms(g.full_mask, 10)
-    with pytest.raises(MatchingOverflowError):
-        cy.enumerate_pms(g.full_mask, 10)
+        kern.enumerate_pms(g.full_mask, 104)
 
 
-@needs_compiled
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.integers(0, 4))
-def test_forcing_scan_agrees(seed, size):
+def test_forcing_scan_matches_oracle(seed, size):
     g = gen_random(8, "1/2", seed)
-    py, cy = kernels_for(g.rows)
-    pms = py.enumerate_pms(g.full_mask, 10**6)
+    kern = pure.Kernel(g.rows)
+    pms = kern.enumerate_pms(g.full_mask, 10**6)
     if not pms:
         return
     flat = pms[0]
-    edge_masks = [
-        (1 << flat[i]) | (1 << flat[i + 1]) for i in range(0, len(flat), 2)
-    ]
-    assert py.forcing_scan(g.full_mask, edge_masks, size) == cy.forcing_scan(
-        g.full_mask, edge_masks, size
-    )
+    pairs = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+    m = PerfectMatching.from_pairs(pairs)
+    edge_masks = [(1 << u) | (1 << v) for u, v in pairs]
+    expected = (None, comb(len(pairs), size))
+    for rank, idx in enumerate(combinations(range(len(pairs)), size), 1):
+        if oracle_is_forcing(g, m, [pairs[i] for i in idx]):
+            expected = (idx, rank)
+            break
+    assert kern.forcing_scan(g.full_mask, edge_masks, size) == expected
 
 
-@needs_compiled
-def test_large_order_uses_dict_cache():
-    # above the flat-table threshold both backends still agree
-    g = gen_random(20, "1/4", 11)
-    py, cy = kernels_for(g.rows)
-    assert py.count2(g.full_mask) == cy.count2(g.full_mask)
-
-
-def test_pure_kernel_env_override(monkeypatch):
-    # the selector honours MATCHFORCE_PURE_KERNELS at import time; cheaper
-    # to check the factory path than to reload the package
-    from matchforce import _core
-
-    kern = _core.pure.Kernel((0b10, 0b01))
+def test_make_kernel_is_pure():
+    kern = make_kernel((0b10, 0b01))
+    assert isinstance(kern, pure.Kernel)
     assert kern.count2(0b11) == 1
-    assert _core.make_kernel((0b10, 0b01)).count2(0b11) == 1
 
 
 def test_backend_reported():
     from matchforce import kernel_backend
 
-    assert kernel_backend() in ("pure", "compiled")
+    assert kernel_backend() == "pure"

@@ -6,7 +6,7 @@ from matchforce import (
     PairSignature,
     PerfectMatching,
     PreconditionError,
-    alternating_4_cycles,
+    alternating_four_cycles,
     build_switch_graph,
     enumerate_perfect_matchings,
     forcing_profile,
@@ -38,22 +38,27 @@ def _signature_graph(n, mask):
 
 class TestFourCycleListing:
     def test_c6_none(self, c6, c6_matching):
-        assert alternating_4_cycles(c6, c6_matching) == ()
+        assert alternating_four_cycles(c6, c6_matching) == ()
 
     def test_k4_two(self, k4, k4_matching):
-        cycles = alternating_4_cycles(k4, k4_matching)
+        cycles = alternating_four_cycles(k4, k4_matching)
         assert [c.vertices for c in cycles] == [(0, 1, 2, 3), (0, 1, 3, 2)]
 
     def test_k33_three(self, k33):
         m = PerfectMatching.from_pairs([(0, 3), (1, 4), (2, 5)])
-        cycles = alternating_4_cycles(k33, m)
+        cycles = alternating_four_cycles(k33, m)
         assert len(cycles) == 3
+
+    def test_rejects_non_matching(self, c6):
+        m = PerfectMatching.from_pairs([(0, 3), (1, 4), (2, 5)])
+        with pytest.raises(PreconditionError):
+            alternating_four_cycles(c6, m)
 
     def test_matches_exhaustive_search(self):
         for seed in range(30):
             g = gen_random(8, "1/2", seed)
             for m in enumerate_perfect_matchings(g)[:4]:
-                mine = {c.vertices for c in alternating_4_cycles(g, m)}
+                mine = {c.vertices for c in alternating_four_cycles(g, m)}
                 brute = {
                     AlternatingCycle.canonical(c).vertices
                     for c in oracle_alternating_cycles(g, m)
