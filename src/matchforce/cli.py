@@ -8,8 +8,7 @@ a corpus).  Every run emits one versioned JSON record on stdout unless
 
 Exit codes: 0 success (for verify: all blocks passed), 1 parse/usage/domain
 error, 2 no perfect matching, 3 enumeration cap exceeded.  The default
-matching and cycle caps can be overridden with MATCHFORCE_MATCHING_CAP and
-MATCHFORCE_CYCLE_CAP.
+matching cap can be overridden with MATCHFORCE_MATCHING_CAP.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def _cmd_analyze(args) -> int:
         sections["profile"] = records.spectrum_payload(profile)
     if "classification" in wanted:
         sections["classification"] = records.classification_payload(
-            classify_min_forcing(g, matching_cap=matching_cap)
+            classify_min_forcing(g)
         )
     if "extendability" in wanted:
         sections["extendability"] = _extendability_section(g)

@@ -211,17 +211,37 @@ def deficiency_witness(g: Graph, l: int) -> Optional[DeficiencyWitness]:
     raise AssertionError("no witness found although the graph is not l-extendable")
 
 
-def _v_side_is_triangle_plus_isolated(g: Graph, v_side: tuple[int, ...]) -> bool:
+def _fits_case_i(g: Graph, u_side, v_side) -> bool:
+    """Case i: the v side induces one triangle plus isolated vertices and
+    the u side has two independent edges."""
     inside = [
         (x, y)
         for i, x in enumerate(v_side)
         for y in v_side[i + 1 :]
         if g.has_edge(x, y)
     ]
-    if len(inside) != 3:
-        return False
-    verts = {v for e in inside for v in e}
-    return len(verts) == 3
+    return (
+        len(inside) == 3
+        and len({v for e in inside for v in e}) == 3
+        and _induced_matching_number_at_least(g, mask_of(u_side), 2)
+    )
+
+
+def _fits_case_ii(g: Graph, u_side, v_side, pivot: int) -> bool:
+    """Case ii at ``pivot``: the v side minus the pivot is independent, the
+    u side plus the pivot's v has two independent edges, and both pivot
+    vertices have a neighbour among the other v's."""
+    v_rest = [v for i, v in enumerate(v_side) if i != pivot]
+    return (
+        not any(
+            g.has_edge(x, y) for i, x in enumerate(v_rest) for y in v_rest[i + 1 :]
+        )
+        and _induced_matching_number_at_least(
+            g, mask_of(u_side) | (1 << v_side[pivot]), 2
+        )
+        and any(g.has_edge(x, v_side[pivot]) for x in v_rest)
+        and any(g.has_edge(x, u_side[pivot]) for x in v_rest)
+    )
 
 
 def non_2_extendable_structure(g: Graph) -> Optional[NonTwoExtendableStructure]:
@@ -255,28 +275,11 @@ def non_2_extendable_structure(g: Graph) -> Optional[NonTwoExtendableStructure]:
             v_side = tuple(
                 e.u if (orient >> i) & 1 else e.v for i, e in enumerate(edges)
             )
-            if (
-                n >= 4
-                and _v_side_is_triangle_plus_isolated(g, v_side)
-                and _induced_matching_number_at_least(g, mask_of(u_side), 2)
-            ):
+            if n >= 4 and _fits_case_i(g, u_side, v_side):
                 return NonTwoExtendableStructure("i", m, u_side, v_side, None)
             for pivot in range(n):
-                v_rest = [v_side[i] for i in range(n) if i != pivot]
-                if any(
-                    g.has_edge(x, y)
-                    for i, x in enumerate(v_rest)
-                    for y in v_rest[i + 1 :]
-                ):
-                    continue
-                s_mask = mask_of(u_side) | (1 << v_side[pivot])
-                if not _induced_matching_number_at_least(g, s_mask, 2):
-                    continue
-                if not any(g.has_edge(x, v_side[pivot]) for x in v_rest):
-                    continue
-                if not any(g.has_edge(x, u_side[pivot]) for x in v_rest):
-                    continue
-                return NonTwoExtendableStructure("ii", m, u_side, v_side, pivot)
+                if _fits_case_ii(g, u_side, v_side, pivot):
+                    return NonTwoExtendableStructure("ii", m, u_side, v_side, pivot)
     raise AssertionError(
         "graph is not 2-extendable but no structural labeling was found"
     )

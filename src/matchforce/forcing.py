@@ -2,10 +2,9 @@
 
 A subset S of a perfect matching M forces M iff the graph left after
 deleting V(S) has no M-alternating cycle, equivalently iff it has exactly
-one perfect matching.  The solver scans candidate subsets by cardinality,
-squeezed between a disjoint-4-cycle packing lower bound and a greedy upper
-bound, with every forcing check answered by the memoized matching-count
-kernel.
+one perfect matching.  The solver scans candidate subsets by ascending
+cardinality from a disjoint-4-cycle packing lower bound, with every
+forcing check answered by the memoized matching-count kernel.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ DEFAULT_CYCLE_CAP = 10**5
 class ForcingCertificate:
     """Optimal forcing set for one matching, with search bookkeeping.
 
-    ``witness_set`` is the lexicographically first optimal set when the
-    subset scan found it, or the greedy set when the greedy upper bound was
-    already optimal.  ``nodes_explored`` counts candidate sets tested by the
-    scan; ``lower_bound_used`` is the disjoint-4-cycle packing bound the
-    scan started from.
+    ``witness_set`` is the lexicographically first optimal set.
+    ``nodes_explored`` counts every candidate set the scan tested, those of
+    the optimal size included; ``lower_bound_used`` is the disjoint-4-cycle
+    packing bound the scan started from.
     """
 
     matching: PerfectMatching
@@ -120,85 +118,42 @@ def is_forcing_set(
     return False, AlternatingCycle.canonical(raw)
 
 
-def _four_cycle_triples(g, m, edge_masks) -> list[tuple[int, int, int]]:
-    """Alternating 4-cycles as (vertex mask, edge index, edge index), in
-    pair-scan order: one per connector class a pair contains, parallel
-    before crossed."""
-    out = []
-    for i, j, code in connector_codes(g.rows, m.edges):
-        if code & PARALLEL == PARALLEL:
-            out.append((edge_masks[i] | edge_masks[j], i, j))
-        if code & CROSSED == CROSSED:
-            out.append((edge_masks[i] | edge_masks[j], i, j))
-    return out
-
-
-def _greedy_four_cycle_packing(triples) -> int:
+def _four_cycle_packing(g, m, edge_masks) -> int:
+    """Vertex-disjoint alternating 4-cycles packed greedily, one per matching
+    edge pair that spans one, in pair-scan order."""
     used = 0
     count = 0
-    for vm, _i, _j in triples:
-        if not (vm & used):
+    for i, j, code in connector_codes(g.rows, m.edges):
+        vm = edge_masks[i] | edge_masks[j]
+        spans = code & PARALLEL == PARALLEL or code & CROSSED == CROSSED
+        if spans and not (vm & used):
             used |= vm
             count += 1
     return count
-
-
-def _greedy_forcing_set(g, m, kern, edge_masks, triples) -> list[int]:
-    """Greedy forcing set as edge indices: while some alternating cycle
-    survives, take the matching edge lying on the most live 4-cycles (ties
-    to the lowest index); with no live 4-cycles left, fall back to the
-    lowest matching edge on a witness cycle."""
-    vert_edge = {}
-    for idx, e in enumerate(m.edges):
-        vert_edge[e.u] = idx
-        vert_edge[e.v] = idx
-    mates = m.mates(g.order)
-    removed = 0
-    chosen: list[int] = []
-    while kern.count2(g.full_mask & ~removed) > 1:
-        counts = [0] * len(edge_masks)
-        live_any = False
-        for vm, i, j in triples:
-            if not (vm & removed):
-                live_any = True
-                counts[i] += 1
-                counts[j] += 1
-        if live_any:
-            pick = max(range(len(counts)), key=lambda i: (counts[i], -i))
-        else:
-            raw = alternating_cycle_first(g.rows, mates, g.full_mask & ~removed)
-            pick = min(vert_edge[v] for v in raw)
-        chosen.append(pick)
-        removed |= edge_masks[pick]
-    return chosen
 
 
 def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     """Exact minimum forcing set size for m, with a witness set.
 
     Candidate subsets are scanned lexicographically within each cardinality,
-    cardinalities ascending from the 4-cycle packing bound; the scan stops
-    early when it reaches the greedy upper bound.
+    cardinalities ascending from the 4-cycle packing bound; the first
+    cardinality with a forcing subset is the optimum.  The scan always ends
+    by the full matching, which forces itself.
     """
     check_perfect_matching(g, m)
     kern = _kernel(g)
     edge_masks = [e.mask for e in m.edges]
-    triples = _four_cycle_triples(g, m, edge_masks)
-    lower = _greedy_four_cycle_packing(triples)
-    greedy = _greedy_forcing_set(g, m, kern, edge_masks, triples)
-    upper = len(greedy)
-    optimum = upper
-    witness_idx: tuple[int, ...] = tuple(sorted(greedy))
+    lower = _four_cycle_packing(g, m, edge_masks)
+    size = lower
     nodes = 0
-    for size in range(lower, upper):
+    while True:
         found, tested = kern.forcing_scan(g.full_mask, edge_masks, size)
         nodes += tested
         if found is not None:
-            optimum = size
-            witness_idx = found
             break
-    witness = tuple(m.edges[i] for i in witness_idx)
-    return ForcingCertificate(m, optimum, witness, lower, nodes)
+        size += 1
+    witness = tuple(m.edges[i] for i in found)
+    return ForcingCertificate(m, size, witness, lower, nodes)
 
 
 def _max_disjoint(masks: list[int]) -> int:

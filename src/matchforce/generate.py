@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
+from .extend import _fits_case_i, _fits_case_ii
 from .graph import Edge, Graph, PerfectMatching
 
 
@@ -141,28 +142,6 @@ def gen_h_k(n: int, k: int) -> LabeledGraph:
     return gen_minimal_from_signature(PairSignature.from_parallel_pairs(n, parallel))
 
 
-def _matching_number_at_least(g: Graph, vertices: Sequence[int], need: int) -> bool:
-    pairs = [
-        (x, y)
-        for idx, x in enumerate(vertices)
-        for y in vertices[idx + 1 :]
-        if g.has_edge(x, y)
-    ]
-
-    def rec(i: int, used: int, have: int) -> bool:
-        if have >= need:
-            return True
-        if i == len(pairs):
-            return False
-        x, y = pairs[i]
-        if not (used & (1 << x) or used & (1 << y)):
-            if rec(i + 1, used | (1 << x) | (1 << y), have + 1):
-                return True
-        return rec(i + 1, used, have)
-
-    return rec(0, 0, 0)
-
-
 def gen_non_2_extendable(
     case: str,
     n: int,
@@ -239,30 +218,10 @@ def gen_non_2_extendable(
     v_side = tuple(range(n, 2 * n))
 
     if case == "i":
-        v_inside = [
-            (x, y)
-            for i, x in enumerate(v_side)
-            for y in v_side[i + 1 :]
-            if g.has_edge(x, y)
-        ]
-        if len(v_inside) != 3 or len({v for e in v_inside for v in e}) != 3:
-            raise PreconditionError("options broke the triangle structure")
-        if not _matching_number_at_least(g, u_side, 2):
-            raise PreconditionError("case i needs two independent u-side edges")
-    else:
-        v_rest = v_side[: n - 1]
-        if any(
-            g.has_edge(x, y) for i, x in enumerate(v_rest) for y in v_rest[i + 1 :]
-        ):
-            raise PreconditionError("case ii needs the first n-1 v's independent")
-        if not any(g.has_edge(x, v_side[n - 1]) for x in v_rest):
-            raise PreconditionError("case ii needs some v_i adjacent to v_n")
-        if not any(g.has_edge(x, u_side[n - 1]) for x in v_rest):
-            raise PreconditionError("case ii needs some v_j adjacent to u_n")
-        if not _matching_number_at_least(g, u_side + (v_side[n - 1],), 2):
-            raise PreconditionError(
-                "case ii needs two independent edges on the u side plus v_n"
-            )
+        if not _fits_case_i(g, u_side, v_side):
+            raise PreconditionError("options broke the case i structure")
+    elif not _fits_case_ii(g, u_side, v_side, n - 1):
+        raise PreconditionError("options broke the case ii structure")
 
     m0 = PerfectMatching.from_pairs((i, n + i) for i in range(n))
     return LabeledGraph(g, m0, u_side, v_side)

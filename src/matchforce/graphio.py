@@ -160,10 +160,10 @@ def _content_lines(text: str):
     offset = 0
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
-        extra = 0
+        extra = len(raw) - len(raw.lstrip())
         if stripped.startswith(_G6_HEADER):
             stripped = stripped[len(_G6_HEADER):]
-            extra = len(_G6_HEADER)
+            extra += len(_G6_HEADER)
         if stripped and not stripped.startswith("#"):
             yield lineno, (offset + extra, stripped)
         offset += len(raw) + 1

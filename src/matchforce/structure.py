@@ -151,9 +151,7 @@ def is_minimal_max_forcing(g: Graph, matching_cap: int | None = None) -> bool:
     )
 
 
-def classify_min_forcing(
-    g: Graph, matching_cap: int | None = None
-) -> ClassificationResult:
+def classify_min_forcing(g: Graph) -> ClassificationResult:
     """Structural classification predicting whether the minimum forcing
     number is maximal.  Complete multipartite wins when both recognizers
     fire (both imply the same prediction)."""

@@ -21,6 +21,7 @@ from matchforce import (
     is_forcing_set,
     vertex_connectivity,
 )
+from matchforce._core import pure
 from matchforce.errors import CycleOverflowError
 
 from conftest import cycle_graph, grid_2x3, star_graph
@@ -62,6 +63,7 @@ class TestForcingNumber:
         cert = forcing_number(k2, first_matching(k2))
         assert cert.optimum == 0
         assert cert.witness_set == ()
+        assert cert.nodes_explored == 1
 
     def test_c6_is_one(self, c6, c6_matching):
         cert = forcing_number(c6, c6_matching)
@@ -236,3 +238,27 @@ def test_forcing_number_matches_oracle(seed):
     g = gen_random(6, "1/2", seed)
     for m in enumerate_perfect_matchings(g):
         assert forcing_number(g, m).optimum == oracle_forcing_number(g, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_certificate_is_first_optimal_subset(seed):
+    # the witness is the first forcing subset of optimal size in
+    # combinations order, and nodes_explored sums the scan's tested counts
+    # over every size from the packing bound up to the optimum
+    g = gen_random(8, "1/2", seed)
+    kern = pure.Kernel(g.rows)
+    for m in enumerate_perfect_matchings(g):
+        cert = forcing_number(g, m)
+        assert cert.optimum == oracle_forcing_number(g, m)
+        first = next(
+            s
+            for s in combinations(m.edges, cert.optimum)
+            if oracle_is_forcing(g, m, s)
+        )
+        assert cert.witness_set == first
+        masks = [e.mask for e in m.edges]
+        assert cert.nodes_explored == sum(
+            kern.forcing_scan(g.full_mask, masks, size)[1]
+            for size in range(cert.lower_bound_used, cert.optimum + 1)
+        )

@@ -91,6 +91,22 @@ class TestGraph6:
         graphs_ = read_graph6_collection(text)
         assert [g.order for g in graphs_] == [4, 6]
 
+    def test_indented_line_offset(self):
+        # "C~\n" is bytes 0-2, the indent 3-5, "C}" 6-7: the stray "x" is byte 8
+        with pytest.raises(ParseError) as err:
+            read_graph6_collection("C~\n   C}x\n")
+        assert err.value.offset == 8
+        with pytest.raises(ParseError) as err:
+            load_graph("   C}x\n", "graph6")
+        assert err.value.offset == 5
+
+    def test_indented_header_offset(self):
+        # two indent bytes, ten header bytes, "C}": the stray "x" is byte 14
+        for read in (read_graph6_collection, lambda t: load_graph(t, "graph6")):
+            with pytest.raises(ParseError) as err:
+                read("  >>graph6<<C}x\n")
+            assert err.value.offset == 14
+
 
 class TestEdgeList:
     def test_k2(self):
