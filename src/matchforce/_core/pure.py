@@ -10,6 +10,8 @@ matching.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from ..errors import MatchingOverflowError
 
 
@@ -90,31 +92,17 @@ class Kernel:
     def forcing_scan(self, full_mask: int, edge_masks, size: int):
         """First forcing subset of ``size`` matching edges, by index order.
 
-        ``edge_masks[i]`` is the two-vertex mask of matching edge ``i``.
-        Candidate subsets are scanned in lexicographic order of their sorted
-        index tuples.  Returns ``(indices | None, tested)`` where ``tested``
-        counts the candidate sets whose forcing check ran.
+        ``edge_masks[i]`` is the two-vertex mask of matching edge ``i``, so
+        the masks are distinct and pairwise disjoint.  Candidate subsets are
+        scanned in lexicographic order of their sorted index tuples.  Returns
+        ``(indices | None, tested)`` where ``tested`` counts the candidate
+        sets whose forcing check ran.
         """
-        k = len(edge_masks)
-        if size > k:
+        if size > len(edge_masks):
             return None, 0
-        if size == 0:
-            ok = self._count2(full_mask) <= 1
-            return ((), 1) if ok else (None, 1)
-        idx = list(range(size))
+        count2 = self._count2
         tested = 0
-        while True:
-            removed = 0
-            for i in idx:
-                removed |= edge_masks[i]
-            tested += 1
-            if self._count2(full_mask ^ removed) <= 1:
-                return tuple(idx), tested
-            j = size - 1
-            while j >= 0 and idx[j] == k - size + j:
-                j -= 1
-            if j < 0:
-                return None, tested
-            idx[j] += 1
-            for t in range(j + 1, size):
-                idx[t] = idx[t - 1] + 1
+        for tested, subset in enumerate(combinations(edge_masks, size), 1):
+            if count2(full_mask ^ sum(subset)) <= 1:
+                return tuple(edge_masks.index(m) for m in subset), tested
+        return None, tested

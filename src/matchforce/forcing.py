@@ -27,6 +27,7 @@ from .graph import (
     connector_codes,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
+    pair_scan,
 )
 
 DEFAULT_CYCLE_CAP = 10**5
@@ -123,7 +124,8 @@ def _four_cycle_packing(g, m, edge_masks) -> int:
     edge pair that spans one, in pair-scan order."""
     used = 0
     count = 0
-    for i, j, code in connector_codes(g.rows, m.edges):
+    codes = connector_codes(g.rows, m.edges)
+    for (i, j), code in zip(pair_scan(len(edge_masks)), codes):
         vm = edge_masks[i] | edge_masks[j]
         spans = code & PARALLEL == PARALLEL or code & CROSSED == CROSSED
         if spans and not (vm & used):
@@ -142,7 +144,7 @@ def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     """
     check_perfect_matching(g, m)
     kern = _kernel(g)
-    edge_masks = [e.mask for e in m.edges]
+    edge_masks = [(1 << u) | (1 << v) for u, v in m.edges]
     lower = _four_cycle_packing(g, m, edge_masks)
     size = lower
     nodes = 0

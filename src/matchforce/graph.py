@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _core
@@ -18,6 +19,11 @@ from ._core.cycles import alternating_cycle_first, alternating_cycles
 from .errors import PreconditionError
 
 DEFAULT_MATCHING_CAP = 10**6
+
+# Per-graph memos (kernel, matchings, connector codes, connectivity) are
+# keyed by adjacency rows and hold only the last few graphs: every caller
+# works on one graph at a time, and a memo must not outlive it by much.
+_GRAPH_MEMO_SIZE = 4
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -66,15 +72,19 @@ class Graph:
             raise ValueError("negative order")
         if len(self.rows) != self.order:
             raise ValueError("row count does not match order")
+        rows = self.rows
         full = (1 << self.order) - 1
-        for u, row in enumerate(self.rows):
+        for u, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {u} references a vertex out of range")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u}")
-        for u in range(self.order):
-            for v in iter_bits(self.rows[u]):
-                if not (self.rows[v] >> u) & 1:
+        for u, row in enumerate(rows):
+            while row:
+                bit = row & -row
+                row ^= bit
+                v = bit.bit_length() - 1
+                if not (rows[v] >> u) & 1:
                     raise ValueError(f"asymmetric adjacency at ({u}, {v})")
 
     @classmethod
@@ -118,7 +128,7 @@ class Graph:
         return tuple(out)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_GRAPH_MEMO_SIZE)
 def _kernel_cached(rows: tuple[int, ...]):
     return _core.make_kernel(rows)
 
@@ -139,12 +149,14 @@ class PerfectMatching:
         for e in self.edges:
             if not isinstance(e, Edge) or e.u >= e.v:
                 raise ValueError(f"non-canonical edge {e}")
-            if e.u <= last:
+            u, v = e
+            if u <= last:
                 raise ValueError("edges not sorted by smaller endpoint")
-            last = e.u
-            if seen & e.mask:
+            last = u
+            mask = (1 << u) | (1 << v)
+            if seen & mask:
                 raise ValueError(f"edge {e} reuses a vertex")
-            seen |= e.mask
+            seen |= mask
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PerfectMatching":
@@ -159,8 +171,8 @@ class PerfectMatching:
     @property
     def cover_mask(self) -> int:
         m = 0
-        for e in self.edges:
-            m |= e.mask
+        for u, v in self.edges:
+            m |= (1 << u) | (1 << v)
         return m
 
     def mates(self, order: int) -> tuple[int, ...]:
@@ -218,8 +230,9 @@ def check_perfect_matching(g: Graph, m: PerfectMatching) -> None:
     """Raise PreconditionError unless m is a perfect matching of g."""
     if m.cover_mask != g.full_mask or 2 * len(m) != g.order:
         raise PreconditionError("matching does not cover every vertex")
+    rows = g.rows
     for e in m.edges:
-        if not g.has_edge(e.u, e.v):
+        if not (rows[e.u] >> e.v) & 1:
             raise PreconditionError(f"matching edge {e} is not in the graph")
 
 
@@ -267,15 +280,22 @@ def enumerate_perfect_matchings(
     """Every perfect matching exactly once, lexicographic on the edge list.
 
     Odd order yields the empty tuple; order zero yields the single empty
-    matching.  Raises MatchingOverflowError past ``cap`` matchings.
+    matching.  Raises MatchingOverflowError past ``cap`` matchings, on every
+    call: an overflow is never memoized.
     """
     if cap is None:
         cap = DEFAULT_MATCHING_CAP
-    flats = _kernel(g).enumerate_pms(g.full_mask, cap)
+    return _matchings_cached(g.rows, cap)
+
+
+@lru_cache(maxsize=_GRAPH_MEMO_SIZE)
+def _matchings_cached(
+    rows: tuple[int, ...], cap: int
+) -> tuple[PerfectMatching, ...]:
     out = []
-    for flat in flats:
-        edges = tuple(Edge(flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
-        out.append(PerfectMatching(edges))
+    for flat in _kernel_cached(rows).enumerate_pms((1 << len(rows)) - 1, cap):
+        it = iter(flat)
+        out.append(PerfectMatching(tuple(map(Edge._make, zip(it, it)))))
     return tuple(out)
 
 
@@ -319,28 +339,46 @@ PARALLEL = 0b0011  # a~c and b~d
 CROSSED = 0b1100  # a~d and b~c
 
 
+@lru_cache(maxsize=32)
+def pair_scan(k: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i, j), i < j < k, in scan order: i ascending, then j."""
+    return tuple(combinations(range(k), 2))
+
+
+@lru_cache(maxsize=_GRAPH_MEMO_SIZE)
+def _codes_memo(rows: tuple[int, ...]) -> dict:
+    return {}
+
+
 def connector_codes(
-    rows: Sequence[int], pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[int, int, int]]:
-    """(i, j, code) for each pair i < j of matching edges (a, b) = pairs[i]
-    and (c, d) = pairs[j], in scan order; ``pairs`` are sorted by smaller
-    endpoint.  The code's bits are a~c, b~d, a~d and b~c."""
-    for i, (a, b) in enumerate(pairs):
-        ra = rows[a]
-        rb = rows[b]
-        for j in range(i + 1, len(pairs)):
-            c, d = pairs[j]
-            code = (ra >> c & 1) | (rb >> d & 1) << 1
-            yield i, j, code | (ra >> d & 1) << 2 | (rb >> c & 1) << 3
+    rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
+) -> bytes:
+    """Code of each pair i < j of matching edges (a, b) = pairs[i] and
+    (c, d) = pairs[j], in ``pair_scan`` order; ``pairs`` are sorted by
+    smaller endpoint.  The code's bits are a~c, b~d, a~d and b~c.  Each
+    matching of a graph is scanned once; later calls reuse the codes."""
+    memo = _codes_memo(rows)
+    codes = memo.get(pairs)
+    if codes is None:
+        out = bytearray()
+        for i, (a, b) in enumerate(pairs):
+            ra = rows[a]
+            rb = rows[b]
+            for c, d in pairs[i + 1 :]:
+                code = (ra >> c & 1) | (rb >> d & 1) << 1
+                out.append(code | (ra >> d & 1) << 2 | (rb >> c & 1) << 3)
+        codes = memo[pairs] = bytes(out)
+    return codes
 
 
 def four_cycle_switches(
-    rows: Sequence[int], pairs: Sequence[tuple[int, int]]
+    rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
 ) -> Iterator[tuple[int, int, int, int]]:
     """(a, b, y, w) for every alternating 4-cycle a-b-w-y, in scan order,
     parallel class first: its 2-switch turns matching edges (a, b) and
     {y, w}, in that order in ``pairs``, into (a, y) and (b, w)."""
-    for i, j, code in connector_codes(rows, pairs):
+    codes = connector_codes(rows, pairs)
+    for (i, j), code in zip(pair_scan(len(pairs)), codes):
         a, b = pairs[i]
         c, d = pairs[j]
         if code & PARALLEL == PARALLEL:
@@ -434,10 +472,10 @@ def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     return side0, side1
 
 
-def _max_vertex_disjoint_paths(g: Graph, s: int, t: int) -> int:
+def _max_vertex_disjoint_paths(rows: tuple[int, ...], s: int, t: int) -> int:
     """Internally vertex-disjoint s-t paths via unit-capacity flow with
     vertex splitting (in-copy 2v, out-copy 2v+1)."""
-    n = g.order
+    n = len(rows)
     cap: dict[tuple[int, int], int] = {}
 
     def add(u, v, c):
@@ -448,7 +486,7 @@ def _max_vertex_disjoint_paths(g: Graph, s: int, t: int) -> int:
     for v in range(n):
         add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
     for u in range(n):
-        for v in iter_bits(g.rows[u]):
+        for v in iter_bits(rows[u]):
             add(2 * u + 1, 2 * v, 1)
     adj: dict[int, list[int]] = {}
     for (u, v) in cap:
@@ -481,18 +519,23 @@ def _max_vertex_disjoint_paths(g: Graph, s: int, t: int) -> int:
 def vertex_connectivity(g: Graph) -> int:
     """Exact vertex connectivity; order-1 for complete graphs, 0 when
     disconnected or order <= 1.  Menger: minimum over non-adjacent pairs of
-    the maximum number of vertex-disjoint paths."""
-    n = g.order
+    the maximum number of vertex-disjoint paths.  Memoized per graph."""
+    return _connectivity_cached(g.rows)
+
+
+@lru_cache(maxsize=_GRAPH_MEMO_SIZE)
+def _connectivity_cached(rows: tuple[int, ...]) -> int:
+    n = len(rows)
     if n <= 1:
         return 0
     best = n - 1
     seen_pair = False
     for u in range(n):
         for v in range(u + 1, n):
-            if g.has_edge(u, v):
+            if (rows[u] >> v) & 1:
                 continue
             seen_pair = True
-            k = _max_vertex_disjoint_paths(g, u, v)
+            k = _max_vertex_disjoint_paths(rows, u, v)
             if k < best:
                 best = k
                 if best == 0:

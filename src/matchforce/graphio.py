@@ -85,13 +85,14 @@ def to_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    # (offset, line_number, content) for non-blank, non-comment lines
+    # (content offset, line_number, content) for non-blank, non-comment lines
     entries = []
     offset = 0
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            entries.append((offset, lineno, stripped))
+            indent = len(raw) - len(raw.lstrip())
+            entries.append((offset + indent, lineno, stripped))
         offset += len(raw) + 1
     if not entries:
         raise ParseError("empty edge-list input", 0)

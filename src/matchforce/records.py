@@ -93,13 +93,14 @@ def structure_payload(struct) -> dict:
 
 
 def switch_payload(sg, continuity) -> dict:
+    edges = sg.edges()
     return {
         "nodes": [matching_payload(m) for m in sg.nodes],
         "forcing": list(sg.forcing),
-        "edges": [list(e) for e in sg.edges()],
-        "cycle_multiplicity": {
-            f"{i}-{j}": len(cycles) for (i, j), cycles in sg.edge_cycles.items()
-        },
+        "edges": [list(e) for e in edges],
+        # adjacent matchings differ by exactly one 4-cycle, their symmetric
+        # difference, so every edge is realized once
+        "cycle_multiplicity": {f"{i}-{j}": 1 for i, j in edges},
         "applicable": continuity.applicable,
         "spectrum_continuous": continuity.spectrum_continuous,
         "reach_max": continuity.reach_max,

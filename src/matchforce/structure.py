@@ -21,12 +21,14 @@ from .graph import (
     Edge,
     Graph,
     PerfectMatching,
+    _kernel,
     complement,
     components_masks,
     connector_codes,
     enumerate_perfect_matchings,
     has_perfect_matching,
     iter_bits,
+    pair_scan,
 )
 
 
@@ -111,7 +113,8 @@ def pairwise_alternating_condition(
     offending pair is returned.
     """
     edges = m.edges
-    for i, j, code in connector_codes(g.rows, edges):
+    codes = connector_codes(g.rows, edges)
+    for (i, j), code in zip(pair_scan(len(edges)), codes):
         if code & PARALLEL != PARALLEL and code & CROSSED != CROSSED:
             return False, (edges[i], edges[j])
     return True, None
@@ -122,7 +125,7 @@ def matching_pairs_exact_four_cycles(g: Graph, m: PerfectMatching) -> bool:
     alternating connector class and no further edges."""
     return all(
         code == PARALLEL or code == CROSSED
-        for _i, _j, code in connector_codes(g.rows, m.edges)
+        for code in connector_codes(g.rows, m.edges)
     )
 
 
@@ -195,15 +198,19 @@ def max_independent_set_size(g: Graph) -> int:
 def has_fixed_double_bond(g: Graph) -> Optional[Edge]:
     """Lowest edge contained in every perfect matching, or None.
 
-    An edge lies in every perfect matching iff deleting it (keeping its
-    endpoints) destroys all of them.
+    Edge (u, v) lies in every perfect matching iff no perfect matching
+    pairs u with another neighbour w, that is iff deleting u and w leaves
+    no perfect matching for each such w.  All counts run on g's kernel.
     """
     if not has_perfect_matching(g):
         raise NoPerfectMatchingError("graph has no perfect matching")
+    kern = _kernel(g)
+    full = g.full_mask
     for e in g.edges():
-        rows = list(g.rows)
-        rows[e.u] &= ~(1 << e.v)
-        rows[e.v] &= ~(1 << e.u)
-        if not has_perfect_matching(Graph(g.order, tuple(rows))):
+        u_gone = full ^ (1 << e.u)
+        if all(
+            kern.count2(u_gone ^ (1 << w)) == 0
+            for w in iter_bits(g.rows[e.u] ^ (1 << e.v))
+        ):
             return e
     return None

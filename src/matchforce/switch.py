@@ -3,21 +3,24 @@
 Nodes of the switch graph are the perfect matchings of a host graph;
 two matchings are adjacent when they differ by one alternating 4-cycle.
 The symmetric difference of adjacent matchings is that cycle's edge set,
-so each switch edge is realized by exactly one cycle, which rides along as
-the edge's annotation.
+so each switch edge is realized by exactly one cycle.  The build keeps
+only adjacency; ``SwitchGraph.edge_cycles`` derives the cycles from the
+nodes on first use (``switch_path`` is its only reader), so verifying or
+reporting a switch graph never builds them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import PreconditionError
 from .forcing import SpectrumReport, forcing_profile
 from .graph import (
     AlternatingCycle,
+    Edge,
     Graph,
     PerfectMatching,
     apply_cycle,
@@ -45,14 +48,29 @@ class SwitchGraph:
     nodes: tuple[PerfectMatching, ...]
     forcing: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    edge_cycles: dict[tuple[int, int], tuple[AlternatingCycle, ...]]
 
     @cached_property
     def node_index(self) -> dict[PerfectMatching, int]:
         return {m: i for i, m in enumerate(self.nodes)}
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_cycles)
+        """Edges (i, j) with i < j, sorted."""
+        return [
+            (i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j
+        ]
+
+    @cached_property
+    def edge_cycles(self) -> dict[tuple[int, int], tuple[AlternatingCycle, ...]]:
+        """The one alternating 4-cycle of each edge, keyed like ``edges()``:
+        matching edges (a, b), (c, d) of node i, a smallest, switch to
+        (a, y), (b, w) of node j."""
+        out = {}
+        for i, j in self.edges():
+            after = set(self.nodes[j].edges)
+            (a, b), (c, d) = sorted(set(self.nodes[i].edges) - after)
+            y, w = (c, d) if Edge(a, c) in after else (d, c)
+            out[(i, j)] = (switch_cycle(a, b, y, w),)
+        return out
 
     def component_masks(self) -> list[int]:
         seen = 0
@@ -102,35 +120,41 @@ class ContinuityReport:
     reach_max: bool
 
 
+@lru_cache(maxsize=4)
+def _edge_bits(order: int) -> tuple[tuple[int, ...], ...]:
+    """bit[u][v] = bit[v][u]: the node-key bit of matching edge {u, v}."""
+    return tuple(
+        tuple(1 << min(u, v) * order + max(u, v) for v in range(order))
+        for u in range(order)
+    )
+
+
 def build_switch_graph(
     g: Graph,
     matching_cap: int | None = None,
     profile: SpectrumReport | None = None,
 ) -> SwitchGraph:
-    """Full switch graph with forcing numbers annotated per node.  Each
-    2-switch rewrites four mates and looks the result up among the nodes'
-    mate tuples (KeyError if it is not a node)."""
+    """Full switch graph with forcing numbers annotated per node.
+
+    A node's key has one bit per matching edge (u, v), bit u * order + v,
+    so a 2-switch flips four bits and looks the result up among the node
+    keys (KeyError if it is not a node).
+    """
     if profile is None:
         profile = forcing_profile(g, matching_cap=matching_cap)
     nodes = tuple(profile.per_matching)
     forcing = tuple(profile.per_matching.values())
-    mates = [m.mates(g.order) for m in nodes]
-    index = {mate: i for i, mate in enumerate(mates)}
+    bit = _edge_bits(g.order)
+    keys = [sum(bit[u][v] for u, v in m.edges) for m in nodes]
+    index = {key: i for i, key in enumerate(keys)}
     adjacency = []
-    edge_cycles: dict[tuple[int, int], tuple[AlternatingCycle, ...]] = {}
-    for i, m in enumerate(nodes):
-        neighbors = []
-        for a, b, y, w in four_cycle_switches(g.rows, m.edges):
-            mate = list(mates[i])
-            mate[a], mate[y], mate[b], mate[w] = y, a, w, b
-            j = index[tuple(mate)]
-            neighbors.append(j)
-            if i < j:
-                edge_cycles[(i, j)] = (switch_cycle(a, b, y, w),)
+    for key, m in zip(keys, nodes):
+        neighbors = [
+            index[key ^ bit[a][b] ^ bit[y][w] ^ bit[a][y] ^ bit[b][w]]
+            for a, b, y, w in four_cycle_switches(g.rows, m.edges)
+        ]
         adjacency.append(tuple(sorted(neighbors)))
-    return SwitchGraph(
-        nodes, forcing, tuple(adjacency), dict(sorted(edge_cycles.items()))
-    )
+    return SwitchGraph(nodes, forcing, tuple(adjacency))
 
 
 def switch_path(

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from matchforce import records
+from matchforce.cli import main
 from matchforce import (
     Graph,
     PerfectMatching,
@@ -75,6 +76,21 @@ def test_default_report_bytes_pinned(fixture, request):
         records.make_record("verification", records.verification_payload(rep))
     )
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[fixture]
+
+
+# sha256 of `matchforce analyze --format graph6` on H(6,2) (440 matchings):
+# the profile, classification, extendability and switch sections.
+H62_GRAPH6 = "K`?Dz~kvNw^_"
+H62_ANALYZE_SHA256 = "91d266a3083ffc2a34301f5f799bd15825ddec7a12ed0e858b30fd3f6acde9be"
+
+
+def test_analyze_report_bytes_pinned(tmp_path, capsys):
+    assert to_graph6(gen_h_k(6, 2).graph) == H62_GRAPH6
+    path = tmp_path / "h62.g6"
+    path.write_text(H62_GRAPH6 + "\n")
+    assert main(["analyze", "--format", "graph6", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == H62_ANALYZE_SHA256
 
 
 def test_criterion_01_classification_exhaustive():

@@ -128,6 +128,26 @@ class TestMatchingEnumeration:
         with pytest.raises(MatchingOverflowError):
             enumerate_perfect_matchings(k6, cap=10)
 
+    def test_overflow_is_not_memoized(self):
+        k8 = complete_graph(8)  # 105 matchings
+        assert len(enumerate_perfect_matchings(k8, cap=105)) == 105
+        with pytest.raises(MatchingOverflowError):
+            enumerate_perfect_matchings(k8, cap=104)
+        with pytest.raises(MatchingOverflowError):
+            enumerate_perfect_matchings(k8, cap=104)
+        assert len(enumerate_perfect_matchings(k8, cap=105)) == 105
+
+    def test_overflow_first_then_success(self):
+        k8 = complete_graph(8)
+        with pytest.raises(MatchingOverflowError):
+            enumerate_perfect_matchings(k8, cap=104)
+        assert len(enumerate_perfect_matchings(k8, cap=105)) == 105
+
+    def test_repeat_calls_equal(self, k6):
+        first = enumerate_perfect_matchings(k6)
+        assert enumerate_perfect_matchings(k6) == first
+        assert enumerate_perfect_matchings(k6, cap=15) == first
+
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_order=8))
     def test_matches_bruteforce(self, g):
@@ -253,6 +273,9 @@ class TestConnectivity:
     def test_disconnected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert vertex_connectivity(g) == 0
+
+    def test_repeat_calls_equal(self, c6, k33):
+        assert [vertex_connectivity(g) for g in (c6, k33, c6, k33)] == [2, 3, 2, 3]
 
     @settings(max_examples=40, deadline=None)
     @given(random_graph_strategy(max_order=7))

@@ -118,6 +118,19 @@ class TestEdgeList:
         assert "line 3" in str(err.value)
         assert err.value.offset == 8
 
+    def test_indented_edge_offset(self):
+        # "2 1\n" is bytes 0-3, the indent 4-6: the "0 0" starts at byte 7
+        with pytest.raises(ParseError) as err:
+            parse_edge_list("2 1\n   0 0\n")
+        assert "loop at line 2" in str(err.value)
+        assert err.value.offset == 7
+
+    def test_indented_header_offset(self):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list("  2 x\n")
+        assert "malformed header" in str(err.value)
+        assert err.value.offset == 2
+
     def test_duplicate_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_edge_list("3 2\n0 1\n1 0\n")

@@ -26,7 +26,11 @@ from matchforce import (
 )
 
 from conftest import complete_graph, path_graph
-from oracles import oracle_is_complete_multipartite, oracle_max_independent_set
+from oracles import (
+    oracle_is_complete_multipartite,
+    oracle_max_independent_set,
+    oracle_perfect_matchings,
+)
 
 
 class TestCompleteMultipartite:
@@ -227,3 +231,15 @@ class TestFixedDoubleBond:
     def test_no_pm_rejected(self):
         with pytest.raises(NoPerfectMatchingError):
             has_fixed_double_bond(path_graph(3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_lowest_edge_of_every_matching(self, seed):
+        g = gen_random(8, "1/2", seed)
+        pms = oracle_perfect_matchings(g)
+        if not pms:
+            with pytest.raises(NoPerfectMatchingError):
+                has_fixed_double_bond(g)
+            return
+        common = frozenset.intersection(*pms)
+        assert has_fixed_double_bond(g) == min(common, default=None)
