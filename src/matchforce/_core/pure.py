@@ -11,12 +11,13 @@ matching.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from ..errors import MatchingOverflowError
 
 
 class Kernel:
-    """Per-graph matching-count and forcing-scan primitives."""
+    """Per-graph matching-count, forcing-scan and forcing-optimum primitives."""
 
     __slots__ = ("rows", "order", "_count_cache")
 
@@ -106,3 +107,50 @@ class Kernel:
             if count2(full_mask ^ sum(subset)) <= 1:
                 return tuple(edge_masks.index(m) for m in subset), tested
         return None, tested
+
+    def forcing_optimum(self, full_mask: int, edge_masks) -> int:
+        """Minimum number of matching edges that force the matching.
+
+        ``edge_masks`` are the two-vertex masks of a perfect matching of the
+        subgraph induced by ``full_mask``.  A removed set S forces iff the
+        kept edges induce a uniquely matchable subgraph, so forcing removed
+        sets are closed upward and uniquely matchable kept sets downward.
+        The search works from both ends: ``s`` is a size below which no
+        removed set forces, ``t`` the size of some uniquely matchable kept
+        set, and s <= f <= k - t.  Each step takes the side whose next step
+        tests fewer sets, growth on a tie: the scan of all removed sets of
+        size ``s``, which may stop early, or the growth of every uniquely
+        matchable kept set by one edge of higher index (the failures are
+        pruned, which downward closure makes sound).  Scanning alone costs
+        about 2**f sets, growing alone about 2**(k - f).
+        """
+        count2 = self._count2
+        # every test is a union of matching edges, so it has a perfect
+        # matching: a memo hit is never 0, and a miss falls through
+        memo = self._count_cache.get
+        k = len(edge_masks)
+        s = 0
+        # uniquely matchable kept sets of size t as (highest index, vertex
+        # mask); one matching edge alone always is one
+        level = list(enumerate(edge_masks))
+        t = min(k, 1)
+        while s + t < k:
+            grow_cost = len(level) * (k - 1) - sum([last for last, _ in level])
+            if comb(k, s) < grow_cost:
+                for removed in map(sum, combinations(edge_masks, s)):
+                    kept = full_mask ^ removed
+                    if (memo(kept) or count2(kept)) <= 1:
+                        return s
+                s += 1
+            else:
+                grown = []
+                for last, union in level:
+                    for j in range(last + 1, k):
+                        kept = union | edge_masks[j]
+                        if (memo(kept) or count2(kept)) == 1:
+                            grown.append((j, kept))
+                if not grown:
+                    return k - t
+                level = grown
+                t += 1
+        return s

@@ -90,25 +90,6 @@ def is_brick(g: Graph) -> bool:
     return is_bicritical(g) and vertex_connectivity(g) >= 3
 
 
-def _matchings_of_size(g: Graph, size: int):
-    """All matchings of exactly `size` edges, lexicographic on edge tuples."""
-    edges = g.edges()
-
-    def rec(start: int, used: int, picked: list[Edge]):
-        if len(picked) == size:
-            yield tuple(picked)
-            return
-        for i in range(start, len(edges)):
-            e = edges[i]
-            if e.mask & used:
-                continue
-            picked.append(e)
-            yield from rec(i + 1, used | e.mask, picked)
-            picked.pop()
-
-    yield from rec(0, 0, [])
-
-
 def is_l_extendable(g: Graph, l: int) -> bool:
     """True iff g has a perfect matching and every matching of size l is
     contained in one.  Requires a connected graph of order >= 2l + 2."""
@@ -122,15 +103,20 @@ def is_l_extendable(g: Graph, l: int) -> bool:
     full = g.full_mask
     if kern.count2(full) == 0:
         return False
-    if l == 0:
+    masks = [(1 << u) | (1 << v) for u, v in g.edges()]
+
+    def extends(start: int, used: int, need: int) -> bool:
+        """Every matching of ``need`` more edges from ``masks[start:]``,
+        added to ``used``, leaves a perfect matching in the rest."""
+        if need == 0:
+            return kern.count2(full ^ used) > 0
+        for i in range(start, len(masks) - need + 1):
+            mask = masks[i]
+            if not mask & used and not extends(i + 1, used | mask, need - 1):
+                return False
         return True
-    for matching in _matchings_of_size(g, l):
-        removed = 0
-        for e in matching:
-            removed |= e.mask
-        if kern.count2(full ^ removed) == 0:
-            return False
-    return True
+
+    return extends(0, 0, l)
 
 
 def _induced_matching_number_at_least(g: Graph, s_mask: int, l: int) -> bool:

@@ -2,14 +2,20 @@
 
 A subset S of a perfect matching M forces M iff the graph left after
 deleting V(S) has no M-alternating cycle, equivalently iff it has exactly
-one perfect matching.  The solver scans candidate subsets by ascending
-cardinality from a disjoint-4-cycle packing lower bound, with every
-forcing check answered by the memoized matching-count kernel.
+one perfect matching.  The optimum comes from the kernel's two-ended
+search (``Kernel.forcing_optimum``): forcing removed sets are closed
+upward and uniquely matchable kept sets downward, so it scans removed sets
+by ascending size and grows kept sets one edge at a time, whichever side
+is cheaper next.  Every forcing check is answered by the memoized
+matching-count kernel.  ``forcing_number`` adds a certificate: the first
+forcing set of the optimal size and the count of candidate sets that an
+ascending scan from the disjoint-4-cycle packing bound tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional
 
 from ._core.cycles import alternating_cycle_first
@@ -37,10 +43,12 @@ DEFAULT_CYCLE_CAP = 10**5
 class ForcingCertificate:
     """Optimal forcing set for one matching, with search bookkeeping.
 
+    ``optimum`` comes from the kernel's two-ended search.
     ``witness_set`` is the lexicographically first optimal set.
-    ``nodes_explored`` counts every candidate set the scan tested, those of
-    the optimal size included; ``lower_bound_used`` is the disjoint-4-cycle
-    packing bound the scan started from.
+    ``lower_bound_used`` is the disjoint-4-cycle packing bound, and
+    ``nodes_explored`` counts the candidate sets an ascending scan from
+    that bound tests: every set of each size below the optimum, then those
+    of the optimal size up to the witness.
     """
 
     matching: PerfectMatching
@@ -137,25 +145,19 @@ def _four_cycle_packing(g, m, edge_masks) -> int:
 def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     """Exact minimum forcing set size for m, with a witness set.
 
-    Candidate subsets are scanned lexicographically within each cardinality,
-    cardinalities ascending from the 4-cycle packing bound; the first
-    cardinality with a forcing subset is the optimum.  The scan always ends
-    by the full matching, which forces itself.
+    The witness is the first forcing subset of the optimal size in
+    lexicographic order of edge indices.
     """
     check_perfect_matching(g, m)
     kern = _kernel(g)
     edge_masks = [(1 << u) | (1 << v) for u, v in m.edges]
     lower = _four_cycle_packing(g, m, edge_masks)
-    size = lower
-    nodes = 0
-    while True:
-        found, tested = kern.forcing_scan(g.full_mask, edge_masks, size)
-        nodes += tested
-        if found is not None:
-            break
-        size += 1
+    optimum = kern.forcing_optimum(g.full_mask, edge_masks)
+    found, tested = kern.forcing_scan(g.full_mask, edge_masks, optimum)
+    k = len(edge_masks)
+    nodes = sum(comb(k, s) for s in range(lower, optimum)) + tested
     witness = tuple(m.edges[i] for i in found)
-    return ForcingCertificate(m, size, witness, lower, nodes)
+    return ForcingCertificate(m, optimum, witness, lower, nodes)
 
 
 def _max_disjoint(masks: list[int]) -> int:
@@ -203,5 +205,10 @@ def forcing_profile(g: Graph, matching_cap: int | None = None) -> SpectrumReport
     matchings = enumerate_perfect_matchings(g, cap=matching_cap)
     if not matchings:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    per = {m: forcing_number(g, m).optimum for m in matchings}
+    optimum = _kernel(g).forcing_optimum
+    full = g.full_mask
+    per = {
+        m: optimum(full, [(1 << u) | (1 << v) for u, v in m.edges])
+        for m in matchings
+    }
     return SpectrumReport(g.order, per)

@@ -162,6 +162,14 @@ class PerfectMatching:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PerfectMatching":
         return cls(tuple(sorted(Edge.of(a, b) for a, b in pairs)))
 
+    @classmethod
+    def _unchecked(cls, edges: tuple[Edge, ...]) -> "PerfectMatching":
+        """Matching from edges the kernel enumerated, which are canonical by
+        construction; skips ``__post_init__``.  Not for outside input."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "edges", edges)
+        return m
+
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 
@@ -295,7 +303,7 @@ def _matchings_cached(
     out = []
     for flat in _kernel_cached(rows).enumerate_pms((1 << len(rows)) - 1, cap):
         it = iter(flat)
-        out.append(PerfectMatching(tuple(map(Edge._make, zip(it, it)))))
+        out.append(PerfectMatching._unchecked(tuple(map(Edge._make, zip(it, it)))))
     return tuple(out)
 
 

@@ -219,15 +219,21 @@ _BLOCKS = {
 
 
 def resolve_theorems(selection) -> tuple[str, ...]:
-    """Normalize a theorem selection ('all', one id, or a list of ids)."""
+    """Normalize a theorem selection ('all', one id, or a list of ids).
+
+    Ids are stripped of surrounding whitespace; an unknown or repeated id
+    raises ValueError."""
     if selection in (None, "all", ("all",), ["all"]):
         return THEOREM_IDS
     if isinstance(selection, str):
         selection = [selection]
     out = []
     for t in selection:
+        t = t.strip()
         if t not in _BLOCKS:
             raise ValueError(f"unknown theorem block {t!r}; known: {THEOREM_IDS}")
+        if t in out:
+            raise ValueError(f"theorem block {t!r} selected twice")
         out.append(t)
     return tuple(out)
 

@@ -175,3 +175,18 @@ def oracle_is_bicritical(g: Graph) -> bool:
             if _odd_components(g, set(x)) > size - 2:
                 return False
     return True
+
+
+def oracle_is_l_extendable(g: Graph, l: int) -> bool:
+    """Definition check: g has a perfect matching and every matching of l
+    edges lies inside some perfect matching."""
+    pms = oracle_perfect_matchings(g)
+    if not pms:
+        return False
+    for combo in combinations(g.edges(), l):
+        vertices = [v for e in combo for v in e]
+        if len(set(vertices)) < 2 * l:
+            continue
+        if not any(set(combo) <= pm for pm in pms):
+            return False
+    return True

@@ -209,6 +209,24 @@ class TestVerify:
         assert code == 0
         assert [b["theorem"] for b in json.loads(out)["blocks"]] == ["thm33"]
 
+    def test_theorem_list_with_spaces(self, capsys):
+        code = main(
+            ["verify", "--corpus", "exhaustive-3", "--theorems", "thm13, lemma22"]
+        )
+        out, _ = capsys.readouterr()
+        assert code == 0
+        blocks = [b["theorem"] for b in json.loads(out)["blocks"]]
+        assert blocks == ["thm13", "lemma22"]
+
+    def test_repeated_theorem_exit_1(self, capsys):
+        code = main(
+            ["verify", "--corpus", "exhaustive-3", "--theorems", "thm13,thm13"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "'thm13' selected twice" in err
+
     def test_worker_determinism(self, capsys):
         main(["verify", "--corpus", "exhaustive-4", "--workers", "1"])
         out1, _ = capsys.readouterr()

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matchforce import (
@@ -14,6 +14,7 @@ from matchforce import (
     has_max_forcing_n_minus_1,
     induced_subgraph,
     is_bicritical,
+    is_connected,
     is_brick,
     is_factor_critical,
     is_knn_plus,
@@ -23,7 +24,7 @@ from matchforce import (
 )
 
 from conftest import cycle_graph, path_graph
-from oracles import oracle_is_bicritical
+from oracles import oracle_is_bicritical, oracle_is_l_extendable
 
 
 class TestFactorCritical:
@@ -107,6 +108,18 @@ class TestLExtendable:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(PreconditionError):
             is_l_extendable(g, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from(["1/2", "2/3", "3/4", 1]),
+    st.integers(1, 3),
+)
+def test_l_extendable_matches_oracle(seed, p, l):
+    g = gen_random(8, p, seed)
+    assume(is_connected(g))
+    assert is_l_extendable(g, l) == oracle_is_l_extendable(g, l)
 
 
 class TestDeficiencyWitness:

@@ -17,6 +17,7 @@ from matchforce import (
     forcing_profile,
     gen_h_k,
     gen_random,
+    has_perfect_matching,
     induced_subgraph,
     is_forcing_set,
     vertex_connectivity,
@@ -136,6 +137,17 @@ class TestForcingProfile:
     def test_no_matching_rejected(self):
         with pytest.raises(NoPerfectMatchingError):
             forcing_profile(star_graph(3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_profile_equals_certificate_optima(self, seed):
+        g = gen_random(8, "2/3", seed)
+        if not has_perfect_matching(g):
+            return
+        profile = forcing_profile(g)
+        assert list(profile.per_matching) == list(enumerate_perfect_matchings(g))
+        for m, value in profile.per_matching.items():
+            assert value == forcing_number(g, m).optimum
 
     def test_canonical_order(self, c6):
         report = forcing_profile(c6)

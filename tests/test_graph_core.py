@@ -157,6 +157,37 @@ class TestMatchingEnumeration:
         assert {frozenset(m.edges) for m in pms} == set(expected)
 
 
+class TestPerfectMatchingConstruction:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((1, 0), (2, 3)),  # a plain tuple, not an Edge
+            (Edge(1, 0), Edge(2, 3)),  # smaller endpoint second
+            (Edge(2, 3), Edge(0, 1)),  # unsorted
+            (Edge(0, 1), Edge(1, 2)),  # vertex 1 reused
+        ],
+    )
+    def test_public_constructor_validates(self, edges):
+        with pytest.raises(ValueError):
+            PerfectMatching(edges)
+
+    @pytest.mark.parametrize(
+        "pairs", [[(0, 0), (2, 3)], [(0, 1), (1, 2)], [(0, 1), (0, 2)]]
+    )
+    def test_from_pairs_validates(self, pairs):
+        with pytest.raises(ValueError):
+            PerfectMatching.from_pairs(pairs)
+
+    def test_memoized_equal_validated(self, k6):
+        for m in enumerate_perfect_matchings(k6):
+            checked = PerfectMatching(tuple(Edge(u, v) for u, v in m.edges))
+            assert m == checked
+            assert hash(m) == hash(checked)
+        assert set(enumerate_perfect_matchings(k6)) == {
+            PerfectMatching.from_pairs(pm) for pm in oracle_perfect_matchings(k6)
+        }
+
+
 class TestHasPerfectMatching:
     def test_c6(self, c6):
         assert has_perfect_matching(c6)

@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchforce import PerfectMatching, gen_random, induced_subgraph
+from matchforce import (
+    Graph,
+    PerfectMatching,
+    enumerate_perfect_matchings,
+    gen_random,
+    induced_subgraph,
+)
 from matchforce._core import make_kernel, pure
 from matchforce.errors import MatchingOverflowError
 
-from oracles import oracle_is_forcing, oracle_perfect_matchings
+from oracles import (
+    oracle_forcing_number,
+    oracle_is_forcing,
+    oracle_perfect_matchings,
+)
 
 
 def _flat(pm) -> tuple[int, ...]:
@@ -64,6 +74,46 @@ def test_forcing_scan_matches_oracle(seed, size):
             expected = (idx, rank)
             break
     assert kern.forcing_scan(g.full_mask, edge_masks, size) == expected
+
+
+def _edge_masks(m: PerfectMatching) -> list[int]:
+    return [(1 << u) | (1 << v) for u, v in m.edges]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from(["1/2", "2/3"]),
+)
+def test_forcing_optimum_matches_oracle(seed, p):
+    g = gen_random(8, p, seed)
+    kern = pure.Kernel(g.rows)
+    for m in enumerate_perfect_matchings(g):
+        got = kern.forcing_optimum(g.full_mask, _edge_masks(m))
+        assert got == oracle_forcing_number(g, m)
+
+
+def test_forcing_optimum_empty_matching():
+    assert pure.Kernel(()).forcing_optimum(0, []) == 0
+
+
+def test_forcing_optimum_unique_matching_is_zero():
+    # a path on 8 vertices has exactly one perfect matching
+    g = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+    (m,) = enumerate_perfect_matchings(g)
+    assert pure.Kernel(g.rows).forcing_optimum(g.full_mask, _edge_masks(m)) == 0
+
+
+def test_forcing_optimum_path_with_chord_stays_small():
+    # two perfect matchings, each forced by one edge of 30; a search that
+    # only grew kept sets would test about 2**28 of them
+    g = Graph.from_edges(60, [(i, i + 1) for i in range(59)] + [(0, 3)])
+    kern = pure.Kernel(g.rows)
+    matchings = enumerate_perfect_matchings(g)
+    assert len(matchings) == 2
+    for m in matchings:
+        assert kern.forcing_optimum(g.full_mask, _edge_masks(m)) == 1
+    assert len(kern._count_cache) < 10_000
 
 
 def test_make_kernel_is_pure():
