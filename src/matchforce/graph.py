@@ -480,50 +480,6 @@ def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     return side0, side1
 
 
-def _max_vertex_disjoint_paths(rows: tuple[int, ...], s: int, t: int) -> int:
-    """Internally vertex-disjoint s-t paths via unit-capacity flow with
-    vertex splitting (in-copy 2v, out-copy 2v+1)."""
-    n = len(rows)
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
-
-    big = n + 1
-    for v in range(n):
-        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u in range(n):
-        for v in iter_bits(rows[u]):
-            add(2 * u + 1, 2 * v, 1)
-    adj: dict[int, list[int]] = {}
-    for (u, v) in cap:
-        adj.setdefault(u, []).append(v)
-    for lst in adj.values():
-        lst.sort()
-
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        prev = {source: source}
-        queue = deque([source])
-        while queue and sink not in prev:
-            u = queue.popleft()
-            for v in adj.get(u, ()):  # deterministic order
-                if v not in prev and cap[(u, v)] > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if sink not in prev:
-            return flow
-        v = sink
-        while v != source:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
-        flow += 1
-
-
 def vertex_connectivity(g: Graph) -> int:
     """Exact vertex connectivity; order-1 for complete graphs, 0 when
     disconnected or order <= 1.  Menger: minimum over non-adjacent pairs of
@@ -533,19 +489,56 @@ def vertex_connectivity(g: Graph) -> int:
 
 @lru_cache(maxsize=_GRAPH_MEMO_SIZE)
 def _connectivity_cached(rows: tuple[int, ...]) -> int:
+    # Split network as residual rows: vertex v is entry 2v and exit 2v + 1,
+    # with unit arcs entry -> exit and exit -> each neighbour's entry.  No
+    # two arcs are antiparallel, so pushing a unit along x -> y is one bit
+    # flip in each of res[x] and res[y].
     n = len(rows)
     if n <= 1:
         return 0
+    net = []
+    for v, row in enumerate(rows):
+        net.append(1 << (2 * v + 1))
+        net.append(sum(1 << (2 * w) for w in iter_bits(row)))
+    full = (1 << n) - 1
     best = n - 1
-    seen_pair = False
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (rows[u] >> v) & 1:
-                continue
-            seen_pair = True
-            k = _max_vertex_disjoint_paths(rows, u, v)
-            if k < best:
-                best = k
-                if best == 0:
-                    return 0
-    return best if seen_pair else n - 1
+    for s in range(n):
+        for t in iter_bits(full & ~rows[s] & ~((2 << s) - 1)):
+            best = _disjoint_paths(net, 2 * s + 1, 2 * t, best)
+            if best == 0:
+                return 0
+    return best
+
+
+def _disjoint_paths(net: list[int], source: int, sink: int, limit: int) -> int:
+    """Unit flow from source to sink in a copy of the split network, stopped
+    at limit.  Each round grows breadth-first levels of node masks until one
+    holds the sink, then walks back through the levels, taking the lowest
+    node with a residual arc to the next one, and reverses those arcs."""
+    res = list(net)
+    flow = 0
+    while flow < limit:
+        levels = [1 << source]
+        seen = levels[0]
+        while not (seen >> sink) & 1:
+            reach = 0
+            level = levels[-1]
+            while level:
+                reach |= res[(level & -level).bit_length() - 1]
+                level &= level - 1
+            frontier = reach & ~seen
+            if not frontier:
+                return flow
+            seen |= frontier
+            levels.append(frontier)
+        y = sink
+        for level in reversed(levels[:-1]):
+            x = (level & -level).bit_length() - 1
+            while not (res[x] >> y) & 1:
+                level &= level - 1
+                x = (level & -level).bit_length() - 1
+            res[x] ^= 1 << y
+            res[y] |= 1 << x
+            y = x
+        flow += 1
+    return flow

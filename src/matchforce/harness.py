@@ -27,7 +27,6 @@ from .generate import (
     gen_random,
     splitmix64,
     PairSignature,
-    Connector,
 )
 from .graph import Graph, has_perfect_matching, is_bipartite, vertex_connectivity
 from .graphio import parse_graph6, to_graph6
@@ -36,6 +35,7 @@ from .structure import (
     has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
+    is_minimal_max_forcing,
     matching_pairs_exact_four_cycles,
     max_independent_set_size,
     pairwise_alternating_condition,
@@ -105,11 +105,7 @@ class _GraphContext:
 
     @cached_property
     def minimal_max_forcing(self) -> bool:
-        # is_minimal_max_forcing over the profile's matchings: same set, same cap
-        return any(
-            matching_pairs_exact_four_cycles(self.g, m)
-            for m in self.profile.per_matching
-        )
+        return is_minimal_max_forcing(self.g)
 
     @cached_property
     def switch_graph(self):
@@ -363,11 +359,9 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
     for n in range(2, min(4, max_order // 2) + 1):
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pair_list)):
-            choice = {
-                p: (Connector.PARALLEL if (mask >> b) & 1 else Connector.CROSS)
-                for b, p in enumerate(pair_list)
-            }
-            sig = PairSignature(n, choice)
+            sig = PairSignature.from_parallel_pairs(
+                n, [p for b, p in enumerate(pair_list) if mask >> b & 1]
+            )
             out.append((f"sig:{n}:{mask}", gen_minimal_from_signature(sig).graph))
     if max_order >= 10:
         stream = splitmix64(5)
@@ -378,11 +372,9 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
             if mask in seen:
                 continue
             seen.add(mask)
-            choice = {
-                p: (Connector.PARALLEL if (mask >> b) & 1 else Connector.CROSS)
-                for b, p in enumerate(pair_list)
-            }
-            sig = PairSignature(5, choice)
+            sig = PairSignature.from_parallel_pairs(
+                5, [p for b, p in enumerate(pair_list) if mask >> b & 1]
+            )
             out.append((f"sig:5:{mask}", gen_minimal_from_signature(sig).graph))
     if max_order >= 8:
         out.append(("non2ext:i:4", gen_non_2_extendable("i", 4).graph))

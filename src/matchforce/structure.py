@@ -1,11 +1,11 @@
 """Structural recognizers for graphs with extremal forcing numbers.
 
-Complete multipartite graphs are exactly the graphs whose complement is a
-disjoint union of cliques, and the "complete bipartite plus one-sided
-extras" family is recognized by locating an independent side fully joined
-to the rest.  Together these recognizers decide whether the minimum
-forcing number is as large as it can get; the prediction flag records that
-verdict so it can be tested against the exact solver.
+Complete multipartite graphs are exactly the graphs in which "equal or
+non-adjacent" is an equivalence relation, and the "complete bipartite plus
+one-sided extras" family is recognized by locating an independent side
+fully joined to the rest.  Together these recognizers decide whether the
+minimum forcing number is as large as it can get; the prediction flag
+records that verdict so it can be tested against the exact solver.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .graph import (
     Graph,
     PerfectMatching,
     _kernel,
-    complement,
-    components_masks,
     connector_codes,
     enumerate_perfect_matchings,
     has_perfect_matching,
@@ -49,14 +47,19 @@ class ClassificationResult:
 
 def is_complete_multipartite(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
     """The unique partition into independent sides with all cross edges, or
-    None.  Sides are the components of the complement, which must all be
-    cliques; they come out ordered by smallest vertex."""
-    comp = complement(g)
+    None.  The side of u is u with its non-neighbours, and every member of
+    it must have the same row as u; sides come out ordered by smallest
+    vertex."""
+    full = g.full_mask
     parts = []
-    for part in components_masks(comp):
-        for u in iter_bits(part):
-            if comp.rows[u] & part != part ^ (1 << u):
-                return None
+    placed = 0
+    for u, row in enumerate(g.rows):
+        if (placed >> u) & 1:
+            continue
+        part = full ^ row
+        if any(g.rows[v] != row for v in iter_bits(part)):
+            return None
+        placed |= part
         parts.append(tuple(iter_bits(part)))
     return tuple(parts)
 

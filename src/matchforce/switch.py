@@ -130,18 +130,18 @@ def _edge_bits(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_switch_graph(
-    g: Graph,
-    matching_cap: int | None = None,
-    profile: SpectrumReport | None = None,
+    g: Graph, profile: SpectrumReport | None = None
 ) -> SwitchGraph:
     """Full switch graph with forcing numbers annotated per node.
 
+    The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
+    when none is given; a capped enumeration goes in as a capped profile.
     A node's key has one bit per matching edge (u, v), bit u * order + v,
     so a 2-switch flips four bits and looks the result up among the node
     keys (KeyError if it is not a node).
     """
     if profile is None:
-        profile = forcing_profile(g, matching_cap=matching_cap)
+        profile = forcing_profile(g)
     nodes = tuple(profile.per_matching)
     forcing = tuple(profile.per_matching.values())
     bit = _edge_bits(g.order)
@@ -205,14 +205,15 @@ def verify_switch_bound(
 
 def verify_spectrum_continuity(
     g: Graph,
-    matching_cap: int | None = None,
     profile: SpectrumReport | None = None,
     sg: SwitchGraph | None = None,
 ) -> ContinuityReport:
     """Continuity facts: spectrum interval-ness and reachability of a
-    maximal-forcing matching from every matching."""
+    maximal-forcing matching from every matching.  ``profile`` and ``sg``
+    default to ``forcing_profile(g)`` and the switch graph built from it;
+    a capped profile goes in through ``profile``."""
     if profile is None:
-        profile = forcing_profile(g, matching_cap=matching_cap)
+        profile = forcing_profile(g)
     if sg is None:
         sg = build_switch_graph(g, profile=profile)
     n = g.order // 2

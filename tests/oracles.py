@@ -7,15 +7,19 @@ forces iff no other perfect matching contains it).  Intended for orders up
 to about 8 (10 for the cycle and set oracles).
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from matchforce import Graph, PerfectMatching
 
 
-def oracle_perfect_matchings(g: Graph) -> list[frozenset]:
-    """All perfect matchings as frozensets of edges, via C(|E|, n/2) scan."""
+@lru_cache(maxsize=64)
+def oracle_perfect_matchings(g: Graph) -> tuple[frozenset, ...]:
+    """All perfect matchings as frozensets of edges, via C(|E|, n/2) scan.
+    Memoized per graph: the forcing and extendability oracles ask for the
+    same graph's matchings once per matching or subset they check."""
     if g.order % 2:
-        return []
+        return ()
     edges = g.edges()
     want = g.order // 2
     out = []
@@ -29,7 +33,7 @@ def oracle_perfect_matchings(g: Graph) -> list[frozenset]:
             used |= e.mask
         if ok and used == g.full_mask:
             out.append(frozenset(combo))
-    return out
+    return tuple(out)
 
 
 def oracle_switch_edges(g: Graph) -> list[tuple[int, int]]:

@@ -12,6 +12,7 @@ from matchforce import (
     complement,
     enumerate_perfect_matchings,
     find_alternating_cycle,
+    gen_random,
     has_perfect_matching,
     induced_subgraph,
     odd_component_count,
@@ -308,9 +309,29 @@ class TestConnectivity:
     def test_repeat_calls_equal(self, c6, k33):
         assert [vertex_connectivity(g) for g in (c6, k33, c6, k33)] == [2, 3, 2, 3]
 
+    def test_flow_reroutes_first_path(self):
+        # 6-cycle 0-5-1-3-2-4 plus chord 0-3: between 1 and 4 the first
+        # shortest path 1-3-0-4 blocks both disjoint paths 1-3-2-4 and
+        # 1-5-0-4 until a second path cancels its arc from 3 to 0
+        g = Graph.from_edges(
+            6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+        )
+        assert vertex_connectivity(g) == 2
+
     @settings(max_examples=40, deadline=None)
-    @given(random_graph_strategy(max_order=7))
+    @given(random_graph_strategy(max_order=8))
     def test_matches_bruteforce(self, g):
+        assert vertex_connectivity(g) == oracle_vertex_connectivity(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.sampled_from(["1/2", "3/4", "7/8", "1"]),
+    )
+    def test_dense_matches_bruteforce(self, seed, p):
+        # dense graphs have high connectivity, so most pair flows stop
+        # early at the running minimum
+        g = gen_random(8, p, seed)
         assert vertex_connectivity(g) == oracle_vertex_connectivity(g)
 
 

@@ -83,7 +83,7 @@ def _edge_masks(m: PerfectMatching) -> list[int]:
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**9),
-    st.sampled_from(["1/2", "2/3"]),
+    st.sampled_from(["1/2", "2/3", "3/4", "1"]),
 )
 def test_forcing_optimum_matches_oracle(seed, p):
     g = gen_random(8, p, seed)

@@ -9,6 +9,7 @@ from matchforce import (
     NoPerfectMatchingError,
     PreconditionError,
     classify_min_forcing,
+    enumerate_labeled_graphs,
     enumerate_perfect_matchings,
     forcing_number,
     forcing_profile,
@@ -63,6 +64,19 @@ class TestCompleteMultipartite:
         assert (is_complete_multipartite(g) is not None) == (
             oracle_is_complete_multipartite(g)
         )
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_every_small_graph(self, order):
+        # parts are the classes of "equal or non-adjacent", by smallest vertex
+        for g in enumerate_labeled_graphs(order):
+            parts = is_complete_multipartite(g)
+            assert (parts is not None) == oracle_is_complete_multipartite(g)
+            if parts is not None:
+                classes = {
+                    tuple(w for w in range(order) if w == v or not g.has_edge(v, w))
+                    for v in range(order)
+                }
+                assert parts == tuple(sorted(classes))
 
 
 class TestKnnPlus:

@@ -124,7 +124,7 @@ class TestSwitchGraph:
         sg = build_switch_graph(g) if enumerate_perfect_matchings(g) else None
         pms = oracle_perfect_matchings(g)
         if sg is None:
-            assert pms == []
+            assert pms == ()
             return
         node = [sg.node_index[PerfectMatching(tuple(sorted(pm)))] for pm in pms]
         assert sorted(node) == list(range(len(sg.nodes)))
