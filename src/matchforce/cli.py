@@ -135,6 +135,8 @@ def _cmd_analyze(args) -> int:
     needs_pm = {"profile", "classification", "switch"}
     if needs_pm & set(wanted) and not has_perfect_matching(g):
         raise NoPerfectMatchingError("graph has no perfect matching")
+    # the JSON record holds the graph6 string; fail before the work if it can't
+    graph6 = None if args.csv else to_graph6(g)
 
     sections: dict = {}
     profile = None
@@ -160,7 +162,7 @@ def _cmd_analyze(args) -> int:
         return 0
     record = records.make_record(
         "analysis",
-        {"order": g.order, "graph6": to_graph6(g), "sections": sections},
+        {"order": g.order, "graph6": graph6, "sections": sections},
     )
     sys.stdout.write(records.dumps(record))
     return 0

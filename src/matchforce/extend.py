@@ -61,14 +61,19 @@ class NonTwoExtendableStructure:
     pivot: Optional[int]
 
 
+def _factor_critical(g: Graph, mask: int) -> bool:
+    """Whether the subgraph induced by mask has odd order and every
+    single-vertex deletion leaves a perfect matching."""
+    if mask.bit_count() % 2 == 0:
+        return False
+    kern = _kernel(g)
+    return all(kern.count2(mask ^ (1 << v)) > 0 for v in iter_bits(mask))
+
+
 def is_factor_critical(g: Graph) -> bool:
     """True iff the order is odd and every single-vertex deletion leaves a
     perfect matching (the one-vertex graph qualifies vacuously)."""
-    if g.order % 2 == 0 or g.order < 1:
-        return False
-    kern = _kernel(g)
-    full = g.full_mask
-    return all(kern.count2(full ^ (1 << v)) > 0 for v in range(g.order))
+    return _factor_critical(g, g.full_mask)
 
 
 def is_bicritical(g: Graph) -> bool:
@@ -119,46 +124,27 @@ def is_l_extendable(g: Graph, l: int) -> bool:
     return extends(0, 0, l)
 
 
-def _induced_matching_number_at_least(g: Graph, s_mask: int, l: int) -> bool:
-    """Whether the subgraph induced by s_mask has l independent edges."""
+def _independent_edges(g: Graph, mask: int, l: int) -> Optional[tuple[Edge, ...]]:
+    """Lexicographically first l disjoint edges inside mask, or None: the
+    lowest free vertex meets each neighbour in ascending order before it
+    is skipped, which is ``combinations`` order over the sorted edges."""
+    rows = g.rows
 
-    def rec(avail: int, need: int) -> bool:
+    def rec(avail: int, need: int) -> Optional[tuple[Edge, ...]]:
         if need == 0:
-            return True
+            return ()
         if avail.bit_count() < 2 * need:
-            return False
+            return None
         v_bit = avail & -avail
         v = v_bit.bit_length() - 1
         rest = avail ^ v_bit
-        for u in iter_bits(g.rows[v] & rest):
-            if rec(rest ^ (1 << u), need - 1):
-                return True
+        for u in iter_bits(rows[v] & rest):
+            found = rec(rest ^ (1 << u), need - 1)
+            if found is not None:
+                return (Edge(v, u),) + found
         return rec(rest, need)
 
-    return rec(s_mask, l)
-
-
-def _first_independent_edges(g: Graph, s_mask: int, l: int) -> tuple[Edge, ...]:
-    """Lexicographically first l disjoint edges inside the induced subgraph."""
-    edges = [e for e in g.edges() if (s_mask >> e.u) & 1 and (s_mask >> e.v) & 1]
-    for combo in combinations(edges, l):
-        used = 0
-        ok = True
-        for e in combo:
-            if e.mask & used:
-                ok = False
-                break
-            used |= e.mask
-        if ok:
-            return tuple(combo)
-    raise AssertionError("independent edge set vanished between checks")
-
-
-def _component_factor_critical(g: Graph, comp_mask: int) -> bool:
-    kern = _kernel(g)
-    if comp_mask.bit_count() % 2 == 0:
-        return False
-    return all(kern.count2(comp_mask ^ (1 << v)) > 0 for v in iter_bits(comp_mask))
+    return rec(mask, l)
 
 
 def deficiency_witness(g: Graph, l: int) -> Optional[DeficiencyWitness]:
@@ -179,17 +165,18 @@ def deficiency_witness(g: Graph, l: int) -> Optional[DeficiencyWitness]:
     for size in range(2 * l, g.order + 1):
         for combo in combinations(range(g.order), size):
             s_mask = mask_of(combo)
-            if not _induced_matching_number_at_least(g, s_mask, l):
+            edges = _independent_edges(g, s_mask, l)
+            if edges is None:
                 continue
             comps = components_masks(g, full & ~s_mask)
             odd = sum(1 for c in comps if c.bit_count() & 1)
             if odd != size - 2 * l + 2 or odd != len(comps):
                 continue
-            if not all(_component_factor_critical(g, c) for c in comps):
+            if not all(_factor_critical(g, c) for c in comps):
                 continue
             return DeficiencyWitness(
                 tuple(combo),
-                _first_independent_edges(g, s_mask, l),
+                edges,
                 tuple(tuple(iter_bits(c)) for c in comps),
                 (True,) * len(comps),
                 l,
@@ -197,37 +184,51 @@ def deficiency_witness(g: Graph, l: int) -> Optional[DeficiencyWitness]:
     raise AssertionError("no witness found although the graph is not l-extendable")
 
 
-def _fits_case_i(g: Graph, u_side, v_side) -> bool:
+def _fits_case_i(g: Graph, u_mask: int, v_mask: int) -> bool:
     """Case i: the v side induces one triangle plus isolated vertices and
     the u side has two independent edges."""
-    inside = [
-        (x, y)
-        for i, x in enumerate(v_side)
-        for y in v_side[i + 1 :]
-        if g.has_edge(x, y)
-    ]
+    degrees = sorted((g.rows[x] & v_mask).bit_count() for x in iter_bits(v_mask))
     return (
-        len(inside) == 3
-        and len({v for e in inside for v in e}) == 3
-        and _induced_matching_number_at_least(g, mask_of(u_side), 2)
+        degrees[-3:] == [2, 2, 2]
+        and not any(degrees[:-3])
+        and _independent_edges(g, u_mask, 2) is not None
     )
 
 
-def _fits_case_ii(g: Graph, u_side, v_side, pivot: int) -> bool:
-    """Case ii at ``pivot``: the v side minus the pivot is independent, the
-    u side plus the pivot's v has two independent edges, and both pivot
-    vertices have a neighbour among the other v's."""
-    v_rest = [v for i, v in enumerate(v_side) if i != pivot]
+def _fits_case_ii(g: Graph, u_mask: int, v_mask: int, u: int, v: int) -> bool:
+    """Case ii at the matching edge u-v: the v side minus v is independent,
+    both u and v have a neighbour in it, and the u side plus v has two
+    independent edges."""
+    rest = v_mask ^ (1 << v)
     return (
-        not any(
-            g.has_edge(x, y) for i, x in enumerate(v_rest) for y in v_rest[i + 1 :]
-        )
-        and _induced_matching_number_at_least(
-            g, mask_of(u_side) | (1 << v_side[pivot]), 2
-        )
-        and any(g.has_edge(x, v_side[pivot]) for x in v_rest)
-        and any(g.has_edge(x, u_side[pivot]) for x in v_rest)
+        all(not g.rows[x] & rest for x in iter_bits(rest))
+        and bool(g.rows[u] & rest and g.rows[v] & rest)
+        and _independent_edges(g, u_mask | (1 << v), 2) is not None
     )
+
+
+def _case_labelling(g: Graph) -> Optional[NonTwoExtendableStructure]:
+    """First case i or case ii labelling of a top matching, or None.
+
+    Top matchings are tried in canonical order, then orientations (bit i
+    set puts the i-th edge's larger end on the u side), case i before
+    case ii, pivots ascending."""
+    n = g.order // 2
+    for m in enumerate_perfect_matchings(g):
+        if not pairwise_alternating_condition(g, m)[0]:
+            continue
+        for orient in range(1 << n):
+            bits = [orient >> i & 1 for i in range(n)]
+            u_side = tuple(e[b] for e, b in zip(m.edges, bits))
+            v_side = tuple(e[1 - b] for e, b in zip(m.edges, bits))
+            u_mask = mask_of(u_side)
+            v_mask = g.full_mask ^ u_mask
+            if n >= 4 and _fits_case_i(g, u_mask, v_mask):
+                return NonTwoExtendableStructure("i", m, u_side, v_side, None)
+            for pivot in range(n):
+                if _fits_case_ii(g, u_mask, v_mask, u_side[pivot], v_side[pivot]):
+                    return NonTwoExtendableStructure("ii", m, u_side, v_side, pivot)
+    return None
 
 
 def non_2_extendable_structure(g: Graph) -> Optional[NonTwoExtendableStructure]:
@@ -243,29 +244,13 @@ def non_2_extendable_structure(g: Graph) -> Optional[NonTwoExtendableStructure]:
         raise PreconditionError("structure search needs even order >= 6")
     if is_knn_plus(g) is not None:
         raise PreconditionError("graph lies in the one-sided-extras family")
-    first = has_max_forcing_n_minus_1(g)
-    if first is None:
+    if has_max_forcing_n_minus_1(g) is None:
         raise PreconditionError("maximal forcing number is not attained")
     if is_l_extendable(g, 2):
         return None
-
-    for m in enumerate_perfect_matchings(g):
-        ok, _ = pairwise_alternating_condition(g, m)
-        if not ok:
-            continue
-        edges = m.edges
-        for orient in range(1 << n):
-            u_side = tuple(
-                e.v if (orient >> i) & 1 else e.u for i, e in enumerate(edges)
-            )
-            v_side = tuple(
-                e.u if (orient >> i) & 1 else e.v for i, e in enumerate(edges)
-            )
-            if n >= 4 and _fits_case_i(g, u_side, v_side):
-                return NonTwoExtendableStructure("i", m, u_side, v_side, None)
-            for pivot in range(n):
-                if _fits_case_ii(g, u_side, v_side, pivot):
-                    return NonTwoExtendableStructure("ii", m, u_side, v_side, pivot)
-    raise AssertionError(
-        "graph is not 2-extendable but no structural labeling was found"
-    )
+    structure = _case_labelling(g)
+    if structure is None:
+        raise AssertionError(
+            "graph is not 2-extendable but no structural labeling was found"
+        )
+    return structure

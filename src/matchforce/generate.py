@@ -214,17 +214,17 @@ def gen_non_2_extendable(
             pairs.append((i, n + j))
             pairs.append((j, n + i))
     g = Graph.from_edges(2 * n, pairs)
-    u_side = tuple(range(n))
-    v_side = tuple(range(n, 2 * n))
+    u_mask = (1 << n) - 1
+    v_mask = u_mask << n
 
     if case == "i":
-        if not _fits_case_i(g, u_side, v_side):
+        if not _fits_case_i(g, u_mask, v_mask):
             raise PreconditionError("options broke the case i structure")
-    elif not _fits_case_ii(g, u_side, v_side, n - 1):
+    elif not _fits_case_ii(g, u_mask, v_mask, n - 1, 2 * n - 1):
         raise PreconditionError("options broke the case ii structure")
 
     m0 = PerfectMatching.from_pairs((i, n + i) for i in range(n))
-    return LabeledGraph(g, m0, u_side, v_side)
+    return LabeledGraph(g, m0, tuple(range(n)), tuple(range(n, 2 * n)))
 
 
 def enumerate_labeled_graphs(order: int, predicate=None) -> Iterator[Graph]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .extend import is_brick, is_l_extendable, non_2_extendable_structure
+from .extend import _case_labelling, is_brick, is_l_extendable
 from .forcing import forcing_profile
 from .generate import (
     enumerate_labeled_graphs,
@@ -160,10 +160,11 @@ def _block_thm33(ctx: _GraphContext):
 
 
 def _block_thm41(ctx: _GraphContext):
+    """One direction of Theorem 4.1: a graph that is not 2-extendable has a
+    case i or case ii labelling of a top matching."""
     if not ctx.max_is_top or ctx.n < 3 or ctx.knn_plus is not None:
         return 0, True
-    structure = non_2_extendable_structure(ctx.g)
-    return 1, (structure is not None) == (not is_l_extendable(ctx.g, 2))
+    return 1, is_l_extendable(ctx.g, 2) or _case_labelling(ctx.g) is not None
 
 
 def _block_cor52(ctx: _GraphContext):
@@ -269,9 +270,13 @@ def verify_graphs(
 
     Graphs without a perfect matching are counted and skipped.  The report
     is deterministic for any worker count: results merge in corpus order.
+    No more worker processes are started than there are graphs.
     """
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     theorems = resolve_theorems(theorems)
     g6_list = list(graphs)
+    workers = min(workers, len(g6_list))
     checked = {t: 0 for t in theorems}
     passed = {t: 0 for t in theorems}
     runtime = {t: 0.0 for t in theorems}

@@ -5,7 +5,7 @@ import pytest
 from matchforce import to_edge_list, to_graph6
 from matchforce.cli import main
 
-from conftest import cycle_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -71,6 +71,31 @@ class TestAnalyze:
             monkeypatch=monkeypatch,
         )
         assert code == 2
+
+    def test_graph6_limit_checked_before_work(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the profile ran before the graph6 check")
+
+        monkeypatch.setattr("matchforce.cli.forcing_profile", unreachable)
+        code, out, err = run(
+            capsys,
+            ["analyze", "--profile"],
+            stdin=to_edge_list(path_graph(64)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        assert out == ""
+        assert "graph6 output supports order <= 62" in err
+
+    def test_csv_has_no_graph6_limit(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys,
+            ["analyze", "--profile", "--csv"],
+            stdin=to_edge_list(path_graph(64)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out
 
     def test_odd_order_exit_2(self, capsys, monkeypatch):
         code, _, _ = run(
@@ -267,6 +292,14 @@ class TestVerify:
         _, err = capsys.readouterr()
         assert code == 1
         assert "cannot read corpus" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, capsys, workers):
+        code = main(["verify", "--corpus", "exhaustive-3", "--workers", workers])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert f"worker count must be at least 1, got {workers}" in err
 
     def test_usage_error_exit_1(self, capsys):
         code = main(["verify", "--workers", "x"])

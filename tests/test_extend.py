@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,14 @@ from matchforce import (
     non_2_extendable_structure,
     odd_component_count,
 )
+from matchforce.extend import (
+    _factor_critical,
+    _fits_case_i,
+    _fits_case_ii,
+    _independent_edges,
+)
+from matchforce.generate import enumerate_labeled_graphs
+from matchforce.graph import components_masks
 
 from conftest import cycle_graph, path_graph
 from oracles import oracle_is_bicritical, oracle_is_l_extendable
@@ -39,6 +49,101 @@ class TestFactorCritical:
 
     def test_even_order_fails(self, k4):
         assert not is_factor_critical(k4)
+
+    def test_empty_graph_fails(self):
+        assert not is_factor_critical(Graph.empty(0))
+
+
+def _first_disjoint_edges(g, mask, l):
+    """The first combination of l edges inside mask that are disjoint."""
+    edges = [e for e in g.edges() if e.mask & mask == e.mask]
+    for combo in combinations(edges, l):
+        used = 0
+        for e in combo:
+            if e.mask & used:
+                break
+            used |= e.mask
+        else:
+            return combo
+    return None
+
+
+class TestIndependentEdges:
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_every_order_5_graph_and_mask(self, l):
+        for g in enumerate_labeled_graphs(5):
+            for mask in range(1 << 5):
+                assert _independent_edges(g, mask, l) == _first_disjoint_edges(
+                    g, mask, l
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**9),
+        st.integers(min_value=0, max_value=255),
+        st.integers(1, 3),
+    )
+    def test_random_order_8(self, seed, mask, l):
+        g = gen_random(8, "1/2", seed)
+        assert _independent_edges(g, mask, l) == _first_disjoint_edges(g, mask, l)
+
+
+def _inside_edges(g, side):
+    return [(x, y) for x, y in combinations(side, 2) if g.has_edge(x, y)]
+
+
+class TestCasePredicates:
+    """The mask predicates against the labelling definitions, with u side
+    0..n-1 and v side n..2n-1."""
+
+    def test_case_i(self):
+        # case i reads only edges inside a side: every pair of side graphs
+        # on four vertices each, joined by the matching i-(4+i)
+        pairs = list(combinations(range(4), 2))
+        for u_graph in range(1 << 6):
+            for v_graph in range(1 << 6):
+                edges = [(i, 4 + i) for i in range(4)]
+                for k, (a, b) in enumerate(pairs):
+                    if u_graph >> k & 1:
+                        edges.append((a, b))
+                    if v_graph >> k & 1:
+                        edges.append((4 + a, 4 + b))
+                g = Graph.from_edges(8, edges)
+                inside = _inside_edges(g, (4, 5, 6, 7))
+                want = (
+                    len(inside) == 3
+                    and len({x for e in inside for x in e}) == 3
+                    and _first_disjoint_edges(g, 0x0F, 2) is not None
+                )
+                assert _fits_case_i(g, 0x0F, 0xF0) == want
+
+    @pytest.mark.parametrize("pivot", [0, 1, 2])
+    def test_case_ii(self, pivot):
+        # every labeled order-6 graph, u side 0, 1, 2 and v side 3, 4, 5
+        u, v = pivot, 3 + pivot
+        rest = [x for x in (3, 4, 5) if x != v]
+        for g in enumerate_labeled_graphs(6):
+            want = (
+                not _inside_edges(g, rest)
+                and any(g.has_edge(x, v) for x in rest)
+                and any(g.has_edge(x, u) for x in rest)
+                and _first_disjoint_edges(g, 0b000111 | 1 << v, 2) is not None
+            )
+            assert _fits_case_ii(g, 0b000111, 0b111000, u, v) == want
+
+
+class TestComponentFactorCritical:
+    def test_matches_induced_subgraph(self):
+        # every component of g - s, for every vertex set s, is a component
+        # that the deficiency witness search may inspect
+        for seed in range(6):
+            g = gen_random(8, "1/2", seed)
+            for s_mask in range(1 << g.order):
+                for comp in components_masks(g, g.full_mask & ~s_mask):
+                    vertices = [v for v in range(g.order) if comp >> v & 1]
+                    assert _factor_critical(g, comp) == is_factor_critical(
+                        induced_subgraph(g, vertices)
+                    )
 
 
 class TestBicritical:
@@ -241,6 +346,11 @@ class TestNonTwoExtendableStructure:
                 vi = [x for x in rest_v if g.has_edge(x, s.v_side[s.pivot])]
                 vj = [x for x in rest_v if g.has_edge(x, s.u_side[s.pivot])]
                 assert any(a != b for a in vi for b in vj)
+
+    def test_missing_labelling_raises(self, monkeypatch):
+        monkeypatch.setattr("matchforce.extend._case_labelling", lambda g: None)
+        with pytest.raises(AssertionError, match="no structural labeling"):
+            non_2_extendable_structure(gen_non_2_extendable("ii", 3).graph)
 
     def test_preconditions_rejected(self, c6, k4):
         with pytest.raises(PreconditionError):

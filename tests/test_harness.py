@@ -1,19 +1,25 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from matchforce import (
     THEOREM_IDS,
     builtin_corpus,
+    enumerate_perfect_matchings,
     family_corpus,
+    gen_complete_multipartite,
+    gen_h_k,
+    gen_non_2_extendable,
     random_graph6,
     to_graph6,
     verify_graphs,
 )
+from matchforce import harness
 from matchforce.harness import check_graph, resolve_theorems
 from matchforce.records import dumps, make_record, verification_payload
 
-from conftest import cycle_graph
+from conftest import complete_graph, cycle_graph
 
 
 class TestCorpora:
@@ -104,3 +110,148 @@ class TestVerify:
         # timings stay out of the default payload for byte determinism
         bare = verification_payload(rep)
         assert all("runtime_s" not in b for b in bare["blocks"])
+
+
+def _k33():
+    return gen_complete_multipartite([3, 3])
+
+
+def _non2ext():
+    return gen_non_2_extendable("ii", 3).graph
+
+
+def _profile_min_zero(profile):
+    return SimpleNamespace(max_forcing=profile.max_forcing, min_forcing=0)
+
+
+def _same_matchings(sg, g):
+    return frozenset(sg.nodes) == frozenset(enumerate_perfect_matchings(g))
+
+
+# block, target graph, harness name the block reads, the reading that
+# fails on the target (made from the real one), and a test of whether the
+# first argument belongs to the target when it is not the graph itself
+_FAILING_READINGS = [
+    ("thm13", _k33, "is_complete_multipartite", lambda r: None, None),
+    ("lemma22", _k33, "pairwise_alternating_condition", lambda r: (False, None), None),
+    ("lemma23", _k33, "vertex_connectivity", lambda r: 0, None),
+    ("lemma25", _non2ext, "is_brick", lambda r: False, None),
+    (
+        "thm33",
+        _k33,
+        "classify_min_forcing",
+        lambda r: SimpleNamespace(predicted_min_forcing_is_max=False),
+        None,
+    ),
+    ("thm41", _non2ext, "_case_labelling", lambda r: None, None),
+    ("cor52", _k33, "forcing_profile", _profile_min_zero, None),
+    ("lemma56", _k33, "verify_switch_bound", lambda r: (False, None), _same_matchings),
+    (
+        "thm57",
+        _k33,
+        "verify_spectrum_continuity",
+        lambda r: SimpleNamespace(spectrum_continuous=False, reach_max=True),
+        None,
+    ),
+]
+
+
+class TestBlocksCanFail:
+    """Every block but the informational one has a reachable False that is
+    a failed check, not a crash."""
+
+    def test_covers_every_failing_block(self):
+        blocks = {row[0] for row in _FAILING_READINGS}
+        assert blocks == set(THEOREM_IDS) - {"lemma22min"}
+
+    @pytest.mark.parametrize(
+        "block, make_target, name, fail, of_target",
+        _FAILING_READINGS,
+        ids=[row[0] for row in _FAILING_READINGS],
+    )
+    def test_failed_reading_is_a_counterexample(
+        self, monkeypatch, block, make_target, name, fail, of_target
+    ):
+        target = make_target()
+        of_target = of_target or (lambda first, g: first == g)
+        real = getattr(harness, name)
+
+        def patched(first, *args, **kwargs):
+            result = real(first, *args, **kwargs)
+            return fail(result) if of_target(first, target) else result
+
+        monkeypatch.setattr(harness, name, patched)
+        others = [
+            _k33(),
+            cycle_graph(6),
+            complete_graph(4),
+            gen_complete_multipartite([2, 2, 2]),
+            gen_h_k(3, 1).graph,
+            _non2ext(),
+            gen_non_2_extendable("i", 4).graph,
+        ]
+        target_g6 = to_graph6(target)
+        corpus = [target_g6] + [
+            g6 for g6 in map(to_graph6, others) if g6 != target_g6
+        ]
+        (result,) = verify_graphs("patched", corpus, theorems=[block]).blocks
+        assert target_g6 in result.counterexamples
+        assert result.passed == result.checked - 1
+        assert "error" not in result.info
+
+    def test_lemma22min_never_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            harness, "matching_pairs_exact_four_cycles", lambda g, m: False
+        )
+        corpus = [to_graph6(_k33()), to_graph6(gen_h_k(3, 1).graph)]
+        (result,) = verify_graphs("patched", corpus, theorems=["lemma22min"]).blocks
+        assert result.checked == 2
+        assert result.passed == result.checked
+        assert result.counterexamples == ()
+        assert result.info["readings_differ"] >= 1
+
+
+class _FakePool:
+    """In-process stand-in for multiprocessing.Pool that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        _FakePool.sizes.append(processes)
+
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        monkeypatch.setattr(_FakePool, "sizes", [])
+        monkeypatch.setattr(
+            harness, "multiprocessing", SimpleNamespace(Pool=_FakePool)
+        )
+        return _FakePool.sizes
+
+    def test_pool_no_larger_than_corpus(self, pool_sizes):
+        corpus = builtin_corpus("exhaustive-4")
+        serial = verify_graphs("c", corpus, workers=1)
+        pooled = verify_graphs("c", corpus, workers=1000)
+        assert pool_sizes == [len(corpus)]
+        assert verification_payload(pooled) == verification_payload(serial)
+
+    def test_single_graph_runs_serially(self, pool_sizes):
+        verify_graphs("c", [to_graph6(cycle_graph(6))], workers=8)
+        verify_graphs("c", [], workers=8)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_below_one_rejected(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_graphs("c", builtin_corpus("exhaustive-3"), workers=workers)
+        assert pool_sizes == []
