@@ -62,13 +62,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _env_cap(name: str):
     raw = os.environ.get(name)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise _UsageError(f"{name} must be a positive integer, got {raw!r}")
 
 
 def _read_input(path: str | None) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read input {path!r}: {exc}", 0) from None
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:

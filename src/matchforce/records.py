@@ -4,11 +4,19 @@ Every CLI invocation emits one versioned JSON record; this module owns the
 payload shapes so they stay diffable: keys are sorted, matchings are edge
 pair lists, cycles are vertex lists, and timings are opt-in because report
 bytes must not depend on worker count or machine speed.
+
+`dumps` writes exactly the bytes of ``json.dumps(record, sort_keys=True,
+indent=2) + "\n"``.  It is its own writer because CPython skips json's C
+encoder whenever ``indent`` is set, and the pure-Python one costs more than
+computing a multi-megabyte analyze report; here the large leaves (int lists,
+lists of int pairs, int-valued dicts) are rendered in one join each.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
+from math import inf
 
 SCHEMA = "matchforce-report/v1"
 
@@ -18,7 +26,62 @@ def make_record(kind: str, payload: dict) -> dict:
 
 
 def dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return _encode(record, "\n") + "\n"
+
+
+def _encode(value, nl: str) -> str:
+    """JSON text of `value`, whose line starts with the indentation in `nl`."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif (
+            types <= {list, tuple}
+            and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            deeper = inner + "  "
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            body = sep.join([pair] * len(value)) % tuple(chain.from_iterable(value))
+        else:
+            body = sep.join([_encode(v, inner) for v in value])
+        # one join copies the body once; chained "+" copies it per operand
+        return "".join(("[", inner, body, nl, "]"))
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = sorted(value.items())
+        if set(map(type, value.values())) == {int}:
+            body = sep.join([_string(k) + ": " + int.__repr__(v) for k, v in items])
+        else:
+            body = sep.join([_string(k) + ": " + _encode(v, inner) for k, v in items])
+        return "".join(("{", inner, body, nl, "}"))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def matching_payload(m) -> list[list[int]]:

@@ -139,6 +139,42 @@ class TestAnalyze:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("raw", ["-2", "0", "abc"])
+    def test_bad_cap_exit_1(self, capsys, monkeypatch, k6, raw):
+        monkeypatch.setenv("MATCHFORCE_MATCHING_CAP", raw)
+        code, out, err = run(
+            capsys,
+            ["analyze", "--format", "graph6", "--profile"],
+            stdin=to_graph6(k6) + "\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"MATCHFORCE_MATCHING_CAP must be a positive integer, got '{raw}'" in err
+
+    def test_empty_cap_means_default(self, capsys, monkeypatch, k6):
+        monkeypatch.setenv("MATCHFORCE_MATCHING_CAP", "")
+        code, _, _ = run(
+            capsys,
+            ["analyze", "--format", "graph6", "--profile"],
+            stdin=to_graph6(k6) + "\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+
+    def test_missing_input_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing.g6"
+        code, out, err = run(capsys, ["analyze", str(path), "--format", "graph6"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"parse error: cannot read input {str(path)!r}")
+
+    def test_directory_input_exit_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["analyze", str(tmp_path), "--format", "graph6"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"parse error: cannot read input {str(tmp_path)!r}")
+
     def test_csv_output(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys,

@@ -1,6 +1,11 @@
 """Record payload shapes for every serialized value."""
 
 import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchforce import (
     build_switch_graph,
@@ -9,13 +14,16 @@ from matchforce import (
     forcing_number,
     forcing_profile,
     enumerate_perfect_matchings,
+    gen_h_k,
     gen_knn_plus,
     gen_non_2_extendable,
     non_2_extendable_structure,
     switch_path,
+    to_graph6,
     verify_spectrum_continuity,
 )
 from matchforce import records
+from matchforce.cli import main
 
 
 def roundtrips(payload):
@@ -80,3 +88,102 @@ def test_switch_payloads(k33):
     path_payload = roundtrips(records.switch_path_payload(path))
     assert len(path_payload["matchings"]) == len(path_payload["cycles"]) + 1
     assert all(len(c) == 4 for c in path_payload["cycles"])
+
+
+def json_reference(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+INTS = st.one_of(st.integers(-5, 20), st.integers(-(2**80), 2**80))
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(-1e4, 1e4).map(lambda x: round(x, 3)),
+)
+TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2713\U0001d11e", '"\\/\b\f\n\r\t', "\u2028\ud800"]),
+)
+PAIRS = st.lists(st.tuples(INTS, INTS).map(list), max_size=6)
+# a pair list that must not take the int-pair rendering
+NEAR_PAIRS = st.tuples(
+    PAIRS,
+    st.sampled_from([[1, 2, 3], True, [True, 1], [1, 2.0], (4, 5), [], "ab", {"a": 1, "b": 2}]),
+    st.integers(0, 6),
+).map(lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2]:])
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    INTS,
+    FLOATS,
+    TEXT,
+    st.lists(INTS, max_size=6),
+    st.lists(st.one_of(INTS, st.booleans()), max_size=6),
+    PAIRS,
+    PAIRS.map(lambda ps: tuple(tuple(p) for p in ps)),
+    NEAR_PAIRS,
+    st.dictionaries(TEXT, INTS, max_size=5),
+    st.dictionaries(TEXT, st.one_of(INTS, st.booleans()), max_size=5),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None)
+    @given(TREES)
+    def test_matches_json(self, value):
+        assert records.dumps(value) == json_reference(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            {},
+            [[]],
+            [{}],
+            [True, 1],
+            [[1, True]],
+            [[0, 1], [2, 3, 4]],
+            [[0, 1], (2, 3)],
+            {"a": True, "b": 1},
+            {"b": 2, "a": -1, "\u00e9": 3},
+            [math.nan, math.inf, -math.inf, -0.0, 1e300, 0.1],
+            {"nodes": [[[0, 1], [2, 3]]], "edges": [[0, 1]], "forcing": [1, 2]},
+        ],
+    )
+    def test_edge_cases_match_json(self, value):
+        assert records.dumps(value) == json_reference(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {"a": {1: 2}}, {"a": {1, 2}}, [set()], frozenset(), b"x", object()],
+    )
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            records.dumps(value)
+
+
+def test_full_size_analyze_report_matches_json(tmp_path, capsys):
+    # H(7,3): 2,792 perfect matchings, a 4.1 MB report
+    path = tmp_path / "h73.g6"
+    path.write_text(to_graph6(gen_h_k(7, 3).graph) + "\n")
+    assert main(["analyze", "--format", "graph6", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["sections"]["profile"]["per_matching"]) == 2792
+    assert out == json_reference(json.loads(out))
+
+
+def test_timed_verify_report_matches_json(capsys):
+    assert main(["verify", "--corpus", "exhaustive-4", "--timings"]) == 0
+    out = capsys.readouterr().out
+    record = json.loads(out)
+    assert all(isinstance(b["runtime_s"], float) for b in record["blocks"])
+    assert out == json_reference(record)
