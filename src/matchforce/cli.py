@@ -145,11 +145,15 @@ def _cmd_analyze(args) -> int:
     needs_pm = {"profile", "classification", "switch"}
     if needs_pm & set(wanted) and not has_perfect_matching(g):
         raise NoPerfectMatchingError("graph has no perfect matching")
+    if args.csv:  # the table is the profile alone; no other section is computed
+        if not {"profile", "switch"} & set(wanted):
+            raise _UsageError("--csv needs the forcing profile section")
+        sys.stdout.write(records.spectrum_csv(forcing_profile(g, matching_cap)))
+        return 0
     # the JSON record holds the graph6 string; fail before the work if it can't
-    graph6 = None if args.csv else to_graph6(g)
+    graph6 = to_graph6(g)
 
     sections: dict = {}
-    profile = None
     if "profile" in wanted or "switch" in wanted:
         profile = forcing_profile(g, matching_cap=matching_cap)
     if "profile" in wanted:
@@ -165,11 +169,6 @@ def _cmd_analyze(args) -> int:
         cont = verify_spectrum_continuity(g, profile=profile, sg=sg)
         sections["switch"] = records.switch_payload(sg, cont)
 
-    if args.csv:
-        if profile is None:
-            raise _UsageError("--csv needs the forcing profile section")
-        sys.stdout.write(records.spectrum_csv(profile))
-        return 0
     record = records.make_record(
         "analysis",
         {"order": g.order, "graph6": graph6, "sections": sections},

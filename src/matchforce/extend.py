@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import PreconditionError
+from .errors import NoPerfectMatchingError, PreconditionError
 from .graph import (
     Edge,
     Graph,
@@ -24,11 +24,7 @@ from .graph import (
     mask_of,
     vertex_connectivity,
 )
-from .structure import (
-    has_max_forcing_n_minus_1,
-    is_knn_plus,
-    pairwise_alternating_condition,
-)
+from .structure import is_knn_plus, pairwise_alternating_condition
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,16 +203,14 @@ def _fits_case_ii(g: Graph, u_mask: int, v_mask: int, u: int, v: int) -> bool:
     )
 
 
-def _case_labelling(g: Graph) -> Optional[NonTwoExtendableStructure]:
+def _case_labelling(g: Graph, tops: list) -> Optional[NonTwoExtendableStructure]:
     """First case i or case ii labelling of a top matching, or None.
 
-    Top matchings are tried in canonical order, then orientations (bit i
+    The given top matchings are tried in order, then orientations (bit i
     set puts the i-th edge's larger end on the u side), case i before
     case ii, pivots ascending."""
     n = g.order // 2
-    for m in enumerate_perfect_matchings(g):
-        if not pairwise_alternating_condition(g, m)[0]:
-            continue
+    for m in tops:
         for orient in range(1 << n):
             bits = [orient >> i & 1 for i in range(n)]
             u_side = tuple(e[b] for e, b in zip(m.edges, bits))
@@ -244,11 +238,15 @@ def non_2_extendable_structure(g: Graph) -> Optional[NonTwoExtendableStructure]:
         raise PreconditionError("structure search needs even order >= 6")
     if is_knn_plus(g) is not None:
         raise PreconditionError("graph lies in the one-sided-extras family")
-    if has_max_forcing_n_minus_1(g) is None:
+    matchings = enumerate_perfect_matchings(g)
+    if not matchings:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    tops = [m for m in matchings if pairwise_alternating_condition(g, m)[0]]
+    if not tops:
         raise PreconditionError("maximal forcing number is not attained")
     if is_l_extendable(g, 2):
         return None
-    structure = _case_labelling(g)
+    structure = _case_labelling(g, tops)
     if structure is None:
         raise AssertionError(
             "graph is not 2-extendable but no structural labeling was found"

@@ -20,9 +20,9 @@ from .errors import PreconditionError
 
 DEFAULT_MATCHING_CAP = 10**6
 
-# Per-graph memos (kernel, matchings, connector codes, connectivity) are
-# keyed by adjacency rows and hold only the last few graphs: every caller
-# works on one graph at a time, and a memo must not outlive it by much.
+# Per-graph memos (kernel, connector codes, connectivity) are keyed by
+# adjacency rows and hold only the last few graphs: every caller works on
+# one graph at a time, and a memo must not outlive it by much.
 _GRAPH_MEMO_SIZE = 4
 
 
@@ -288,20 +288,14 @@ def enumerate_perfect_matchings(
     """Every perfect matching exactly once, lexicographic on the edge list.
 
     Odd order yields the empty tuple; order zero yields the single empty
-    matching.  Raises MatchingOverflowError past ``cap`` matchings, on every
-    call: an overflow is never memoized.
+    matching.  Raises MatchingOverflowError past ``cap`` matchings.  Each
+    call enumerates afresh, so a caller that needs the matchings twice
+    keeps the tuple.
     """
     if cap is None:
         cap = DEFAULT_MATCHING_CAP
-    return _matchings_cached(g.rows, cap)
-
-
-@lru_cache(maxsize=_GRAPH_MEMO_SIZE)
-def _matchings_cached(
-    rows: tuple[int, ...], cap: int
-) -> tuple[PerfectMatching, ...]:
     out = []
-    for flat in _kernel_cached(rows).enumerate_pms((1 << len(rows)) - 1, cap):
+    for flat in _kernel(g).enumerate_pms(g.full_mask, cap):
         it = iter(flat)
         out.append(PerfectMatching._unchecked(tuple(map(Edge._make, zip(it, it)))))
     return tuple(out)

@@ -35,7 +35,6 @@ from .structure import (
     has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
-    is_minimal_max_forcing,
     matching_pairs_exact_four_cycles,
     max_independent_set_size,
     pairwise_alternating_condition,
@@ -100,12 +99,17 @@ class _GraphContext:
         return self.n >= 1 and self.profile.max_forcing == self.n - 1
 
     @cached_property
+    def top_matchings(self) -> list:
+        """The profile's matchings of forcing number n - 1, canonical order."""
+        return [m for m, f in self.profile.per_matching.items() if f == self.n - 1]
+
+    @cached_property
     def knn_plus(self):
         return is_knn_plus(self.g) if self.g.order % 2 == 0 else None
 
     @cached_property
     def minimal_max_forcing(self) -> bool:
-        return is_minimal_max_forcing(self.g)
+        return self.max_is_top and self.g.edge_count() == self.n * self.n
 
     @cached_property
     def switch_graph(self):
@@ -164,7 +168,8 @@ def _block_thm41(ctx: _GraphContext):
     case i or case ii labelling of a top matching."""
     if not ctx.max_is_top or ctx.n < 3 or ctx.knn_plus is not None:
         return 0, True
-    return 1, is_l_extendable(ctx.g, 2) or _case_labelling(ctx.g) is not None
+    g = ctx.g
+    return 1, is_l_extendable(g, 2) or _case_labelling(g, ctx.top_matchings) is not None
 
 
 def _block_cor52(ctx: _GraphContext):
@@ -188,17 +193,15 @@ def _block_thm57(ctx: _GraphContext):
 
 
 def _block_lemma22min(ctx: _GraphContext):
-    """Informational: does the edge-minimality test depend on which maximal
-    matching is inspected?  Never fails; differing graphs are counted."""
+    """Informational: does edge-minimality by count (|E| = n^2) differ from
+    every top matching inducing exactly a 4-cycle on each pair?  Never
+    fails; differing graphs are counted."""
     if not ctx.max_is_top:
         return 0, True
-    some = ctx.minimal_max_forcing
     every = all(
-        matching_pairs_exact_four_cycles(ctx.g, m)
-        for m, f in ctx.profile.per_matching.items()
-        if f == ctx.n - 1
+        matching_pairs_exact_four_cycles(ctx.g, m) for m in ctx.top_matchings
     )
-    return 1, True, {"readings_differ": int(some != every)}
+    return 1, True, {"readings_differ": int(ctx.minimal_max_forcing != every)}
 
 
 _BLOCKS = {

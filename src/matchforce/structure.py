@@ -150,11 +150,17 @@ def has_max_forcing_n_minus_1(
 def is_minimal_max_forcing(g: Graph, matching_cap: int | None = None) -> bool:
     """True iff some matching attains the maximal forcing number with every
     edge pair inducing exactly a 4-cycle (4 vertices, 4 edges).  Graphs
-    without a perfect matching, or without a maximal matching, give False."""
-    return any(
-        matching_pairs_exact_four_cycles(g, m)
-        for m in enumerate_perfect_matchings(g, cap=matching_cap)
-    )
+    without a perfect matching, or without a maximal matching, give False.
+
+    Decided by counting: a perfect matching splits E(G) into its n edges
+    and the connectors of each pair of its edges.  A top matching has at
+    least 2 connectors on every pair (Lemma 2.2), so |E| >= n + 2 C(n, 2)
+    = n^2, with equality iff every pair induces exactly a 4-cycle.  Hence
+    the test is F(G) = n - 1 and |E| = n^2."""
+    n = g.order // 2
+    if g.order % 2 or g.edge_count() != n * n or not has_perfect_matching(g):
+        return False
+    return has_max_forcing_n_minus_1(g, matching_cap) is not None
 
 
 def classify_min_forcing(g: Graph) -> ClassificationResult:

@@ -139,6 +139,27 @@ def oracle_forcing_number(g: Graph, m: PerfectMatching) -> int:
     raise AssertionError("a perfect matching forces itself")
 
 
+def oracle_is_minimal_max_forcing(g: Graph) -> bool:
+    """Edge-minimality by definition: some perfect matching whose every pair
+    of edges (a, b), (c, d) induces exactly 4 edges, which are one
+    alternating 4-cycle: both parallel (a~c, b~d) or both crossed
+    connectors (a~d, b~c)."""
+    for pm in oracle_perfect_matchings(g):
+        if all(
+            _induces_four_cycle(g, e, f) for e, f in combinations(sorted(pm), 2)
+        ):
+            return True
+    return False
+
+
+def _induces_four_cycle(g: Graph, e, f) -> bool:
+    (a, b), (c, d) = e, f
+    induced = sum(g.has_edge(x, y) for x, y in combinations((a, b, c, d), 2))
+    parallel = g.has_edge(a, c) and g.has_edge(b, d)
+    crossed = g.has_edge(a, d) and g.has_edge(b, c)
+    return induced == 4 and (parallel or crossed)
+
+
 def oracle_vertex_connectivity(g: Graph) -> int:
     n = g.order
     if n <= 1:

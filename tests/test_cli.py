@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from matchforce import to_edge_list, to_graph6
+from matchforce import cli, to_edge_list, to_graph6
 from matchforce.cli import main
 
-from conftest import cycle_graph, path_graph, star_graph
+from graphs import cycle_graph, path_graph, star_graph
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -186,6 +186,39 @@ class TestAnalyze:
         lines = out.strip().split("\n")
         assert lines[0] == "matching,forcing"
         assert lines[1] == "0-1 2-3 4-5,1"
+
+    def _forbid_non_profile_sections(self, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("a non-profile section was computed")
+
+        for name in (
+            "build_switch_graph",
+            "classify_min_forcing",
+            "_extendability_section",
+        ):
+            monkeypatch.setattr(cli, name, computed)
+
+    def test_csv_computes_only_the_profile(self, capsys, monkeypatch):
+        text = to_edge_list(cycle_graph(8))
+        _, expected, _ = run(
+            capsys, ["analyze", "--profile", "--csv"], stdin=text, monkeypatch=monkeypatch
+        )
+        self._forbid_non_profile_sections(monkeypatch)
+        code, out, _ = run(capsys, ["analyze", "--csv"], stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        assert out == expected
+
+    def test_csv_without_profile_fails_before_sections(self, capsys, monkeypatch):
+        self._forbid_non_profile_sections(monkeypatch)
+        code, out, err = run(
+            capsys,
+            ["analyze", "--classify", "--extend", "--csv"],
+            stdin=to_edge_list(cycle_graph(6)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--csv needs the forcing profile section" in err
 
     def test_file_input(self, capsys, tmp_path, k33):
         path = tmp_path / "g.g6"

@@ -33,7 +33,7 @@ from matchforce.extend import (
 from matchforce.generate import enumerate_labeled_graphs
 from matchforce.graph import components_masks
 
-from conftest import cycle_graph, path_graph
+from graphs import cycle_graph, path_graph
 from oracles import oracle_is_bicritical, oracle_is_l_extendable
 
 
@@ -348,7 +348,9 @@ class TestNonTwoExtendableStructure:
                 assert any(a != b for a in vi for b in vj)
 
     def test_missing_labelling_raises(self, monkeypatch):
-        monkeypatch.setattr("matchforce.extend._case_labelling", lambda g: None)
+        monkeypatch.setattr(
+            "matchforce.extend._case_labelling", lambda g, tops: None
+        )
         with pytest.raises(AssertionError, match="no structural labeling"):
             non_2_extendable_structure(gen_non_2_extendable("ii", 3).graph)
 

@@ -25,7 +25,7 @@ from matchforce import (
 from matchforce._core import pure
 from matchforce.errors import CycleOverflowError
 
-from conftest import cycle_graph, grid_2x3, star_graph
+from graphs import cycle_graph, grid_2x3, star_graph
 from oracles import oracle_forcing_number, oracle_is_forcing
 
 

@@ -24,7 +24,7 @@ from matchforce import (
     vertex_connectivity,
 )
 
-from conftest import complete_graph
+from graphs import complete_graph
 
 
 class TestCompleteMultipartite:

@@ -20,7 +20,7 @@ from matchforce import (
 )
 from matchforce.errors import MatchingOverflowError
 
-from conftest import complete_graph, path_graph, star_graph
+from graphs import complete_graph, path_graph, star_graph
 from oracles import (
     oracle_alternating_cycles,
     oracle_has_pm_tutte,

@@ -14,7 +14,7 @@ from matchforce import (
     to_graph6,
 )
 
-from conftest import complete_graph, cycle_graph
+from graphs import complete_graph, cycle_graph
 
 
 @st.composite

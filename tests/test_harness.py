@@ -1,4 +1,5 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -11,15 +12,18 @@ from matchforce import (
     gen_complete_multipartite,
     gen_h_k,
     gen_non_2_extendable,
+    has_perfect_matching,
+    is_l_extendable,
+    non_2_extendable_structure,
     random_graph6,
     to_graph6,
     verify_graphs,
 )
-from matchforce import harness
+from matchforce import graph, harness
 from matchforce.harness import check_graph, resolve_theorems
 from matchforce.records import dumps, make_record, verification_payload
 
-from conftest import complete_graph, cycle_graph
+from graphs import complete_graph, cycle_graph
 
 
 class TestCorpora:
@@ -209,6 +213,46 @@ class TestBlocksCanFail:
         assert result.passed == result.checked
         assert result.counterexamples == ()
         assert result.info["readings_differ"] >= 1
+
+
+class TestSharedMatchings:
+    """Each checked graph enumerates its perfect matchings once, and the
+    blocks read the top matchings from its forcing profile."""
+
+    def test_one_enumeration_per_check(self, monkeypatch):
+        real = graph.enumerate_perfect_matchings
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] != "matchforce":
+                continue
+            if vars(mod).get("enumerate_perfect_matchings") is real:
+                monkeypatch.setattr(mod, "enumerate_perfect_matchings", counted)
+        res = check_graph(to_graph6(_non2ext()), THEOREM_IDS)
+        assert all(ok for _, ok, _, _ in res["blocks"].values())
+        # every block but thm13 (bipartite graphs only) checks this graph
+        checked = {t for t, v in res["blocks"].items() if v[0]}
+        assert checked == set(THEOREM_IDS) - {"thm13"}
+        assert len(calls) == 1
+
+    def test_profile_tops_give_the_structure(self):
+        searched = 0
+        for name, g in family_corpus(10):
+            if g.order < 6 or not has_perfect_matching(g):
+                continue
+            ctx = harness._GraphContext(g)
+            if not ctx.max_is_top or ctx.knn_plus is not None:
+                continue
+            if is_l_extendable(g, 2):
+                continue
+            searched += 1
+            found = harness._case_labelling(g, ctx.top_matchings)
+            assert found == non_2_extendable_structure(g), name
+        assert searched == 86
 
 
 class _FakePool:

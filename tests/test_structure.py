@@ -11,6 +11,7 @@ from matchforce import (
     classify_min_forcing,
     enumerate_labeled_graphs,
     enumerate_perfect_matchings,
+    family_corpus,
     forcing_number,
     forcing_profile,
     gen_complete_multipartite,
@@ -24,11 +25,13 @@ from matchforce import (
     is_minimal_max_forcing,
     max_independent_set_size,
     pairwise_alternating_condition,
+    to_graph6,
 )
 
-from conftest import complete_graph, path_graph
+from graphs import complete_graph, path_graph
 from oracles import (
     oracle_is_complete_multipartite,
+    oracle_is_minimal_max_forcing,
     oracle_max_independent_set,
     oracle_perfect_matchings,
 )
@@ -163,6 +166,27 @@ class TestMinimality:
 
     def test_hk_minimal(self):
         assert is_minimal_max_forcing(gen_h_k(3, 1).graph)
+
+    def test_count_matches_definition_exhaustive(self):
+        # every labeled graph through order 6: the count (F = n - 1 and
+        # |E| = n^2) against "some matching induces only 4-cycles"
+        minimal = 0
+        for order in range(1, 7):
+            for g in enumerate_labeled_graphs(order):
+                expected = oracle_is_minimal_max_forcing(g)
+                assert is_minimal_max_forcing(g) == expected, to_graph6(g)
+                minimal += expected
+        assert minimal == 74  # 1, 3 and 70 at orders 2, 4 and 6
+
+    def test_count_matches_definition_on_families(self):
+        graphs = [
+            (name, g)
+            for name, g in family_corpus(10)
+            if name.startswith(("sig:", "hk:"))
+        ]
+        assert len(graphs) == 99
+        for name, g in graphs:
+            assert is_minimal_max_forcing(g) == oracle_is_minimal_max_forcing(g), name
 
     def test_minimal_graphs_are_regular(self):
         for seed in range(30):
