@@ -106,7 +106,6 @@ from .harness import (
     VerificationReport,
     builtin_corpus,
     family_corpus,
-    random_graph6,
     verify_graphs,
 )
 

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import records
 from .errors import (
@@ -222,7 +223,7 @@ def _cmd_generate(args) -> int:
 # verify
 
 
-def _load_corpus(source: str) -> tuple[str, list[str]]:
+def _load_corpus(source: str) -> tuple[str, Iterable[Graph]]:
     path = Path(source)
     try:
         return source, builtin_corpus(source)
@@ -230,10 +231,9 @@ def _load_corpus(source: str) -> tuple[str, list[str]]:
         if not path.exists():
             raise ValueError(f"{exc}, and no file {source!r} exists") from None
     try:
-        graphs = read_graph6_collection(path.read_text())
+        return path.name, read_graph6_collection(path.read_text())
     except OSError as exc:
         raise ParseError(f"cannot read corpus {source!r}: {exc}", 0) from None
-    return path.name, [to_graph6(g) for g in graphs]
 
 
 def _cmd_verify(args) -> int:

@@ -136,11 +136,16 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_graph(text: str, format: str) -> Graph:
-    """Parse one graph in the named format ('graph6' or 'edge-list')."""
+    """Parse exactly one graph in the named format ('graph6' or 'edge-list')."""
     if format == "graph6":
-        for lineno, line in _content_lines(text):
-            return parse_graph6(line[1], base_offset=line[0])
-        raise ParseError("empty graph6 input", 0)
+        entries = list(_content_lines(text))
+        if not entries:
+            raise ParseError("empty graph6 input", 0)
+        if len(entries) > 1:
+            lineno, (off, _line) = entries[1]
+            raise ParseError(f"graph6 input holds a second graph at line {lineno}", off)
+        _lineno, (off, line) = entries[0]
+        return parse_graph6(line, base_offset=off)
     if format == "edge-list":
         return parse_edge_list(text)
     raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")

@@ -2,9 +2,11 @@
 
 Runs a selection of theorem blocks over every corpus graph that has a
 perfect matching and reports per-block pass counts with graph6
-counterexamples.  Graphs are independent work items, so the corpus can be
-fanned out over a process pool; results are merged back in corpus order,
-which keeps the report identical for any worker count.
+counterexamples.  Corpora are iterables of `Graph` objects: the builtin
+ones are generated lazily, and graph6 text is written only for a graph
+that fails or crashes a block.  Graphs are independent work items, so the
+corpus can be fanned out over a process pool; results are merged back in
+corpus order, which keeps the report identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .extend import _case_labelling, is_brick, is_l_extendable
 from .forcing import forcing_profile
@@ -29,7 +31,7 @@ from .generate import (
     PairSignature,
 )
 from .graph import Graph, has_perfect_matching, is_bipartite, vertex_connectivity
-from .graphio import parse_graph6, to_graph6
+from .graphio import to_graph6
 from .structure import (
     classify_min_forcing,
     has_fixed_double_bond,
@@ -40,19 +42,6 @@ from .structure import (
     pairwise_alternating_condition,
 )
 from .switch import build_switch_graph, verify_spectrum_continuity, verify_switch_bound
-
-THEOREM_IDS = (
-    "thm13",
-    "lemma22",
-    "lemma23",
-    "lemma25",
-    "thm33",
-    "thm41",
-    "cor52",
-    "lemma56",
-    "thm57",
-    "lemma22min",
-)
 
 _MAX_COUNTEREXAMPLES = 32
 
@@ -217,6 +206,8 @@ _BLOCKS = {
     "lemma22min": _block_lemma22min,
 }
 
+THEOREM_IDS = tuple(_BLOCKS)
+
 
 def resolve_theorems(selection) -> tuple[str, ...]:
     """Normalize a theorem selection ('all', one id, or a list of ids).
@@ -238,10 +229,12 @@ def resolve_theorems(selection) -> tuple[str, ...]:
     return tuple(out)
 
 
-def check_graph(g6: str, theorems: Sequence[str]) -> dict:
-    """Run the selected blocks on one graph6 string (worker function)."""
-    g = parse_graph6(g6)
-    result: dict = {"g6": g6, "has_pm": False, "blocks": {}}
+def check_graph(g: Graph, theorems: Sequence[str]) -> dict:
+    """Run the selected blocks on one graph (worker function).
+
+    The result names the graph by its graph6 string under "g6" only when
+    some block failed or crashed on it."""
+    result: dict = {"has_pm": False, "blocks": {}}
     if not has_perfect_matching(g):
         return result
     result["has_pm"] = True
@@ -256,6 +249,8 @@ def check_graph(g6: str, theorems: Sequence[str]) -> dict:
         checked, ok = outcome[0], outcome[1]
         info = outcome[2] if len(outcome) > 2 else {}
         result["blocks"][t] = (checked, int(ok), elapsed, info)
+    if not all(ok for _, ok, _, _ in result["blocks"].values()):
+        result["g6"] = to_graph6(g)
     return result
 
 
@@ -265,40 +260,43 @@ def _worker(args):
 
 def verify_graphs(
     corpus_id: str,
-    graphs: Iterable[str],
+    graphs: Iterable[Graph],
     theorems="all",
     workers: int = 1,
 ) -> VerificationReport:
-    """Run theorem blocks over a corpus of graph6 strings.
+    """Run theorem blocks over a corpus of graphs (any iterable, one pass).
 
     Graphs without a perfect matching are counted and skipped.  The report
     is deterministic for any worker count: results merge in corpus order.
-    No more worker processes are started than there are graphs.
+    One worker streams the corpus; a pool needs its length, since no more
+    worker processes are started than there are graphs.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     theorems = resolve_theorems(theorems)
-    g6_list = list(graphs)
-    workers = min(workers, len(g6_list))
+    if workers > 1:
+        graphs = list(graphs)
+        workers = min(workers, len(graphs))
     checked = {t: 0 for t in theorems}
     passed = {t: 0 for t in theorems}
     runtime = {t: 0.0 for t in theorems}
     cex: dict[str, list[str]] = {t: [] for t in theorems}
     info_sums: dict[str, dict] = {t: {} for t in theorems}
-    with_pm = 0
+    total = with_pm = 0
 
     if workers > 1:
         pool = multiprocessing.Pool(processes=workers)
-        chunk = max(1, len(g6_list) // (workers * 8))
+        chunk = max(1, len(graphs) // (workers * 8))
         results = pool.imap(
-            _worker, ((g6, theorems) for g6 in g6_list), chunksize=chunk
+            _worker, ((g, theorems) for g in graphs), chunksize=chunk
         )
     else:
         pool = None
-        results = (check_graph(g6, theorems) for g6 in g6_list)
+        results = (check_graph(g, theorems) for g in graphs)
 
     try:
         for res in results:
+            total += 1
             if res["has_pm"]:
                 with_pm += 1
             for t, (chk, ok, elapsed, info) in res["blocks"].items():
@@ -323,7 +321,7 @@ def verify_graphs(
         )
         for t in theorems
     )
-    return VerificationReport(corpus_id, len(g6_list), with_pm, blocks)
+    return VerificationReport(corpus_id, total, with_pm, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +416,11 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
     return out
 
 
-def random_graph6(count: int, order: int, p, seed0: int = 0) -> list[str]:
-    """Seeded random corpus as graph6 strings (seeds seed0..seed0+count-1)."""
-    return [to_graph6(gen_random(order, p, seed)) for seed in range(seed0, seed0 + count)]
+def builtin_corpus(name: str) -> Iterator[Graph]:
+    """Built-in corpora: 'exhaustive-N' (N <= 6) and 'families-10'.
 
-
-def builtin_corpus(name: str) -> list[str]:
-    """Built-in corpora: 'exhaustive-N' (N <= 6) and 'families-10'."""
+    An unknown name raises ValueError at once; the graphs come as a
+    one-pass iterator."""
     if name.startswith("exhaustive-"):
         try:
             order = int(name.split("-", 1)[1])
@@ -432,7 +428,7 @@ def builtin_corpus(name: str) -> list[str]:
             raise ValueError(f"bad builtin corpus name {name!r}") from None
         if not 1 <= order <= 6:
             raise ValueError("exhaustive corpora exist for orders 1..6")
-        return [to_graph6(g) for g in enumerate_labeled_graphs(order)]
+        return enumerate_labeled_graphs(order)
     if name == "families-10":
-        return [to_graph6(g) for _name, g in family_corpus(10)]
+        return (g for _name, g in family_corpus(10))
     raise ValueError(f"unknown builtin corpus {name!r}")

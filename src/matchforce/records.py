@@ -2,8 +2,8 @@
 
 Every CLI invocation emits one versioned JSON record; this module owns the
 payload shapes so they stay diffable: keys are sorted, matchings are edge
-pair lists, cycles are vertex lists, and timings are opt-in because report
-bytes must not depend on worker count or machine speed.
+pair lists, and timings are opt-in because report bytes must not depend on
+worker count or machine speed.
 
 `dumps` writes exactly the bytes of ``json.dumps(record, sort_keys=True,
 indent=2) + "\n"``.  It is its own writer because CPython skips json's C
@@ -125,16 +125,6 @@ def classification_payload(result) -> dict:
     return payload
 
 
-def certificate_payload(cert) -> dict:
-    return {
-        "matching": matching_payload(cert.matching),
-        "optimum": cert.optimum,
-        "witness_set": [[e.u, e.v] for e in cert.witness_set],
-        "lower_bound_used": cert.lower_bound_used,
-        "nodes_explored": cert.nodes_explored,
-    }
-
-
 def deficiency_payload(witness) -> dict:
     return {
         "s": list(witness.s),
@@ -142,16 +132,6 @@ def deficiency_payload(witness) -> dict:
         "components": [list(c) for c in witness.components],
         "factor_critical": list(witness.factor_critical),
         "level": witness.l,
-    }
-
-
-def structure_payload(struct) -> dict:
-    return {
-        "case": struct.case,
-        "matching": matching_payload(struct.matching),
-        "u_side": list(struct.u_side),
-        "v_side": list(struct.v_side),
-        "pivot": struct.pivot,
     }
 
 
@@ -167,13 +147,6 @@ def switch_payload(sg, continuity) -> dict:
         "applicable": continuity.applicable,
         "spectrum_continuous": continuity.spectrum_continuous,
         "reach_max": continuity.reach_max,
-    }
-
-
-def switch_path_payload(path) -> dict:
-    return {
-        "matchings": [matching_payload(m) for m in path.matchings],
-        "cycles": [list(c.vertices) for c in path.cycles],
     }
 
 

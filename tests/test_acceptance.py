@@ -26,10 +26,8 @@ from matchforce import (
     induced_subgraph,
     is_l_extendable,
     builtin_corpus,
-    random_graph6,
     splitmix64,
     verify_graphs,
-    family_corpus,
     to_graph6,
     AlternatingCycle,
 )
@@ -57,7 +55,7 @@ def exhaustive6_report():
 
 @pytest.fixture(scope="session")
 def families_report():
-    corpus = [to_graph6(g) for _, g in family_corpus(10)]
+    corpus = builtin_corpus("families-10")
     return verify_graphs("families-10", corpus, theorems="all", workers=8)
 
 
@@ -211,7 +209,7 @@ def test_criterion_08_switch_bound_and_continuity(
     b56b = block(families_report, "lemma56")
     b57b = block(families_report, "thm57")
     start = time.perf_counter()
-    corpus = random_graph6(10_000, 8, "1/2", seed0=0)
+    corpus = (gen_random(8, "1/2", seed) for seed in range(10_000))
     rep = verify_graphs(
         "random-8-10k",
         corpus,

@@ -1,11 +1,26 @@
 import json
+import sys
 
 import pytest
 
-from matchforce import cli, to_edge_list, to_graph6
+from matchforce import cli, graphio, harness, to_edge_list, to_graph6
 from matchforce.cli import main
 
 from graphs import cycle_graph, path_graph, star_graph
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Count calls of `func` through every matchforce module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "matchforce" and vars(mod).get(func.__name__) is func:
+            monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -128,6 +143,15 @@ class TestAnalyze:
         )
         assert code == 1
         assert "parse error" in err
+
+    def test_second_graph6_graph_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "two.g6"
+        path.write_text("C~\nE?~w\n")
+        code = main(["analyze", "--format", "graph6", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "second graph at line 2 (byte 3)" in err
 
     def test_cap_exceeded_exit_3(self, capsys, monkeypatch, k6):
         monkeypatch.setenv("MATCHFORCE_MATCHING_CAP", "3")
@@ -335,6 +359,28 @@ class TestVerify:
         out, _ = capsys.readouterr()
         assert code == 0
         assert json.loads(out)["graphs_total"] == 2
+
+    def test_builtin_corpus_is_never_graph6(self, capsys, monkeypatch):
+        parses = count_calls(monkeypatch, graphio.parse_graph6)
+        encodes = count_calls(monkeypatch, graphio.to_graph6)
+        assert main(["verify", "--corpus", "exhaustive-4"]) == 0
+        capsys.readouterr()
+        assert (len(parses), len(encodes)) == (0, 0)
+
+    def test_file_corpus_parsed_once_per_line(self, capsys, monkeypatch, tmp_path, k33, c6):
+        path = tmp_path / "corpus.g6"
+        path.write_text(f"# two graphs\n{to_graph6(k33)}\n\n{to_graph6(c6)}\n")
+        parses = count_calls(monkeypatch, graphio.parse_graph6)
+        encodes = count_calls(monkeypatch, graphio.to_graph6)
+        # refute lemma23 on K33 alone (C6 has F < n - 1, so the block skips it)
+        monkeypatch.setattr(harness, "vertex_connectivity", lambda g: 0)
+        code = main(["verify", "--corpus", str(path), "--theorems", "lemma23"])
+        out, _ = capsys.readouterr()
+        assert code == 1
+        (block,) = json.loads(out)["blocks"]
+        assert block["counterexamples"] == [to_graph6(k33)]
+        assert len(parses) == 2
+        assert encodes == [(k33,)]
 
     def test_unreadable_corpus_exit_1(self, capsys, tmp_path):
         code = main(["verify", "--corpus", str(tmp_path / "missing.g6")])

@@ -12,10 +12,10 @@ from matchforce import (
     gen_complete_multipartite,
     gen_h_k,
     gen_non_2_extendable,
+    gen_random,
     has_perfect_matching,
     is_l_extendable,
     non_2_extendable_structure,
-    random_graph6,
     to_graph6,
     verify_graphs,
 )
@@ -28,11 +28,19 @@ from graphs import complete_graph, cycle_graph
 
 class TestCorpora:
     def test_exhaustive_counts(self):
-        assert len(builtin_corpus("exhaustive-3")) == 8
-        assert len(builtin_corpus("exhaustive-4")) == 64
+        assert len(list(builtin_corpus("exhaustive-3"))) == 8
+        assert len(list(builtin_corpus("exhaustive-4"))) == 64
 
     def test_exhaustive_6_size(self):
-        assert len(builtin_corpus("exhaustive-6")) == 32768
+        assert sum(1 for _ in builtin_corpus("exhaustive-6")) == 32768
+
+    def test_builtin_corpora_are_one_pass_graph_iterators(self):
+        for name, size in (("exhaustive-3", 8), ("families-10", len(family_corpus(10)))):
+            corpus = builtin_corpus(name)
+            graphs = list(corpus)
+            assert len(graphs) == size
+            assert all(isinstance(g, graph.Graph) for g in graphs)
+            assert list(corpus) == []
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -51,19 +59,18 @@ class TestCorpora:
         assert all(g.order <= 10 for _, g in family_corpus(10))
         assert all(g.order <= 6 for _, g in family_corpus(6))
 
-    def test_random_corpus_deterministic(self):
-        assert random_graph6(5, 8, "1/2") == random_graph6(5, 8, "1/2")
-
 
 class TestBlocks:
     def test_check_graph_skips_without_pm(self):
-        res = check_graph(to_graph6(cycle_graph(5)), resolve_theorems("all"))
+        res = check_graph(cycle_graph(5), resolve_theorems("all"))
         assert not res["has_pm"]
         assert res["blocks"] == {}
+        assert "g6" not in res
 
     def test_check_graph_c6(self):
-        res = check_graph(to_graph6(cycle_graph(6)), resolve_theorems("all"))
+        res = check_graph(cycle_graph(6), resolve_theorems("all"))
         assert res["has_pm"]
+        assert "g6" not in res
         checked = {t: v[0] for t, v in res["blocks"].items()}
         ok = {t: v[1] for t, v in res["blocks"].items()}
         # C6 is bipartite with min forcing 1 < 2: the bipartite and
@@ -72,6 +79,22 @@ class TestBlocks:
         assert checked["thm33"] == 1 and ok["thm33"]
         assert checked["lemma23"] == 0
         assert checked["thm41"] == 0
+
+    def test_failed_block_names_the_graph(self, monkeypatch):
+        monkeypatch.setattr(harness, "vertex_connectivity", lambda g: 0)
+        res = check_graph(_k33(), ("thm13", "lemma23"))
+        assert res["blocks"]["lemma23"][:2] == (1, 0)
+        assert res["g6"] == to_graph6(_k33())
+
+    def test_crashed_block_names_the_graph(self, monkeypatch):
+        def crash(ctx):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(harness._BLOCKS, "thm13", crash)
+        res = check_graph(_k33(), ("thm13", "cor52"))
+        assert res["blocks"]["thm13"][3] == {"error": "RuntimeError: boom"}
+        assert res["blocks"]["cor52"][:2] == (1, 1)
+        assert res["g6"] == to_graph6(_k33())
 
     def test_resolve_theorems(self):
         assert resolve_theorems("all") == THEOREM_IDS
@@ -91,7 +114,8 @@ class TestVerify:
             assert block.passed == block.checked
 
     def test_worker_counts_agree(self):
-        corpus = builtin_corpus("exhaustive-4") + random_graph6(30, 6, "1/2")
+        corpus = list(builtin_corpus("exhaustive-4"))
+        corpus += [gen_random(6, "1/2", seed) for seed in range(30)]
         rep1 = verify_graphs("mix", corpus, workers=1)
         rep4 = verify_graphs("mix", corpus, workers=4)
         payload1 = dumps(make_record("verification", verification_payload(rep1)))
@@ -105,7 +129,7 @@ class TestVerify:
         assert [b.theorem for b in rep.blocks] == ["lemma22"]
 
     def test_counterexamples_capped_schema(self):
-        rep = verify_graphs("tiny", [to_graph6(cycle_graph(6))])
+        rep = verify_graphs("tiny", [cycle_graph(6)])
         payload = verification_payload(rep, include_timings=True)
         text = dumps(make_record("verification", payload))
         parsed = json.loads(text)
@@ -194,12 +218,9 @@ class TestBlocksCanFail:
             _non2ext(),
             gen_non_2_extendable("i", 4).graph,
         ]
-        target_g6 = to_graph6(target)
-        corpus = [target_g6] + [
-            g6 for g6 in map(to_graph6, others) if g6 != target_g6
-        ]
+        corpus = [target] + [g for g in others if g != target]
         (result,) = verify_graphs("patched", corpus, theorems=[block]).blocks
-        assert target_g6 in result.counterexamples
+        assert to_graph6(target) in result.counterexamples
         assert result.passed == result.checked - 1
         assert "error" not in result.info
 
@@ -207,7 +228,7 @@ class TestBlocksCanFail:
         monkeypatch.setattr(
             harness, "matching_pairs_exact_four_cycles", lambda g, m: False
         )
-        corpus = [to_graph6(_k33()), to_graph6(gen_h_k(3, 1).graph)]
+        corpus = [_k33(), gen_h_k(3, 1).graph]
         (result,) = verify_graphs("patched", corpus, theorems=["lemma22min"]).blocks
         assert result.checked == 2
         assert result.passed == result.checked
@@ -232,7 +253,7 @@ class TestSharedMatchings:
                 continue
             if vars(mod).get("enumerate_perfect_matchings") is real:
                 monkeypatch.setattr(mod, "enumerate_perfect_matchings", counted)
-        res = check_graph(to_graph6(_non2ext()), THEOREM_IDS)
+        res = check_graph(_non2ext(), THEOREM_IDS)
         assert all(ok for _, ok, _, _ in res["blocks"].values())
         # every block but thm13 (bipartite graphs only) checks this graph
         checked = {t for t, v in res["blocks"].items() if v[0]}
@@ -253,6 +274,28 @@ class TestSharedMatchings:
             found = harness._case_labelling(g, ctx.top_matchings)
             assert found == non_2_extendable_structure(g), name
         assert searched == 86
+
+
+class TestStreaming:
+    """verify_graphs reads any iterable of graphs once and counts it."""
+
+    @staticmethod
+    def _corpus():
+        yield from builtin_corpus("exhaustive-4")
+        yield from (gen_random(6, "1/2", seed) for seed in range(10))
+
+    def test_generator_same_report_for_any_worker_count(self):
+        serial = verify_graphs("gen", self._corpus(), workers=1)
+        pooled = verify_graphs("gen", self._corpus(), workers=2)
+        assert serial.graphs_total == pooled.graphs_total == 74
+        assert verification_payload(serial) == verification_payload(pooled)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_corpus(self, workers):
+        rep = verify_graphs("empty", iter(()), workers=workers)
+        assert (rep.graphs_total, rep.graphs_with_pm) == (0, 0)
+        assert all(b.checked == 0 for b in rep.blocks)
+        assert rep.all_passed
 
 
 class _FakePool:
@@ -283,14 +326,14 @@ class TestWorkers:
         return _FakePool.sizes
 
     def test_pool_no_larger_than_corpus(self, pool_sizes):
-        corpus = builtin_corpus("exhaustive-4")
+        corpus = list(builtin_corpus("exhaustive-4"))
         serial = verify_graphs("c", corpus, workers=1)
         pooled = verify_graphs("c", corpus, workers=1000)
         assert pool_sizes == [len(corpus)]
         assert verification_payload(pooled) == verification_payload(serial)
 
     def test_single_graph_runs_serially(self, pool_sizes):
-        verify_graphs("c", [to_graph6(cycle_graph(6))], workers=8)
+        verify_graphs("c", [cycle_graph(6)], workers=8)
         verify_graphs("c", [], workers=8)
         assert pool_sizes == []
 

@@ -11,14 +11,10 @@ from matchforce import (
     build_switch_graph,
     classify_min_forcing,
     deficiency_witness,
-    forcing_number,
     forcing_profile,
-    enumerate_perfect_matchings,
     gen_h_k,
     gen_knn_plus,
     gen_non_2_extendable,
-    non_2_extendable_structure,
-    switch_path,
     to_graph6,
     verify_spectrum_continuity,
 )
@@ -45,13 +41,6 @@ def test_spectrum_csv(k33):
     assert len(csv.splitlines()) == 7
 
 
-def test_certificate_payload(k33):
-    m = enumerate_perfect_matchings(k33)[0]
-    payload = roundtrips(records.certificate_payload(forcing_number(k33, m)))
-    assert payload["optimum"] == 2
-    assert len(payload["witness_set"]) == 2
-
-
 def test_classification_payload(k33):
     payload = roundtrips(records.classification_payload(classify_min_forcing(k33)))
     assert payload["tag"] == "CompleteMultipartite"
@@ -70,13 +59,6 @@ def test_deficiency_payload():
     assert all(payload["factor_critical"])
 
 
-def test_structure_payload():
-    g = gen_non_2_extendable("ii", 3).graph
-    payload = roundtrips(records.structure_payload(non_2_extendable_structure(g)))
-    assert payload["case"] == "ii"
-    assert sorted(payload["u_side"] + payload["v_side"]) == list(range(6))
-
-
 def test_switch_payloads(k33):
     sg = build_switch_graph(k33)
     cont = verify_spectrum_continuity(k33, sg=sg)
@@ -84,10 +66,6 @@ def test_switch_payloads(k33):
     assert len(payload["nodes"]) == 6
     assert payload["reach_max"] is True
     assert all(mult == 1 for mult in payload["cycle_multiplicity"].values())
-    path = switch_path(sg, sg.nodes[0], sg.nodes[-1])
-    path_payload = roundtrips(records.switch_path_payload(path))
-    assert len(path_payload["matchings"]) == len(path_payload["cycles"]) + 1
-    assert all(len(c) == 4 for c in path_payload["cycles"])
 
 
 def json_reference(value) -> str:
