@@ -15,6 +15,7 @@ ascending scan from the disjoint-4-cycle packing bound tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -33,7 +34,6 @@ from .graph import (
     connector_codes,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
-    pair_scan,
 )
 
 DEFAULT_CYCLE_CAP = 10**5
@@ -129,12 +129,12 @@ def is_forcing_set(
 
 def _four_cycle_packing(g, m, edge_masks) -> int:
     """Vertex-disjoint alternating 4-cycles packed greedily, one per matching
-    edge pair that spans one, in pair-scan order."""
+    edge pair that spans one, pairs (i, j) in ascending order."""
     used = 0
     count = 0
     codes = connector_codes(g.rows, m.edges)
-    for (i, j), code in zip(pair_scan(len(edge_masks)), codes):
-        vm = edge_masks[i] | edge_masks[j]
+    for (mi, mj), code in zip(combinations(edge_masks, 2), codes):
+        vm = mi | mj
         spans = code & PARALLEL == PARALLEL or code & CROSSED == CROSSED
         if spans and not (vm & used):
             used |= vm

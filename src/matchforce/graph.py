@@ -20,7 +20,7 @@ from .errors import PreconditionError
 
 DEFAULT_MATCHING_CAP = 10**6
 
-# Per-graph memos (kernel, connector codes, connectivity) are keyed by
+# The two per-graph memos, the kernel and vertex connectivity, are keyed by
 # adjacency rows and hold only the last few graphs: every caller works on
 # one graph at a time, and a memo must not outlive it by much.
 _GRAPH_MEMO_SIZE = 4
@@ -341,52 +341,21 @@ PARALLEL = 0b0011  # a~c and b~d
 CROSSED = 0b1100  # a~d and b~c
 
 
-@lru_cache(maxsize=32)
-def pair_scan(k: int) -> tuple[tuple[int, int], ...]:
-    """Index pairs (i, j), i < j < k, in scan order: i ascending, then j."""
-    return tuple(combinations(range(k), 2))
-
-
-@lru_cache(maxsize=_GRAPH_MEMO_SIZE)
-def _codes_memo(rows: tuple[int, ...]) -> dict:
-    return {}
-
-
 def connector_codes(
     rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
 ) -> bytes:
     """Code of each pair i < j of matching edges (a, b) = pairs[i] and
-    (c, d) = pairs[j], in ``pair_scan`` order; ``pairs`` are sorted by
-    smaller endpoint.  The code's bits are a~c, b~d, a~d and b~c.  Each
-    matching of a graph is scanned once; later calls reuse the codes."""
-    memo = _codes_memo(rows)
-    codes = memo.get(pairs)
-    if codes is None:
-        out = bytearray()
-        for i, (a, b) in enumerate(pairs):
-            ra = rows[a]
-            rb = rows[b]
-            for c, d in pairs[i + 1 :]:
-                code = (ra >> c & 1) | (rb >> d & 1) << 1
-                out.append(code | (ra >> d & 1) << 2 | (rb >> c & 1) << 3)
-        codes = memo[pairs] = bytes(out)
-    return codes
-
-
-def four_cycle_switches(
-    rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
-) -> Iterator[tuple[int, int, int, int]]:
-    """(a, b, y, w) for every alternating 4-cycle a-b-w-y, in scan order,
-    parallel class first: its 2-switch turns matching edges (a, b) and
-    {y, w}, in that order in ``pairs``, into (a, y) and (b, w)."""
-    codes = connector_codes(rows, pairs)
-    for (i, j), code in zip(pair_scan(len(pairs)), codes):
-        a, b = pairs[i]
-        c, d = pairs[j]
-        if code & PARALLEL == PARALLEL:
-            yield a, b, c, d
-        if code & CROSSED == CROSSED:
-            yield a, b, d, c
+    (c, d) = pairs[j], in ``combinations(range(len(pairs)), 2)`` order;
+    ``pairs`` are sorted by smaller endpoint.  The code's bits are a~c,
+    b~d, a~d and b~c."""
+    out = bytearray()
+    for i, (a, b) in enumerate(pairs):
+        ra = rows[a]
+        rb = rows[b]
+        for c, d in pairs[i + 1 :]:
+            code = (ra >> c & 1) | (rb >> d & 1) << 1
+            out.append(code | (ra >> d & 1) << 2 | (rb >> c & 1) << 3)
+    return bytes(out)
 
 
 def switch_cycle(a: int, b: int, y: int, w: int) -> AlternatingCycle:
@@ -399,10 +368,13 @@ def alternating_four_cycles(
 ) -> tuple[AlternatingCycle, ...]:
     """All m-alternating 4-cycles, canonicalized and sorted."""
     check_perfect_matching(g, m)
-    cycles = [
-        switch_cycle(a, b, y, w)
-        for a, b, y, w in four_cycle_switches(g.rows, m.edges)
-    ]
+    cycles = []
+    codes = connector_codes(g.rows, m.edges)
+    for ((a, b), (c, d)), code in zip(combinations(m.edges, 2), codes):
+        if code & PARALLEL == PARALLEL:
+            cycles.append(switch_cycle(a, b, c, d))
+        if code & CROSSED == CROSSED:
+            cycles.append(switch_cycle(a, b, d, c))
     return tuple(sorted(cycles, key=lambda cy: cy.vertices))
 
 

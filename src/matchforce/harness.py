@@ -31,7 +31,7 @@ from .generate import (
     PairSignature,
 )
 from .graph import Graph, has_perfect_matching, is_bipartite, vertex_connectivity
-from .graphio import to_graph6
+from .graphio import _G6_MAX_ORDER, to_graph6
 from .structure import (
     classify_min_forcing,
     has_fixed_double_bond,
@@ -233,7 +233,11 @@ def check_graph(g: Graph, theorems: Sequence[str]) -> dict:
     """Run the selected blocks on one graph (worker function).
 
     The result names the graph by its graph6 string under "g6" only when
-    some block failed or crashed on it."""
+    some block failed or crashed on it.  A graph above graph6's order
+    limit could not be named, so it is rejected with ValueError before
+    any block runs."""
+    if g.order > _G6_MAX_ORDER:
+        raise ValueError(f"graph6 output supports order <= {_G6_MAX_ORDER}")
     result: dict = {"has_pm": False, "blocks": {}}
     if not has_perfect_matching(g):
         return result

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
@@ -26,7 +27,6 @@ from .graph import (
     enumerate_perfect_matchings,
     has_perfect_matching,
     iter_bits,
-    pair_scan,
 )
 
 
@@ -117,9 +117,9 @@ def pairwise_alternating_condition(
     """
     edges = m.edges
     codes = connector_codes(g.rows, edges)
-    for (i, j), code in zip(pair_scan(len(edges)), codes):
+    for pair, code in zip(combinations(edges, 2), codes):
         if code & PARALLEL != PARALLEL and code & CROSSED != CROSSED:
-            return False, (edges[i], edges[j])
+            return False, pair
     return True, None
 
 

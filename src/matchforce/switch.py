@@ -1,12 +1,13 @@
 """Matching 2-switch dynamics.
 
 Nodes of the switch graph are the perfect matchings of a host graph;
-two matchings are adjacent when they differ by one alternating 4-cycle.
-The symmetric difference of adjacent matchings is that cycle's edge set,
-so each switch edge is realized by exactly one cycle.  The build keeps
-only adjacency; ``SwitchGraph.edge_cycles`` derives the cycles from the
-nodes on first use (``switch_path`` is its only reader), so verifying or
-reporting a switch graph never builds them.
+two matchings are adjacent when they differ by one alternating 4-cycle,
+that is when they share all but two edges.  The symmetric difference of
+adjacent matchings is that cycle's edge set, so each switch edge is
+realized by exactly one cycle.  The build works on the matchings alone
+and keeps only adjacency; ``SwitchGraph.edge_cycles`` derives the cycles
+from the nodes on first use (``switch_path`` is its only reader), so
+verifying or reporting a switch graph never builds them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Optional
 
 from .errors import PreconditionError
@@ -25,7 +27,6 @@ from .graph import (
     PerfectMatching,
     apply_cycle,
     check_perfect_matching,
-    four_cycle_switches,
     is_alternating_cycle,
     switch_cycle,
 )
@@ -136,9 +137,12 @@ def build_switch_graph(
 
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given; a capped enumeration goes in as a capped profile.
-    A node's key has one bit per matching edge (u, v), bit u * order + v,
-    so a 2-switch flips four bits and looks the result up among the node
-    keys (KeyError if it is not a node).
+    A node's key has one bit per matching edge (u, v), bit u * order + v.
+    Two matchings are adjacent iff they share all but two edges: for each
+    pair of a node's edges (a, b), (c, d), the key with those two bits
+    cleared and the bits of (a, c), (b, d) or of (a, d), (b, c) set is
+    looked up among the node keys, and each hit is a neighbour.  The build
+    reads ``g`` only for its order and, without ``profile``, its profile.
     """
     if profile is None:
         profile = forcing_profile(g)
@@ -149,11 +153,12 @@ def build_switch_graph(
     index = {key: i for i, key in enumerate(keys)}
     adjacency = []
     for key, m in zip(keys, nodes):
-        neighbors = [
-            index[key ^ bit[a][b] ^ bit[y][w] ^ bit[a][y] ^ bit[b][w]]
-            for a, b, y, w in four_cycle_switches(g.rows, m.edges)
-        ]
-        adjacency.append(tuple(sorted(neighbors)))
+        swapped = []
+        for (a, b), (c, d) in combinations(m.edges, 2):
+            rest = key ^ bit[a][b] ^ bit[c][d]
+            swapped.append(rest | bit[a][c] | bit[b][d])
+            swapped.append(rest | bit[a][d] | bit[b][c])
+        adjacency.append(tuple(sorted(index[k] for k in swapped if k in index)))
     return SwitchGraph(nodes, forcing, tuple(adjacency))
 
 

@@ -91,6 +91,22 @@ def test_analyze_report_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == H62_ANALYZE_SHA256
 
 
+# sha256 of `matchforce analyze --format graph6 --profile --switch` on
+# gen_random(12, "2/3", 1): 715 matchings and 3787 switch edges.
+R12_GRAPH6 = "Kj~rbmveXtwp"
+R12_SWITCH_SHA256 = "7932dd4f81577a108028d1be8dc828da75239408e05725200eba5d69b696c29e"
+
+
+def test_dense_switch_report_bytes_pinned(tmp_path, capsys):
+    assert to_graph6(gen_random(12, "2/3", 1)) == R12_GRAPH6
+    path = tmp_path / "r12.g6"
+    path.write_text(R12_GRAPH6 + "\n")
+    args = ["analyze", "--format", "graph6", "--profile", "--switch", str(path)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == R12_SWITCH_SHA256
+
+
 def test_criterion_01_classification_exhaustive():
     corpus = builtin_corpus("exhaustive-6")
     start = time.perf_counter()

@@ -6,6 +6,7 @@ import pytest
 
 from matchforce import (
     THEOREM_IDS,
+    Graph,
     builtin_corpus,
     enumerate_perfect_matchings,
     family_corpus,
@@ -95,6 +96,19 @@ class TestBlocks:
         assert res["blocks"]["thm13"][3] == {"error": "RuntimeError: boom"}
         assert res["blocks"]["cor52"][:2] == (1, 1)
         assert res["g6"] == to_graph6(_k33())
+
+    def test_order_above_graph6_limit_rejected_before_blocks(self, monkeypatch):
+        calls = []
+
+        def crash(ctx):
+            calls.append(ctx)
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(harness._BLOCKS, "thm13", crash)
+        g = Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)])
+        with pytest.raises(ValueError, match="graph6 output supports order <= 62"):
+            verify_graphs("order-64", [g], theorems=["thm13"])
+        assert calls == []
 
     def test_resolve_theorems(self):
         assert resolve_theorems("all") == THEOREM_IDS

@@ -118,7 +118,8 @@ class TestSwitchGraph:
         [gen_random(6, "1/2" if s % 2 else "2/3", s) for s in range(16)]
         + [gen_complete_multipartite((4, 4))]
         + [_signature_graph(4, mask) for mask in (0, 5, 63)]
-        + [_signature_graph(5, mask) for mask in (0, 341, 1023)],
+        + [_signature_graph(5, mask) for mask in (0, 341, 1023)]
+        + [gen_random(10, "2/3", s) for s in range(1, 6)],
     )
     def test_matches_oracle(self, g):
         sg = build_switch_graph(g) if enumerate_perfect_matchings(g) else None
