@@ -22,8 +22,6 @@ from typing import Optional
 from ._core.cycles import alternating_cycle_first
 from .errors import CycleOverflowError, NoPerfectMatchingError, PreconditionError
 from .graph import (
-    CROSSED,
-    PARALLEL,
     AlternatingCycle,
     Edge,
     Graph,
@@ -31,9 +29,9 @@ from .graph import (
     _kernel,
     alternating_four_cycles,
     check_perfect_matching,
-    connector_codes,
     enumerate_alternating_cycles,
     enumerate_perfect_matchings,
+    spans_four_cycle,
 )
 
 DEFAULT_CYCLE_CAP = 10**5
@@ -130,13 +128,12 @@ def is_forcing_set(
 def _four_cycle_packing(g, m, edge_masks) -> int:
     """Vertex-disjoint alternating 4-cycles packed greedily, one per matching
     edge pair that spans one, pairs (i, j) in ascending order."""
+    rows = g.rows
     used = 0
     count = 0
-    codes = connector_codes(g.rows, m.edges)
-    for (mi, mj), code in zip(combinations(edge_masks, 2), codes):
+    for (e, mi), (f, mj) in combinations(zip(m.edges, edge_masks), 2):
         vm = mi | mj
-        spans = code & PARALLEL == PARALLEL or code & CROSSED == CROSSED
-        if spans and not (vm & used):
+        if not (vm & used) and spans_four_cycle(rows, e, f):
             used |= vm
             count += 1
     return count

@@ -3,7 +3,9 @@
 Vertices are integers ``0..order-1``.  Adjacency is a tuple of row masks,
 one int per vertex, bit ``v`` of ``rows[u]`` set iff ``u ~ v``.  Everything
 is immutable after construction and all operations are pure functions, so
-values can be shared freely across threads and worker processes.
+values can be shared freely across threads and worker processes.  Lemma
+2.2's rule for a pair of matching edges, which every maximum-forcing test
+asks, is ``spans_four_cycle`` over these rows.
 """
 
 from __future__ import annotations
@@ -305,18 +307,14 @@ def has_perfect_matching(g: Graph) -> bool:
     return _kernel(g).count2(g.full_mask) > 0
 
 
-def find_alternating_cycle(
-    g: Graph, m: PerfectMatching, alive: int | None = None
-) -> Optional[AlternatingCycle]:
-    """Some m-alternating cycle of g (restricted to ``alive``), or None.
+def find_alternating_cycle(g: Graph, m: PerfectMatching) -> Optional[AlternatingCycle]:
+    """Some m-alternating cycle of g, or None.
 
     The first cycle in the deterministic search order is returned, so equal
     inputs give equal witnesses.
     """
     check_perfect_matching(g, m)
-    if alive is None:
-        alive = g.full_mask
-    raw = alternating_cycle_first(g.rows, m.mates(g.order), alive)
+    raw = alternating_cycle_first(g.rows, m.mates(g.order), g.full_mask)
     return None if raw is None else AlternatingCycle.canonical(raw)
 
 
@@ -334,28 +332,15 @@ def enumerate_alternating_cycles(
     return tuple(cyc)
 
 
-# Connector-code classes of matching edges (a, b), (c, d).  The pair spans
-# one alternating 4-cycle per class its code contains, and induces exactly
-# a 4-cycle iff its code is a class.
-PARALLEL = 0b0011  # a~c and b~d
-CROSSED = 0b1100  # a~d and b~c
-
-
-def connector_codes(
-    rows: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
-) -> bytes:
-    """Code of each pair i < j of matching edges (a, b) = pairs[i] and
-    (c, d) = pairs[j], in ``combinations(range(len(pairs)), 2)`` order;
-    ``pairs`` are sorted by smaller endpoint.  The code's bits are a~c,
-    b~d, a~d and b~c."""
-    out = bytearray()
-    for i, (a, b) in enumerate(pairs):
-        ra = rows[a]
-        rb = rows[b]
-        for c, d in pairs[i + 1 :]:
-            code = (ra >> c & 1) | (rb >> d & 1) << 1
-            out.append(code | (ra >> d & 1) << 2 | (rb >> c & 1) << 3)
-    return bytes(out)
+def spans_four_cycle(rows: tuple[int, ...], e: Edge, f: Edge) -> bool:
+    """Lemma 2.2's rule: matching edges e = (a, b) and f = (c, d) span an
+    alternating 4-cycle iff a~c and b~d (the parallel connectors) or a~d
+    and b~c (the crossed connectors).  The matching's forcing number is
+    one less than its size iff every pair of its edges spans one."""
+    (a, b), (c, d) = e, f
+    ra = rows[a]
+    rb = rows[b]
+    return (ra >> c & rb >> d | ra >> d & rb >> c) & 1 == 1
 
 
 def switch_cycle(a: int, b: int, y: int, w: int) -> AlternatingCycle:
@@ -366,14 +351,18 @@ def switch_cycle(a: int, b: int, y: int, w: int) -> AlternatingCycle:
 def alternating_four_cycles(
     g: Graph, m: PerfectMatching
 ) -> tuple[AlternatingCycle, ...]:
-    """All m-alternating 4-cycles, canonicalized and sorted."""
+    """All m-alternating 4-cycles, canonicalized and sorted: one for each
+    connector class of ``spans_four_cycle`` that a pair of matching edges
+    holds in full, so a pair may give two."""
     check_perfect_matching(g, m)
+    rows = g.rows
     cycles = []
-    codes = connector_codes(g.rows, m.edges)
-    for ((a, b), (c, d)), code in zip(combinations(m.edges, 2), codes):
-        if code & PARALLEL == PARALLEL:
+    for (a, b), (c, d) in combinations(m.edges, 2):
+        ra = rows[a]
+        rb = rows[b]
+        if ra >> c & rb >> d & 1:
             cycles.append(switch_cycle(a, b, c, d))
-        if code & CROSSED == CROSSED:
+        if ra >> d & rb >> c & 1:
             cycles.append(switch_cycle(a, b, d, c))
     return tuple(sorted(cycles, key=lambda cy: cy.vertices))
 

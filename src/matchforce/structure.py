@@ -6,6 +6,10 @@ one-sided extras" family is recognized by locating an independent side
 fully joined to the rest.  Together these recognizers decide whether the
 minimum forcing number is as large as it can get; the prediction flag
 records that verdict so it can be tested against the exact solver.
+
+The maximum forcing number is read pair by pair from Lemma 2.2's rule
+(``graph.spans_four_cycle``), and edge-minimality among graphs that attain
+it from the edge count.
 """
 
 from __future__ import annotations
@@ -17,16 +21,15 @@ from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
 from .graph import (
-    CROSSED,
-    PARALLEL,
     Edge,
     Graph,
     PerfectMatching,
     _kernel,
-    connector_codes,
+    check_perfect_matching,
     enumerate_perfect_matchings,
     has_perfect_matching,
     iter_bits,
+    spans_four_cycle,
 )
 
 
@@ -107,37 +110,35 @@ def is_knn_plus(
 def pairwise_alternating_condition(
     g: Graph, m: PerfectMatching
 ) -> tuple[bool, Optional[tuple[Edge, Edge]]]:
-    """Whether every pair of matching edges spans an alternating cycle.
-
-    For edges (u1, v1) and (u2, v2) the induced 4-vertex graph carries an
-    alternating cycle iff both parallel connectors or both crossed
-    connectors are present.  Holds for every pair iff the forcing number of
-    m is maximal (one less than the matching size).  On failure the first
-    offending pair is returned.
-    """
-    edges = m.edges
-    codes = connector_codes(g.rows, edges)
-    for pair, code in zip(combinations(edges, 2), codes):
-        if code & PARALLEL != PARALLEL and code & CROSSED != CROSSED:
-            return False, pair
+    """Whether every pair of matching edges spans an alternating 4-cycle
+    (``spans_four_cycle``), which by Lemma 2.2 holds iff the forcing number
+    of m is maximal (one less than the matching size).  On failure the
+    first offending pair in ``combinations`` order is returned."""
+    rows = g.rows
+    for e, f in combinations(m.edges, 2):
+        if not spans_four_cycle(rows, e, f):
+            return False, (e, f)
     return True, None
 
 
 def matching_pairs_exact_four_cycles(g: Graph, m: PerfectMatching) -> bool:
     """Whether every pair of matching edges induces exactly a 4-cycle: one
-    alternating connector class and no further edges."""
-    return all(
-        code == PARALLEL or code == CROSSED
-        for code in connector_codes(g.rows, m.edges)
-    )
+    alternating connector class and no further edges.
+
+    Decided by counting: the perfect matching m splits E(G) into its n
+    edges and the connectors of each pair of its edges.  When every pair
+    spans an alternating 4-cycle it has at least 2 connectors, so
+    |E| >= n + 2 C(n, 2) = n^2, with equality iff every pair has exactly
+    one connector class."""
+    check_perfect_matching(g, m)
+    n = len(m)
+    return g.edge_count() == n * n and pairwise_alternating_condition(g, m)[0]
 
 
-def has_max_forcing_n_minus_1(
-    g: Graph, matching_cap: int | None = None
-) -> Optional[PerfectMatching]:
+def has_max_forcing_n_minus_1(g: Graph) -> Optional[PerfectMatching]:
     """First perfect matching (canonical order) whose forcing number is
     maximal, or None when no matching attains it."""
-    matchings = enumerate_perfect_matchings(g, cap=matching_cap)
+    matchings = enumerate_perfect_matchings(g)
     if not matchings:
         raise NoPerfectMatchingError("graph has no perfect matching")
     for m in matchings:
@@ -147,20 +148,18 @@ def has_max_forcing_n_minus_1(
     return None
 
 
-def is_minimal_max_forcing(g: Graph, matching_cap: int | None = None) -> bool:
+def is_minimal_max_forcing(g: Graph) -> bool:
     """True iff some matching attains the maximal forcing number with every
     edge pair inducing exactly a 4-cycle (4 vertices, 4 edges).  Graphs
     without a perfect matching, or without a maximal matching, give False.
 
-    Decided by counting: a perfect matching splits E(G) into its n edges
-    and the connectors of each pair of its edges.  A top matching has at
-    least 2 connectors on every pair (Lemma 2.2), so |E| >= n + 2 C(n, 2)
-    = n^2, with equality iff every pair induces exactly a 4-cycle.  Hence
-    the test is F(G) = n - 1 and |E| = n^2."""
+    By the count in ``matching_pairs_exact_four_cycles``, every maximal
+    matching then qualifies iff |E| = n^2, so the test is F(G) = n - 1
+    and |E| = n^2."""
     n = g.order // 2
     if g.order % 2 or g.edge_count() != n * n or not has_perfect_matching(g):
         return False
-    return has_max_forcing_n_minus_1(g, matching_cap) is not None
+    return has_max_forcing_n_minus_1(g) is not None
 
 
 def classify_min_forcing(g: Graph) -> ClassificationResult:

@@ -1,4 +1,6 @@
-"""Small named graphs shared by the test modules."""
+"""Small named graphs and graph strategies shared by the test modules."""
+
+from hypothesis import strategies as st
 
 from matchforce import Graph, gen_complete_multipartite
 
@@ -24,3 +26,25 @@ def grid_2x3() -> Graph:
     return Graph.from_edges(
         6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
     )
+
+
+def planted_matching_strategy():
+    """Graphs on 4, 6 or 8 vertices: a perfect matching on a permuted vertex
+    order plus at most 12 other edges, which keeps the cycle oracle fast on
+    order 8."""
+
+    @st.composite
+    def build(draw):
+        order = draw(st.sampled_from((4, 6, 8)))
+        perm = draw(st.permutations(range(order)))
+        planted = {tuple(sorted(perm[i : i + 2])) for i in range(0, order, 2)}
+        others = [
+            (i, j)
+            for i in range(order)
+            for j in range(i + 1, order)
+            if (i, j) not in planted
+        ]
+        extra = draw(st.sets(st.sampled_from(others), max_size=12))
+        return Graph.from_edges(order, sorted(planted | extra))
+
+    return build()

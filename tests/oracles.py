@@ -153,11 +153,29 @@ def oracle_is_minimal_max_forcing(g: Graph) -> bool:
 
 
 def _induces_four_cycle(g: Graph, e, f) -> bool:
+    induced = sum(g.has_edge(x, y) for x, y in combinations((*e, *f), 2))
+    return induced == 4 and oracle_spans_four_cycle(g, e, f)
+
+
+def oracle_spans_four_cycle(g: Graph, e, f) -> bool:
+    """Matching edges (a, b), (c, d) with both parallel (a~c, b~d) or both
+    crossed connectors (a~d, b~c)."""
     (a, b), (c, d) = e, f
-    induced = sum(g.has_edge(x, y) for x, y in combinations((a, b, c, d), 2))
     parallel = g.has_edge(a, c) and g.has_edge(b, d)
     crossed = g.has_edge(a, d) and g.has_edge(b, c)
-    return induced == 4 and (parallel or crossed)
+    return parallel or crossed
+
+
+def oracle_greedy_four_cycle_packing(g: Graph, m: PerfectMatching) -> int:
+    """Vertex-disjoint alternating 4-cycles taken greedily: one per pair of
+    matching edges that spans one, pairs in ``combinations`` order."""
+    used: set[int] = set()
+    count = 0
+    for e, f in combinations(m.edges, 2):
+        if oracle_spans_four_cycle(g, e, f) and not used & {*e, *f}:
+            used |= {*e, *f}
+            count += 1
+    return count
 
 
 def oracle_vertex_connectivity(g: Graph) -> int:

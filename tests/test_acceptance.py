@@ -7,6 +7,7 @@ session fixtures so the exhaustive corpus is only analyzed once.
 
 import hashlib
 import time
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from matchforce import records
 from matchforce.cli import main
 from matchforce import (
     Graph,
+    PairSignature,
     PerfectMatching,
     enumerate_perfect_matchings,
     find_alternating_cycle,
@@ -21,6 +23,7 @@ from matchforce import (
     forcing_profile,
     gen_complete_multipartite,
     gen_h_k,
+    gen_minimal_from_signature,
     gen_non_2_extendable,
     gen_random,
     induced_subgraph,
@@ -59,11 +62,47 @@ def families_report():
     return verify_graphs("families-10", corpus, theorems="all", workers=8)
 
 
+def top_graphs_with_extra_edges(count=40, n=5, seed=14):
+    """Seeded signature graphs on 2n vertices with 1 to 4 extra edges each.
+    A pair of matching edges that spans an alternating 4-cycle keeps
+    spanning when edges are added, so F stays n - 1 while |E| > n^2: top
+    graphs that are not edge-minimal."""
+    stream = splitmix64(seed)
+    pairs = list(combinations(range(n), 2))
+    graphs = []
+    for _ in range(count):
+        bits = next(stream)
+        parallel = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
+        rows = list(
+            gen_minimal_from_signature(
+                PairSignature.from_parallel_pairs(n, parallel)
+            ).graph.rows
+        )
+        for _ in range(1 + next(stream) % 4):
+            free = [
+                (u, v)
+                for u, v in combinations(range(2 * n), 2)
+                if not (rows[u] >> v) & 1
+            ]
+            u, v = free[next(stream) % len(free)]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        graphs.append(Graph(2 * n, tuple(rows)))
+    return graphs
+
+
+@pytest.fixture(scope="session")
+def top_extra_report():
+    graphs = top_graphs_with_extra_edges()
+    return verify_graphs("top-extra-10", graphs, theorems="all", workers=1)
+
+
 # sha256 of the default `verify` report bytes; a change to any block's
 # verdicts, counts, counterexamples or info sums moves them.
 REPORT_SHA256 = {
     "exhaustive6_report": "87839662a42eb13e2563477f02fd13a606e15af32016d33b95cb3ed95216a198",
     "families_report": "67aef10666a2122ad5a12b6795b73ef916382ca054be7580e5be011976532cde",
+    "top_extra_report": "2090f8e34c4c38c666fcb09eea773e401664c5a362e44e6ae40f5ba20d5952f5",
 }
 
 

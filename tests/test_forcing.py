@@ -26,7 +26,11 @@ from matchforce._core import pure
 from matchforce.errors import CycleOverflowError
 
 from graphs import cycle_graph, grid_2x3, star_graph
-from oracles import oracle_forcing_number, oracle_is_forcing
+from oracles import (
+    oracle_forcing_number,
+    oracle_greedy_four_cycle_packing,
+    oracle_is_forcing,
+)
 
 
 def first_matching(g):
@@ -256,13 +260,15 @@ def test_forcing_number_matches_oracle(seed):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_certificate_is_first_optimal_subset(seed):
     # the witness is the first forcing subset of optimal size in
+    # combinations order, the packing bound is the greedy one over pairs in
     # combinations order, and nodes_explored sums the scan's tested counts
-    # over every size from the packing bound up to the optimum
+    # over every size from that bound up to the optimum
     g = gen_random(8, "1/2", seed)
     kern = pure.Kernel(g.rows)
     for m in enumerate_perfect_matchings(g):
         cert = forcing_number(g, m)
         assert cert.optimum == oracle_forcing_number(g, m)
+        assert cert.lower_bound_used == oracle_greedy_four_cycle_packing(g, m)
         first = next(
             s
             for s in combinations(m.edges, cert.optimum)

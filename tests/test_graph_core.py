@@ -20,7 +20,7 @@ from matchforce import (
 )
 from matchforce.errors import MatchingOverflowError
 
-from graphs import complete_graph, path_graph, star_graph
+from graphs import complete_graph, path_graph, planted_matching_strategy, star_graph
 from oracles import (
     oracle_alternating_cycles,
     oracle_has_pm_tutte,
@@ -38,28 +38,6 @@ def random_graph_strategy(max_order=8):
         return Graph.from_edges(
             order, [p for b, p in enumerate(pairs) if (mask >> b) & 1]
         )
-
-    return build()
-
-
-def planted_matching_strategy():
-    """Graphs on 4, 6 or 8 vertices: a perfect matching on a permuted vertex
-    order plus at most 12 other edges, which keeps the cycle oracle fast on
-    order 8."""
-
-    @st.composite
-    def build(draw):
-        order = draw(st.sampled_from((4, 6, 8)))
-        perm = draw(st.permutations(range(order)))
-        planted = {tuple(sorted(perm[i : i + 2])) for i in range(0, order, 2)}
-        others = [
-            (i, j)
-            for i in range(order)
-            for j in range(i + 1, order)
-            if (i, j) not in planted
-        ]
-        extra = draw(st.sets(st.sampled_from(others), max_size=12))
-        return Graph.from_edges(order, sorted(planted | extra))
 
     return build()
 

@@ -3,28 +3,34 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchforce import (
     THEOREM_IDS,
     Graph,
     builtin_corpus,
+    classify_min_forcing,
     enumerate_perfect_matchings,
     family_corpus,
+    forcing_profile,
     gen_complete_multipartite,
     gen_h_k,
     gen_non_2_extendable,
     gen_random,
     has_perfect_matching,
+    is_connected,
     is_l_extendable,
     non_2_extendable_structure,
     to_graph6,
     verify_graphs,
+    vertex_connectivity,
 )
 from matchforce import graph, harness
 from matchforce.harness import check_graph, resolve_theorems
 from matchforce.records import dumps, make_record, verification_payload
 
-from graphs import complete_graph, cycle_graph
+from graphs import complete_graph, cycle_graph, planted_matching_strategy
 
 
 class TestCorpora:
@@ -115,6 +121,33 @@ class TestBlocks:
         assert resolve_theorems(["thm33"]) == ("thm33",)
         with pytest.raises(ValueError):
             resolve_theorems(["thm99"])
+
+
+class TestRelabelling:
+    @staticmethod
+    def invariants(g: Graph):
+        blocks = check_graph(g, THEOREM_IDS)["blocks"]
+        extendable = None
+        if g.order >= 6 and is_connected(g):
+            extendable = is_l_extendable(g, 2)
+        return (
+            {t: v[:2] for t, v in blocks.items()},
+            forcing_profile(g).spectrum,
+            classify_min_forcing(g).tag,
+            vertex_connectivity(g),
+            extendable,
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(planted_matching_strategy(), st.data())
+    def test_verdicts_do_not_depend_on_labels(self, g, data):
+        # every block's (checked, ok), the spectrum, the class tag, the
+        # connectivity and 2-extendability under a random vertex renaming
+        perm = data.draw(st.permutations(range(g.order)))
+        renamed = Graph.from_edges(
+            g.order, [(perm[u], perm[v]) for u, v in g.edges()]
+        )
+        assert self.invariants(renamed) == self.invariants(g)
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from matchforce import (
     is_complete_multipartite,
     is_knn_plus,
     is_minimal_max_forcing,
+    matching_pairs_exact_four_cycles,
     max_independent_set_size,
     pairwise_alternating_condition,
     to_graph6,
@@ -30,10 +33,12 @@ from matchforce import (
 
 from graphs import complete_graph, path_graph
 from oracles import (
+    _induces_four_cycle,
     oracle_is_complete_multipartite,
     oracle_is_minimal_max_forcing,
     oracle_max_independent_set,
     oracle_perfect_matchings,
+    oracle_spans_four_cycle,
 )
 
 
@@ -169,14 +174,32 @@ class TestMinimality:
 
     def test_count_matches_definition_exhaustive(self):
         # every labeled graph through order 6: the count (F = n - 1 and
-        # |E| = n^2) against "some matching induces only 4-cycles"
+        # |E| = n^2) against "some matching induces only 4-cycles"; on
+        # every perfect matching, both pair tests against per-pair oracles
         minimal = 0
+        matchings = spanning = exact = 0
         for order in range(1, 7):
             for g in enumerate_labeled_graphs(order):
                 expected = oracle_is_minimal_max_forcing(g)
                 assert is_minimal_max_forcing(g) == expected, to_graph6(g)
                 minimal += expected
+                for m in enumerate_perfect_matchings(g):
+                    pairs = list(combinations(m.edges, 2))
+                    first = next(
+                        (p for p in pairs if not oracle_spans_four_cycle(g, *p)),
+                        None,
+                    )
+                    got = pairwise_alternating_condition(g, m)
+                    assert got == (first is None, first), to_graph6(g)
+                    every = all(_induces_four_cycle(g, *p) for p in pairs)
+                    assert matching_pairs_exact_four_cycles(g, m) == every
+                    matchings += 1
+                    spanning += first is None
+                    exact += every
         assert minimal == 74  # 1, 3 and 70 at orders 2, 4 and 6
+        # perfect matchings; those whose every pair spans a 4-cycle; those
+        # whose every pair induces exactly one
+        assert (matchings, spanning, exact) == (61489, 5167, 127)
 
     def test_count_matches_definition_on_families(self):
         graphs = [
