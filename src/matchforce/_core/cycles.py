@@ -14,78 +14,41 @@ sound here: a directed cycle can reuse a matching edge in both directions
 without the graph having any alternating cycle, so the walk must track the
 matching edges already on the path (membership of either endpoint in the
 path's vertex mask, since endpoints enter in pairs).
+
+The search runs on the subgraph that a vertex mask ``alive`` induces.  A
+matching edge with an end outside ``alive`` is not in that subgraph, so
+the walk never steps onto it; callers that want the first cycle take
+``next`` of the generator, and callers that bound the count take an
+``islice``.
 """
 
 from __future__ import annotations
 
-from ..errors import CycleOverflowError
 
+def alternating_cycles(rows, mates, alive: int):
+    """Yield the alternating cycles of the subgraph ``alive`` induces, as
+    vertex tuples (see the module docstring for their form and order)."""
 
-def _alive_roots(mates, alive: int):
-    """Matching edges inside ``alive`` as (a, b) pairs, a < b, a ascending."""
-    roots = []
-    m = alive
-    while m:
-        bit = m & -m
-        m ^= bit
+    def walk(path, seen):
+        a = path[0]
+        x = path[-1]
+        nb = rows[x] & alive & ~(1 << mates[x])
+        while nb:
+            bit = nb & -nb
+            nb ^= bit
+            y = bit.bit_length() - 1
+            if y == a:
+                yield tuple(path)
+            elif not seen & bit:
+                z = mates[y]
+                if min(y, z) > a and alive >> z & 1:
+                    yield from walk(path + [y, z], seen | bit | 1 << z)
+
+    roots = alive
+    while roots:
+        bit = roots & -roots
+        roots ^= bit
         a = bit.bit_length() - 1
         b = mates[a]
-        if b > a and (alive >> b) & 1:
-            roots.append((a, b))
-    return roots
-
-
-def alternating_cycles(rows, mates, alive: int, cap=None, first_only=False):
-    """Alternating cycles of the subgraph induced by ``alive``.
-
-    Returns a list of vertex tuples (see module docstring for their form);
-    with ``first_only`` the search stops at the first cycle.  ``cap`` bounds
-    the number of cycles collected, raising :class:`CycleOverflowError`.
-    """
-    out: list = []
-    for a, b in _alive_roots(mates, alive):
-        path = [a, b]
-        path_mask = (1 << a) | (1 << b)
-
-        def walk(x: int) -> bool:
-            nonlocal path_mask
-            nb = rows[x] & alive
-            while nb:
-                bit = nb & -nb
-                nb ^= bit
-                y = bit.bit_length() - 1
-                if y == mates[x]:
-                    continue
-                if y == a:
-                    if cap is not None and len(out) >= cap:
-                        raise CycleOverflowError(
-                            f"more than {cap} alternating cycles"
-                        )
-                    out.append(tuple(path))
-                    if first_only:
-                        return True
-                    continue
-                if (path_mask >> y) & 1:
-                    continue
-                z = mates[y]
-                if min(y, z) < a:
-                    continue
-                path.append(y)
-                path.append(z)
-                path_mask |= (1 << y) | (1 << z)
-                if walk(z):
-                    return True
-                path.pop()
-                path.pop()
-                path_mask ^= (1 << y) | (1 << z)
-            return False
-
-        if walk(b) and first_only:
-            return out
-    return out
-
-
-def alternating_cycle_first(rows, mates, alive: int):
-    """First alternating cycle in search order, or None."""
-    found = alternating_cycles(rows, mates, alive, first_only=True)
-    return found[0] if found else None
+        if b > a and alive >> b & 1:
+            yield from walk([a, b], bit | 1 << b)

@@ -7,8 +7,9 @@ a corpus).  Every run emits one versioned JSON record on stdout unless
 ``--csv`` asks for the spectra table.
 
 Exit codes: 0 success (for verify: all blocks passed), 1 parse/usage/domain
-error, 2 no perfect matching, 3 enumeration cap exceeded.  The default
-matching cap can be overridden with MATCHFORCE_MATCHING_CAP.
+error, 2 no perfect matching, 3 enumeration cap exceeded.  ``analyze``
+reads MATCHFORCE_MATCHING_CAP to override the default matching cap; the
+other subcommands do not read it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from ._core.cycles import alternating_cycle_first
+from ._core.cycles import alternating_cycles
 from .errors import CycleOverflowError, NoPerfectMatchingError, PreconditionError
 from .graph import (
     AlternatingCycle,
@@ -121,7 +121,7 @@ def is_forcing_set(
     alive = g.full_mask & ~removed
     if _kernel(g).count2(alive) <= 1:
         return True, None
-    raw = alternating_cycle_first(g.rows, m.mates(g.order), alive)
+    raw = next(alternating_cycles(g.rows, m.mates(g.order), alive))
     return False, AlternatingCycle.canonical(raw)
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _core
-from ._core.cycles import alternating_cycle_first, alternating_cycles
-from .errors import PreconditionError
+from ._core.cycles import alternating_cycles
+from .errors import CycleOverflowError, PreconditionError
 
 DEFAULT_MATCHING_CAP = 10**6
 
@@ -314,7 +314,7 @@ def find_alternating_cycle(g: Graph, m: PerfectMatching) -> Optional[Alternating
     inputs give equal witnesses.
     """
     check_perfect_matching(g, m)
-    raw = alternating_cycle_first(g.rows, m.mates(g.order), g.full_mask)
+    raw = next(alternating_cycles(g.rows, m.mates(g.order), g.full_mask), None)
     return None if raw is None else AlternatingCycle.canonical(raw)
 
 
@@ -326,8 +326,10 @@ def enumerate_alternating_cycles(
     Raises CycleOverflowError when more than ``cap`` cycles exist.
     """
     check_perfect_matching(g, m)
-    raws = alternating_cycles(g.rows, m.mates(g.order), g.full_mask, cap=cap)
-    cyc = [AlternatingCycle.canonical(r) for r in raws]
+    found = alternating_cycles(g.rows, m.mates(g.order), g.full_mask)
+    cyc = [AlternatingCycle.canonical(r) for r in islice(found, cap)]
+    if next(found, None) is not None:
+        raise CycleOverflowError(f"more than {cap} alternating cycles")
     cyc.sort(key=lambda c: (len(c), c.vertices))
     return tuple(cyc)
 

@@ -106,7 +106,7 @@ class _GraphContext:
 
 
 def _block_thm13(ctx: _GraphContext):
-    if is_bipartite(ctx.g) is None:
+    if ctx.n < 1 or is_bipartite(ctx.g) is None:
         return 0, True
     parts = is_complete_multipartite(ctx.g)
     balanced = parts is not None and sorted(len(p) for p in parts) == [ctx.n, ctx.n]
@@ -114,6 +114,8 @@ def _block_thm13(ctx: _GraphContext):
 
 
 def _block_lemma22(ctx: _GraphContext):
+    if ctx.n < 1:
+        return 0, True
     for m, f in ctx.profile.per_matching.items():
         ok, _ = pairwise_alternating_condition(ctx.g, m)
         if ok != (f == ctx.n - 1):
@@ -146,6 +148,8 @@ def _block_lemma25(ctx: _GraphContext):
 
 
 def _block_thm33(ctx: _GraphContext):
+    if ctx.n < 1:
+        return 0, True
     result = classify_min_forcing(ctx.g)
     return 1, result.predicted_min_forcing_is_max == (
         ctx.profile.min_forcing == ctx.n - 1

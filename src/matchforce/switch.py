@@ -5,9 +5,9 @@ two matchings are adjacent when they differ by one alternating 4-cycle,
 that is when they share all but two edges.  The symmetric difference of
 adjacent matchings is that cycle's edge set, so each switch edge is
 realized by exactly one cycle.  The build works on the matchings alone
-and keeps only adjacency; ``SwitchGraph.edge_cycles`` derives the cycles
-from the nodes on first use (``switch_path`` is its only reader), so
-verifying or reporting a switch graph never builds them.
+and keeps only adjacency; ``switch_path`` derives the cycle of each hop it
+takes from the hop's two matchings, so verifying or reporting a switch
+graph never builds a cycle.
 """
 
 from __future__ import annotations
@@ -59,19 +59,6 @@ class SwitchGraph:
         return [
             (i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j
         ]
-
-    @cached_property
-    def edge_cycles(self) -> dict[tuple[int, int], tuple[AlternatingCycle, ...]]:
-        """The one alternating 4-cycle of each edge, keyed like ``edges()``:
-        matching edges (a, b), (c, d) of node i, a smallest, switch to
-        (a, y), (b, w) of node j."""
-        out = {}
-        for i, j in self.edges():
-            after = set(self.nodes[j].edges)
-            (a, b), (c, d) = sorted(set(self.nodes[i].edges) - after)
-            y, w = (c, d) if Edge(a, c) in after else (d, c)
-            out[(i, j)] = (switch_cycle(a, b, y, w),)
-        return out
 
     def component_masks(self) -> list[int]:
         seen = 0
@@ -166,35 +153,39 @@ def switch_path(
     sg: SwitchGraph, src: PerfectMatching, dst: PerfectMatching
 ) -> Optional[SwitchPath]:
     """Shortest switch path from src to dst, BFS with canonical node order
-    breaking ties; None when they lie in different components."""
+    breaking ties; None when they lie in different components.  Each hop
+    drops matching edges (a, b), (c, d), a smallest, for (a, y), (b, w):
+    its cycle is a-b-w-y."""
     try:
-        a = sg.node_index[src]
-        b = sg.node_index[dst]
+        s = sg.node_index[src]
+        t = sg.node_index[dst]
     except KeyError:
         raise PreconditionError(
             "matching is not a node of the switch graph"
         ) from None
-    if a == b:
+    if s == t:
         return SwitchPath((src,), ())
-    prev: dict[int, int] = {a: a}
-    queue = deque([a])
-    while queue and b not in prev:
+    prev: dict[int, int] = {s: s}
+    queue = deque([s])
+    while queue and t not in prev:
         u = queue.popleft()
         for v in sg.adjacency[u]:
             if v not in prev:
                 prev[v] = u
                 queue.append(v)
-    if b not in prev:
+    if t not in prev:
         return None
-    hops = [b]
-    while hops[-1] != a:
+    hops = [t]
+    while hops[-1] != s:
         hops.append(prev[hops[-1]])
     hops.reverse()
     matchings = tuple(sg.nodes[i] for i in hops)
     cycles = []
-    for u, v in zip(hops, hops[1:]):
-        key = (u, v) if u < v else (v, u)
-        cycles.append(sg.edge_cycles[key][0])
+    for m, after in zip(matchings, matchings[1:]):
+        kept = set(after.edges)
+        (a, b), (c, d) = sorted(set(m.edges) - kept)
+        y, w = (c, d) if Edge(a, c) in kept else (d, c)
+        cycles.append(switch_cycle(a, b, y, w))
     return SwitchPath(matchings, tuple(cycles))
 
 

@@ -1,8 +1,15 @@
 """Small named graphs and graph strategies shared by the test modules."""
 
+from itertools import combinations
+
 from hypothesis import strategies as st
 
-from matchforce import Graph, gen_complete_multipartite
+from matchforce import (
+    Graph,
+    PairSignature,
+    gen_complete_multipartite,
+    gen_minimal_from_signature,
+)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -46,5 +53,27 @@ def planted_matching_strategy():
         ]
         extra = draw(st.sets(st.sampled_from(others), max_size=12))
         return Graph.from_edges(order, sorted(planted | extra))
+
+    return build()
+
+
+def top_forcing_strategy():
+    """Signature graphs on 3 or 4 matching edges (F = n - 1, edge-minimal)
+    plus at most four other edges.  A pair of matching edges that spans an
+    alternating 4-cycle keeps spanning when edges are added, so F stays
+    n - 1."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.sampled_from((3, 4)))
+        pairs = list(combinations(range(n), 2))
+        parallel = draw(st.lists(st.sampled_from(pairs), unique=True))
+        g = gen_minimal_from_signature(
+            PairSignature.from_parallel_pairs(n, sorted(parallel))
+        ).graph
+        present = set(g.edges())
+        others = [p for p in combinations(range(2 * n), 2) if p not in present]
+        extra = draw(st.sets(st.sampled_from(others), max_size=4))
+        return Graph.from_edges(2 * n, sorted(present | extra))
 
     return build()

@@ -18,6 +18,7 @@ from matchforce import (
     odd_component_count,
     vertex_connectivity,
 )
+from matchforce._core.cycles import alternating_cycles
 from matchforce.errors import MatchingOverflowError
 
 from graphs import complete_graph, path_graph, planted_matching_strategy, star_graph
@@ -240,6 +241,33 @@ class TestAlternatingCycles:
                 assert found.vertices in {
                     AlternatingCycle.canonical(c).vertices for c in expected
                 }
+
+    def test_walk_stays_inside_alive(self, c6, c6_matching):
+        # excluding vertex 3 cuts the matching edge 2-3 out of the subgraph,
+        # so the 6-cycle through it is no longer there
+        alive = c6.full_mask & ~(1 << 3)
+        mates = c6_matching.mates(6)
+        assert list(alternating_cycles(c6.rows, mates, alive)) == []
+        assert list(alternating_cycles(c6.rows, mates, c6.full_mask)) == [
+            (0, 1, 2, 3, 4, 5)
+        ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_matching_strategy(), st.data())
+    def test_alive_mask_equals_its_whole_matching_edges(self, g, data):
+        alive = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        for m in enumerate_perfect_matchings(g):
+            mates = m.mates(g.order)
+            closed = sum(e.mask for e in m.edges if e.mask & ~alive == 0)
+            found = list(alternating_cycles(g.rows, mates, alive))
+            assert found == list(alternating_cycles(g.rows, mates, closed))
+            assert all(sum(1 << v for v in c) & ~alive == 0 for c in found)
+            inside = {
+                AlternatingCycle.canonical(c).vertices
+                for c in oracle_alternating_cycles(g, m)
+                if sum(1 << v for v in c) & ~alive == 0
+            }
+            assert {AlternatingCycle.canonical(c).vertices for c in found} == inside
 
     def test_full_enumeration_matches_exhaustive_order10(self):
         from matchforce import enumerate_alternating_cycles, gen_random

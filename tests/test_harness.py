@@ -30,7 +30,12 @@ from matchforce import graph, harness
 from matchforce.harness import check_graph, resolve_theorems
 from matchforce.records import dumps, make_record, verification_payload
 
-from graphs import complete_graph, cycle_graph, planted_matching_strategy
+from graphs import (
+    complete_graph,
+    cycle_graph,
+    planted_matching_strategy,
+    top_forcing_strategy,
+)
 
 
 class TestCorpora:
@@ -149,6 +154,20 @@ class TestRelabelling:
         )
         assert self.invariants(renamed) == self.invariants(g)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(top_forcing_strategy(), st.data())
+    def test_top_forcing_verdicts_do_not_depend_on_labels(self, g, data):
+        # the same with F = n - 1, so the top-gated blocks check the graph
+        # (thm13 only bipartite graphs, thm41 only those without one side)
+        perm = data.draw(st.permutations(range(g.order)))
+        renamed = Graph.from_edges(
+            g.order, [(perm[u], perm[v]) for u, v in g.edges()]
+        )
+        verdicts = self.invariants(g)
+        checked = {t for t, v in verdicts[0].items() if v[0]}
+        assert checked >= set(THEOREM_IDS) - {"thm13", "thm41"}
+        assert self.invariants(renamed) == verdicts
+
 
 class TestVerify:
     def test_exhaustive_4_all_pass(self):
@@ -174,6 +193,14 @@ class TestVerify:
             "exhaustive-3", builtin_corpus("exhaustive-3"), theorems=["lemma22"]
         )
         assert [b.theorem for b in rep.blocks] == ["lemma22"]
+
+    def test_order_zero_is_not_checked(self):
+        # n - 1 = -1 is no forcing number: the blocks that read it, like
+        # the top-gated ones, check no graph on 0 vertices
+        rep = verify_graphs("empty-graph", [Graph.empty(0)])
+        assert (rep.graphs_total, rep.graphs_with_pm) == (1, 1)
+        assert rep.all_passed
+        assert [b.theorem for b in rep.blocks if b.checked] == ["lemma56"]
 
     def test_counterexamples_capped_schema(self):
         rep = verify_graphs("tiny", [cycle_graph(6)])

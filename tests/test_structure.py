@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -11,9 +12,11 @@ from matchforce import (
     NoPerfectMatchingError,
     PreconditionError,
     classify_min_forcing,
+    enumerate_alternating_cycles,
     enumerate_labeled_graphs,
     enumerate_perfect_matchings,
     family_corpus,
+    find_alternating_cycle,
     forcing_number,
     forcing_profile,
     gen_complete_multipartite,
@@ -23,6 +26,7 @@ from matchforce import (
     has_fixed_double_bond,
     has_max_forcing_n_minus_1,
     is_complete_multipartite,
+    is_forcing_set,
     is_knn_plus,
     is_minimal_max_forcing,
     matching_pairs_exact_four_cycles,
@@ -162,6 +166,25 @@ class TestMaxForcingWitness:
             has_max_forcing_n_minus_1(Graph.empty(4))
 
 
+# sha256 of `_cycle_witnesses` over every perfect matching of every labeled
+# graph through order 6: a change to the cycle search order, to which
+# cycles it finds or to the forcing-set counterexamples moves it.
+WITNESS_SHA256 = "696b0bcf48b394a74c2ad2a25b16a89767943b317be86ffdea04fea2428ac42d"
+
+
+def _cycle_witnesses(g, m) -> bytes:
+    """The first alternating cycle, every alternating cycle, and the
+    counterexample cycle of each one-edge forcing-set candidate."""
+    first = find_alternating_cycle(g, m)
+    refuted = [is_forcing_set(g, m, [e])[1] for e in m.edges]
+    line = (
+        first and first.vertices,
+        [c.vertices for c in enumerate_alternating_cycles(g, m)],
+        [c and c.vertices for c in refuted],
+    )
+    return repr(line).encode() + b"\n"
+
+
 class TestMinimality:
     def test_k33_minimal(self, k33):
         assert is_minimal_max_forcing(k33)
@@ -175,9 +198,11 @@ class TestMinimality:
     def test_count_matches_definition_exhaustive(self):
         # every labeled graph through order 6: the count (F = n - 1 and
         # |E| = n^2) against "some matching induces only 4-cycles"; on
-        # every perfect matching, both pair tests against per-pair oracles
+        # every perfect matching, both pair tests against per-pair oracles,
+        # and a digest of its alternating-cycle witnesses
         minimal = 0
         matchings = spanning = exact = 0
+        witnesses = hashlib.sha256()
         for order in range(1, 7):
             for g in enumerate_labeled_graphs(order):
                 expected = oracle_is_minimal_max_forcing(g)
@@ -196,10 +221,12 @@ class TestMinimality:
                     matchings += 1
                     spanning += first is None
                     exact += every
+                    witnesses.update(_cycle_witnesses(g, m))
         assert minimal == 74  # 1, 3 and 70 at orders 2, 4 and 6
         # perfect matchings; those whose every pair spans a 4-cycle; those
         # whose every pair induces exactly one
         assert (matchings, spanning, exact) == (61489, 5167, 127)
+        assert witnesses.hexdigest() == WITNESS_SHA256, witnesses.hexdigest()
 
     def test_count_matches_definition_on_families(self):
         graphs = [

@@ -137,9 +137,14 @@ class TestSwitchGraph:
         assert sorted((i, j) for i, j in forward if i < j) == expected
         assert sorted((j, i) for i, j in forward if i > j) == expected
         assert sg.edges() == expected
-        for (i, j), (cyc,) in sg.edge_cycles.items():
+        for i, j in expected:
+            # a one-hop path carries the edge's cycle, in canonical form,
+            # whichever end it starts from
             diff = set(sg.nodes[i].edges) ^ set(sg.nodes[j].edges)
+            (cyc,) = switch_path(sg, sg.nodes[i], sg.nodes[j]).cycles
             assert set(cyc.pairs()) == diff
+            assert cyc == AlternatingCycle.canonical(cyc.vertices)
+            assert switch_path(sg, sg.nodes[j], sg.nodes[i]).cycles == (cyc,)
 
     def test_annotations_match_profile(self, k33):
         profile = forcing_profile(k33)
