@@ -117,12 +117,17 @@ class Kernel:
         sets are closed upward and uniquely matchable kept sets downward.
         The search works from both ends: ``s`` is a size below which no
         removed set forces, ``t`` the size of some uniquely matchable kept
-        set, and s <= f <= k - t.  Each step takes the side whose next step
-        tests fewer sets, growth on a tie: the scan of all removed sets of
-        size ``s``, which may stop early, or the growth of every uniquely
-        matchable kept set by one edge of higher index (the failures are
-        pruned, which downward closure makes sound).  Scanning alone costs
-        about 2**f sets, growing alone about 2**(k - f).
+        set, and s <= f <= k - t.  Each step takes the cheaper side, growth
+        on a tie: the scan of all removed sets of size ``s``, which may stop
+        early, or the growth of every uniquely matchable kept set by one
+        edge of higher index (the failures are pruned, which downward
+        closure makes sound).  Scanning alone costs about 2**f sets,
+        growing alone about 2**(k - f).  A growth test asks ``count2`` of a
+        small union that other matchings of the graph have often asked
+        about already, but a scan test at small ``s`` asks it of a large
+        kept mask, often a cold memo entry with a deep recursion; so each
+        scan test is weighted by (k - s)**2, the square of its kept-set
+        size, and growth tests count one each.
         """
         count2 = self._count2
         # every test is a union of matching edges, so it has a perfect
@@ -136,7 +141,7 @@ class Kernel:
         t = min(k, 1)
         while s + t < k:
             grow_cost = len(level) * (k - 1) - sum([last for last, _ in level])
-            if comb(k, s) < grow_cost:
+            if comb(k, s) * (k - s) ** 2 < grow_cost:
                 for removed in map(sum, combinations(edge_masks, s)):
                     kept = full_mask ^ removed
                     if (memo(kept) or count2(kept)) <= 1:

@@ -6,8 +6,13 @@ one perfect matching.  The optimum comes from the kernel's two-ended
 search (``Kernel.forcing_optimum``): forcing removed sets are closed
 upward and uniquely matchable kept sets downward, so it scans removed sets
 by ascending size and grows kept sets one edge at a time, whichever side
-is cheaper next.  Every forcing check is answered by the memoized
-matching-count kernel.  ``forcing_number`` adds a certificate: the first
+is cheaper next.  A scan test at small size asks ``count2`` of a large
+kept mask, often a cold memo entry with a deep recursion, while a growth
+test asks it of a small union that is often memoized already; so a scan
+test of a size-s removed set among k matching edges weighs (k - s)**2,
+the square of its kept-set size, against one per growth test.  Every forcing check is answered by the memoized
+matching-count kernel.  The profile keeps the kernel's flat matchings
+(see `SpectrumReport`).  ``forcing_number`` adds a certificate: the first
 forcing set of the optimal size and the count of candidate sets that an
 ascending scan from the disjoint-4-cycle packing bound tests.
 """
@@ -15,6 +20,7 @@ ascending scan from the disjoint-4-cycle packing bound tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -22,6 +28,7 @@ from typing import Optional
 from ._core.cycles import alternating_cycles
 from .errors import CycleOverflowError, NoPerfectMatchingError, PreconditionError
 from .graph import (
+    DEFAULT_MATCHING_CAP,
     AlternatingCycle,
     Edge,
     Graph,
@@ -30,7 +37,6 @@ from .graph import (
     alternating_four_cycles,
     check_perfect_matching,
     enumerate_alternating_cycles,
-    enumerate_perfect_matchings,
     spans_four_cycle,
 )
 
@@ -70,19 +76,26 @@ class CyclePacking:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Forcing numbers of every perfect matching of one graph."""
+    """Forcing numbers of every perfect matching of one graph.
+
+    ``matchings`` holds the matchings as the kernel's flat tuples
+    (u0, v0, u1, v1, ...) in canonical order, and ``forcing`` their forcing
+    numbers in the same order.  ``per_matching`` maps `PerfectMatching`
+    objects to the same numbers; it is built on first use.
+    """
 
     order: int
-    per_matching: dict[PerfectMatching, int]
+    matchings: tuple[tuple[int, ...], ...]
+    forcing: tuple[int, ...]
     spectrum: tuple[int, ...] = field(init=False)
     min_forcing: int = field(init=False)
     max_forcing: int = field(init=False)
     continuous: bool = field(init=False)
 
     def __post_init__(self):
-        if not self.per_matching:
+        if not self.forcing:
             raise ValueError("spectrum report needs at least one matching")
-        values = sorted(set(self.per_matching.values()))
+        values = sorted(set(self.forcing))
         object.__setattr__(self, "spectrum", tuple(values))
         object.__setattr__(self, "min_forcing", values[0])
         object.__setattr__(self, "max_forcing", values[-1])
@@ -90,9 +103,13 @@ class SpectrumReport:
             self, "continuous", values == list(range(values[0], values[-1] + 1))
         )
 
+    @cached_property
+    def per_matching(self) -> dict[PerfectMatching, int]:
+        return dict(zip(map(PerfectMatching._unchecked, self.matchings), self.forcing))
+
     @property
     def matching_count(self) -> int:
-        return len(self.per_matching)
+        return len(self.matchings)
 
 
 def _edge_subset_of(m: PerfectMatching, s) -> tuple[Edge, ...]:
@@ -198,14 +215,19 @@ def cycle_packing_number(g: Graph, m: PerfectMatching, cap: int | None = None) -
 
 
 def forcing_profile(g: Graph, matching_cap: int | None = None) -> SpectrumReport:
-    """Forcing number of every perfect matching, in canonical matching order."""
-    matchings = enumerate_perfect_matchings(g, cap=matching_cap)
+    """Forcing number of every perfect matching, in canonical matching order.
+
+    The matchings stay the kernel's flat tuples; see `SpectrumReport`."""
+    kern = _kernel(g)
+    if matching_cap is None:
+        matching_cap = DEFAULT_MATCHING_CAP
+    matchings = tuple(kern.enumerate_pms(g.full_mask, matching_cap))
     if not matchings:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    optimum = _kernel(g).forcing_optimum
+    optimum = kern.forcing_optimum
     full = g.full_mask
-    per = {
-        m: optimum(full, [(1 << u) | (1 << v) for u, v in m.edges])
-        for m in matchings
-    }
-    return SpectrumReport(g.order, per)
+    forcing = []
+    for flat in matchings:
+        it = iter(flat)
+        forcing.append(optimum(full, [(1 << u) | (1 << v) for u, v in zip(it, it)]))
+    return SpectrumReport(g.order, matchings, tuple(forcing))

@@ -165,11 +165,13 @@ class PerfectMatching:
         return cls(tuple(sorted(Edge.of(a, b) for a, b in pairs)))
 
     @classmethod
-    def _unchecked(cls, edges: tuple[Edge, ...]) -> "PerfectMatching":
-        """Matching from edges the kernel enumerated, which are canonical by
-        construction; skips ``__post_init__``.  Not for outside input."""
+    def _unchecked(cls, flat: tuple[int, ...]) -> "PerfectMatching":
+        """Matching from a flat tuple (u0, v0, u1, v1, ...) the kernel
+        enumerated, which is canonical by construction; skips
+        ``__post_init__``.  Not for outside input."""
+        it = iter(flat)
         m = object.__new__(cls)
-        object.__setattr__(m, "edges", edges)
+        object.__setattr__(m, "edges", tuple(map(Edge._make, zip(it, it))))
         return m
 
     def __iter__(self) -> Iterator[Edge]:
@@ -296,11 +298,8 @@ def enumerate_perfect_matchings(
     """
     if cap is None:
         cap = DEFAULT_MATCHING_CAP
-    out = []
-    for flat in _kernel(g).enumerate_pms(g.full_mask, cap):
-        it = iter(flat)
-        out.append(PerfectMatching._unchecked(tuple(map(Edge._make, zip(it, it)))))
-    return tuple(out)
+    flat = _kernel(g).enumerate_pms(g.full_mask, cap)
+    return tuple(map(PerfectMatching._unchecked, flat))
 
 
 def has_perfect_matching(g: Graph) -> bool:

@@ -30,16 +30,22 @@ from .generate import (
     splitmix64,
     PairSignature,
 )
-from .graph import Graph, has_perfect_matching, is_bipartite, vertex_connectivity
+from .graph import (
+    Graph,
+    PerfectMatching,
+    has_perfect_matching,
+    is_bipartite,
+    vertex_connectivity,
+)
 from .graphio import _G6_MAX_ORDER, to_graph6
 from .structure import (
+    _unspanned_pair,
     classify_min_forcing,
     has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
     matching_pairs_exact_four_cycles,
     max_independent_set_size,
-    pairwise_alternating_condition,
 )
 from .switch import build_switch_graph, verify_spectrum_continuity, verify_switch_bound
 
@@ -89,8 +95,15 @@ class _GraphContext:
 
     @cached_property
     def top_matchings(self) -> list:
-        """The profile's matchings of forcing number n - 1, canonical order."""
-        return [m for m, f in self.profile.per_matching.items() if f == self.n - 1]
+        """The profile's matchings of forcing number n - 1, canonical order,
+        as the only `PerfectMatching` objects a check builds."""
+        top = self.n - 1
+        profile = self.profile
+        return [
+            PerfectMatching._unchecked(m)
+            for m, f in zip(profile.matchings, profile.forcing)
+            if f == top
+        ]
 
     @cached_property
     def knn_plus(self):
@@ -116,9 +129,10 @@ def _block_thm13(ctx: _GraphContext):
 def _block_lemma22(ctx: _GraphContext):
     if ctx.n < 1:
         return 0, True
-    for m, f in ctx.profile.per_matching.items():
-        ok, _ = pairwise_alternating_condition(ctx.g, m)
-        if ok != (f == ctx.n - 1):
+    top = ctx.n - 1
+    profile = ctx.profile
+    for m, f in zip(profile.matchings, profile.forcing):
+        if (_unspanned_pair(ctx.g, m) is None) != (f == top):
             return 1, False
     return 1, True
 

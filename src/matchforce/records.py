@@ -84,8 +84,10 @@ def _encode(value, nl: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def matching_payload(m) -> list[list[int]]:
-    return m.as_pairs()
+def matching_payload(flat) -> list[list[int]]:
+    """Edge pairs of a flat matching (u0, v0, u1, v1, ...)."""
+    it = iter(flat)
+    return [[u, v] for u, v in zip(it, it)]
 
 
 def spectrum_payload(report) -> dict:
@@ -98,15 +100,16 @@ def spectrum_payload(report) -> dict:
         "continuous": report.continuous,
         "per_matching": [
             {"matching": matching_payload(m), "forcing": f}
-            for m, f in report.per_matching.items()
+            for m, f in zip(report.matchings, report.forcing)
         ],
     }
 
 
 def spectrum_csv(report) -> str:
     lines = ["matching,forcing"]
-    for m, f in report.per_matching.items():
-        key = " ".join(f"{e.u}-{e.v}" for e in m.edges)
+    for m, f in zip(report.matchings, report.forcing):
+        it = iter(m)
+        key = " ".join(f"{u}-{v}" for u, v in zip(it, it))
         lines.append(f"{key},{f}")
     return "\n".join(lines) + "\n"
 
@@ -138,7 +141,7 @@ def deficiency_payload(witness) -> dict:
 def switch_payload(sg, continuity) -> dict:
     edges = sg.edges()
     return {
-        "nodes": [matching_payload(m) for m in sg.nodes],
+        "nodes": [matching_payload(m) for m in sg.matchings],
         "forcing": list(sg.forcing),
         "edges": [list(e) for e in edges],
         # adjacent matchings differ by exactly one 4-cycle, their symmetric

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
@@ -114,11 +114,23 @@ def pairwise_alternating_condition(
     (``spans_four_cycle``), which by Lemma 2.2 holds iff the forcing number
     of m is maximal (one less than the matching size).  On failure the
     first offending pair in ``combinations`` order is returned."""
+    pair = _unspanned_pair(g, chain.from_iterable(m.edges))
+    if pair is None:
+        return True, None
+    i, j = pair
+    return False, (m.edges[i], m.edges[j])
+
+
+def _unspanned_pair(g: Graph, flat) -> Optional[tuple[int, int]]:
+    """Indices (i, j) of the first pair of edges, in ``combinations``
+    order, of the flat matching (u0, v0, u1, v1, ...) that spans no
+    alternating 4-cycle, or None when every pair spans one."""
     rows = g.rows
-    for e, f in combinations(m.edges, 2):
+    it = iter(flat)
+    for (i, e), (j, f) in combinations(enumerate(zip(it, it)), 2):
         if not spans_four_cycle(rows, e, f):
-            return False, (e, f)
-    return True, None
+            return i, j
+    return None
 
 
 def matching_pairs_exact_four_cycles(g: Graph, m: PerfectMatching) -> bool:

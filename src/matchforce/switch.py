@@ -4,10 +4,11 @@ Nodes of the switch graph are the perfect matchings of a host graph;
 two matchings are adjacent when they differ by one alternating 4-cycle,
 that is when they share all but two edges.  The symmetric difference of
 adjacent matchings is that cycle's edge set, so each switch edge is
-realized by exactly one cycle.  The build works on the matchings alone
-and keeps only adjacency; ``switch_path`` derives the cycle of each hop it
-takes from the hop's two matchings, so verifying or reporting a switch
-graph never builds a cycle.
+realized by exactly one cycle.  The build works on the profile's flat
+matchings alone and keeps only adjacency; ``switch_path`` derives the
+cycle of each hop it takes from the hop's two matchings, so verifying or
+reporting a switch graph never builds a cycle, and `PerfectMatching`
+objects are made only for a path or a reported violation.
 """
 
 from __future__ import annotations
@@ -44,11 +45,21 @@ def two_switch(
 
 @dataclass(frozen=True)
 class SwitchGraph:
-    """Transition graph over all perfect matchings of one host graph."""
+    """Transition graph over all perfect matchings of one host graph.
 
-    nodes: tuple[PerfectMatching, ...]
+    ``matchings`` holds the nodes as flat tuples (u0, v0, u1, v1, ...),
+    ``forcing`` their forcing numbers and ``adjacency`` their sorted
+    neighbour indices.  ``nodes`` holds the same matchings as
+    `PerfectMatching` objects; it is built on first use.
+    """
+
+    matchings: tuple[tuple[int, ...], ...]
     forcing: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def nodes(self) -> tuple[PerfectMatching, ...]:
+        return tuple(map(PerfectMatching._unchecked, self.matchings))
 
     @cached_property
     def node_index(self) -> dict[PerfectMatching, int]:
@@ -63,7 +74,7 @@ class SwitchGraph:
     def component_masks(self) -> list[int]:
         seen = 0
         comps = []
-        for root in range(len(self.nodes)):
+        for root in range(len(self.adjacency)):
             if (seen >> root) & 1:
                 continue
             comp = 1 << root
@@ -125,28 +136,37 @@ def build_switch_graph(
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given; a capped enumeration goes in as a capped profile.
     A node's key has one bit per matching edge (u, v), bit u * order + v.
-    Two matchings are adjacent iff they share all but two edges: for each
-    pair of a node's edges (a, b), (c, d), the key with those two bits
-    cleared and the bits of (a, c), (b, d) or of (a, d), (b, c) set is
-    looked up among the node keys, and each hit is a neighbour.  The build
-    reads ``g`` only for its order and, without ``profile``, its profile.
+    Two matchings are adjacent iff they share all but two edges, that is
+    iff clearing two edges' bits from each key leaves the same rest.  The
+    rest covers all but four vertices, so at most three matchings share
+    it (the perfect matchings of those four), pairwise adjacent: each
+    node is joined to the first and the second earlier node with each of
+    its rests.  The build reads ``g`` only for its order and, without
+    ``profile``, its profile.
     """
     if profile is None:
         profile = forcing_profile(g)
-    nodes = tuple(profile.per_matching)
-    forcing = tuple(profile.per_matching.values())
     bit = _edge_bits(g.order)
-    keys = [sum(bit[u][v] for u, v in m.edges) for m in nodes]
-    index = {key: i for i, key in enumerate(keys)}
-    adjacency = []
-    for key, m in zip(keys, nodes):
-        swapped = []
-        for (a, b), (c, d) in combinations(m.edges, 2):
-            rest = key ^ bit[a][b] ^ bit[c][d]
-            swapped.append(rest | bit[a][c] | bit[b][d])
-            swapped.append(rest | bit[a][d] | bit[b][c])
-        adjacency.append(tuple(sorted(index[k] for k in swapped if k in index)))
-    return SwitchGraph(nodes, forcing, tuple(adjacency))
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    adjacency = [[] for _ in profile.matchings]
+    for i, flat in enumerate(profile.matchings):
+        it = iter(flat)
+        bits = [bit[u][v] for u, v in zip(it, it)]
+        key = sum(bits)
+        for x, y in combinations(bits, 2):
+            rest = key ^ x ^ y
+            j = first.setdefault(rest, i)
+            if j != i:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+                j = second.setdefault(rest, i)
+                if j != i:
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
+    return SwitchGraph(
+        profile.matchings, profile.forcing, tuple(map(tuple, map(sorted, adjacency)))
+    )
 
 
 def switch_path(
@@ -192,10 +212,17 @@ def switch_path(
 def verify_switch_bound(
     sg: SwitchGraph,
 ) -> tuple[bool, Optional[tuple[PerfectMatching, PerfectMatching]]]:
-    """Check that adjacent matchings have forcing numbers within 1."""
-    for i, j in sg.edges():
-        if abs(sg.forcing[i] - sg.forcing[j]) > 1:
-            return False, (sg.nodes[i], sg.nodes[j])
+    """Check that adjacent matchings have forcing numbers within 1.
+
+    The first violation, in ``sg.edges()`` order, is reported as its two
+    matchings; adjacency is symmetric, so the first one met has i < j."""
+    f = sg.forcing
+    for i, nbrs in enumerate(sg.adjacency):
+        fi = f[i]
+        for j in nbrs:
+            if abs(fi - f[j]) > 1:
+                pair = sg.matchings[i], sg.matchings[j]
+                return False, tuple(map(PerfectMatching._unchecked, pair))
     return True, None
 
 
@@ -218,5 +245,5 @@ def verify_spectrum_continuity(
     for i, f in enumerate(sg.forcing):
         if f == n - 1:
             top |= 1 << i
-    reach = bool(sg.nodes) and all(c & top for c in sg.component_masks())
+    reach = bool(sg.matchings) and all(c & top for c in sg.component_masks())
     return ContinuityReport(applicable, profile.continuous, reach)

@@ -28,11 +28,21 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 
-def grid_2x3() -> Graph:
-    # vertices row-major: 0 1 2 / 3 4 5
-    return Graph.from_edges(
-        6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
-    )
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertices numbered row-major."""
+    pairs = []
+    for v in range(rows * cols):
+        if v % cols + 1 < cols:
+            pairs.append((v, v + 1))
+        if v + cols < rows * cols:
+            pairs.append((v, v + cols))
+    return Graph.from_edges(rows * cols, pairs)
+
+
+def half_graph(n: int) -> Graph:
+    """u_i = i and v_j = n + j adjacent iff i <= j: exactly one perfect
+    matching, u_i v_i, so its forcing number is 0."""
+    return Graph.from_edges(2 * n, [(i, n + j) for i in range(n) for j in range(i, n)])
 
 
 def planted_matching_strategy():

@@ -156,6 +156,12 @@ class TestBicritical:
     def test_k6(self, k6):
         assert is_bicritical(k6)
 
+    def test_smallest_cases(self, k2):
+        # K2 has an edge and deleting both ends leaves the empty matching;
+        # two isolated vertices have no edge
+        assert is_bicritical(k2)
+        assert not is_bicritical(Graph.empty(2))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_matches_deletion_condition(self, seed):

@@ -25,7 +25,7 @@ from matchforce import (
 from matchforce._core import pure
 from matchforce.errors import CycleOverflowError
 
-from graphs import cycle_graph, grid_2x3, star_graph
+from graphs import cycle_graph, grid_graph, star_graph
 from oracles import (
     oracle_forcing_number,
     oracle_greedy_four_cycle_packing,
@@ -172,7 +172,7 @@ class TestPaperInvariants:
     def test_plane_bipartite_minimax(self, maker):
         # on these plane bipartite graphs the forcing number equals the
         # packing number for every matching
-        g = maker(6) if maker else grid_2x3()
+        g = maker(6) if maker else grid_graph(2, 3)
         for m in enumerate_perfect_matchings(g):
             assert forcing_number(g, m).optimum == cycle_packing_number(g, m)
 

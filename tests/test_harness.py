@@ -1,5 +1,4 @@
 import json
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +26,7 @@ from matchforce import (
     vertex_connectivity,
 )
 from matchforce import graph, harness
+from matchforce._core import pure
 from matchforce.harness import check_graph, resolve_theorems
 from matchforce.records import dumps, make_record, verification_payload
 
@@ -99,14 +99,24 @@ class TestBlocks:
         assert res["g6"] == to_graph6(_k33())
 
     def test_crashed_block_names_the_graph(self, monkeypatch):
+        real = harness._BLOCKS["thm13"]
+
         def crash(ctx):
-            raise RuntimeError("boom")
+            if ctx.g == _k33():
+                raise RuntimeError("boom")
+            return real(ctx)
 
         monkeypatch.setitem(harness._BLOCKS, "thm13", crash)
         res = check_graph(_k33(), ("thm13", "cor52"))
+        assert res["blocks"]["thm13"][:2] == (1, 0)
         assert res["blocks"]["thm13"][3] == {"error": "RuntimeError: boom"}
         assert res["blocks"]["cor52"][:2] == (1, 1)
         assert res["g6"] == to_graph6(_k33())
+        # a crash counts as one failed check per graph in the report too
+        rep = verify_graphs("crashing", [_k33(), cycle_graph(6)], theorems=["thm13"])
+        (block,) = rep.blocks
+        assert (block.checked, block.passed) == (2, 1)
+        assert block.counterexamples == (to_graph6(_k33()),)
 
     def test_order_above_graph6_limit_rejected_before_blocks(self, monkeypatch):
         calls = []
@@ -235,7 +245,7 @@ def _same_matchings(sg, g):
 # first argument belongs to the target when it is not the graph itself
 _FAILING_READINGS = [
     ("thm13", _k33, "is_complete_multipartite", lambda r: None, None),
-    ("lemma22", _k33, "pairwise_alternating_condition", lambda r: (False, None), None),
+    ("lemma22", _k33, "_unspanned_pair", lambda r: (0, 1), None),
     ("lemma23", _k33, "vertex_connectivity", lambda r: 0, None),
     ("lemma25", _non2ext, "is_brick", lambda r: False, None),
     (
@@ -310,29 +320,45 @@ class TestBlocksCanFail:
         assert result.info["readings_differ"] >= 1
 
 
+def _counted(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records the arguments of each
+    call; the list of recorded calls is returned."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestSharedMatchings:
     """Each checked graph enumerates its perfect matchings once, and the
     blocks read the top matchings from its forcing profile."""
 
     def test_one_enumeration_per_check(self, monkeypatch):
-        real = graph.enumerate_perfect_matchings
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] != "matchforce":
-                continue
-            if vars(mod).get("enumerate_perfect_matchings") is real:
-                monkeypatch.setattr(mod, "enumerate_perfect_matchings", counted)
+        calls = _counted(monkeypatch, pure.Kernel, "enumerate_pms")
         res = check_graph(_non2ext(), THEOREM_IDS)
         assert all(ok for _, ok, _, _ in res["blocks"].values())
         # every block but thm13 (bipartite graphs only) checks this graph
         checked = {t for t, v in res["blocks"].items() if v[0]}
         assert checked == set(THEOREM_IDS) - {"thm13"}
         assert len(calls) == 1
+
+    def test_objects_only_for_top_matchings(self, monkeypatch):
+        g = _non2ext()
+        profile = forcing_profile(g)
+        tops = [
+            m for m, f in zip(profile.matchings, profile.forcing)
+            if f == g.order // 2 - 1
+        ]
+        assert 0 < len(tops) < profile.matching_count
+        made = _counted(monkeypatch, graph.PerfectMatching, "_unchecked")
+        res = check_graph(g, THEOREM_IDS)
+        assert all(ok for _, ok, _, _ in res["blocks"].values())
+        assert [flat for (flat,) in made] == tops
 
     def test_profile_tops_give_the_structure(self):
         searched = 0

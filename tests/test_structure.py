@@ -293,6 +293,10 @@ class TestIndependentSet:
         assert max_independent_set_size(k6) == 1
         assert max_independent_set_size(c6) == 3
 
+    def test_empty_graphs(self):
+        assert max_independent_set_size(Graph.empty(0)) == 0
+        assert max_independent_set_size(Graph.empty(1)) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_matches_bruteforce(self, seed):

@@ -1,0 +1,91 @@
+"""Work counts of the matching kernel, pinned.
+
+Timings drift between machines and runs; these counts do not.  They are
+read from the test side: every kernel made during a test gets a
+``count2`` memo that counts its lookups, so the hot loop carries no
+counter.  A change that moves a total re-pins it, with the old and the
+new values in CHANGES.md.
+"""
+
+import pytest
+
+from matchforce import Graph, builtin_corpus, verify_graphs
+from matchforce import _core, graph
+from matchforce._core import pure
+
+from graphs import grid_graph, half_graph
+
+
+class _CountingMemo(dict):
+    """A ``count2`` memo that counts its lookups."""
+
+    __slots__ = ("lookups",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+
+def _counting_kernel(rows) -> pure.Kernel:
+    kern = pure.Kernel(rows)
+    kern._count_cache = _CountingMemo(kern._count_cache)
+    return kern
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every kernel the package makes while the test runs, each fresh and
+    with a counting memo."""
+    made = []
+
+    def make(rows):
+        made.append(_counting_kernel(rows))
+        return made[-1]
+
+    monkeypatch.setattr(_core, "make_kernel", make)
+    graph._kernel_cached.cache_clear()
+    yield made
+    graph._kernel_cached.cache_clear()
+
+
+# corpus, kernels made, count2 memo entries, memo lookups; an odd order
+# never reaches the memo, so exhaustive-5 holds only each kernel's seed
+# entry and exhaustive-4 is the small even-order row
+@pytest.mark.parametrize(
+    "corpus, made, entries, lookups",
+    [
+        ("exhaustive-4", 64, 235, 373),
+        ("exhaustive-5", 1024, 1024, 0),
+        ("families-10", 229, 33426, 261879),
+    ],
+)
+def test_verify_work_counts(kernels, corpus, made, entries, lookups):
+    report = verify_graphs(corpus, builtin_corpus(corpus))
+    assert report.all_passed
+    assert len(kernels) == made
+    assert sum(len(k._count_cache) for k in kernels) == entries
+    assert sum(k._count_cache.lookups for k in kernels) == lookups
+
+
+# the two ends of the side-choice rule: f = 0, where growing kept sets
+# alone would take every one of the 2^12 kept sets, and a sparse grid
+# whose optima lie mid-range; graph, matchings, sum of optima, lookups
+@pytest.mark.parametrize(
+    "g, matchings, optima, lookups",
+    [(half_graph(12), 1, 0, 13586), (grid_graph(4, 5), 95, 344, 76456)],
+    ids=["half-graph-24", "grid-4x5"],
+)
+def test_forcing_optimum_lookups(g, matchings, optima, lookups):
+    kern = _counting_kernel(g.rows)
+    found = kern.enumerate_pms(g.full_mask, 10**6)
+    assert len(found) == matchings
+    total = 0
+    for flat in found:
+        masks = [(1 << flat[i]) | (1 << flat[i + 1]) for i in range(0, len(flat), 2)]
+        total += kern.forcing_optimum(g.full_mask, masks)
+    assert total == optima
+    assert kern._count_cache.lookups == lookups
