@@ -4,7 +4,8 @@ Three subcommands: ``analyze`` (forcing profile, classification,
 extendability and switch summary for one graph), ``generate`` (the graph
 families, as graph6 or edge-list text) and ``verify`` (theorem blocks over
 a corpus).  Every run emits one versioned JSON record on stdout unless
-``--csv`` asks for the spectra table.
+``--csv`` asks for the spectra table: ``analyze`` on one compact line,
+``verify`` indented (see `records.dumps`).
 
 Exit codes: 0 success (for verify: all blocks passed), 1 parse/usage/domain
 error, 2 no perfect matching, 3 enumeration cap exceeded.  ``analyze``

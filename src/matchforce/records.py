@@ -1,22 +1,21 @@
 """Machine-readable report records.
 
 Every CLI invocation emits one versioned JSON record; this module owns the
-payload shapes so they stay diffable: keys are sorted, matchings are edge
+payload shapes so they stay stable: keys are sorted, matchings are edge
 pair lists, and timings are opt-in because report bytes must not depend on
 worker count or machine speed.
 
-`dumps` writes exactly the bytes of ``json.dumps(record, sort_keys=True,
-indent=2) + "\n"``.  It is its own writer because CPython skips json's C
-encoder whenever ``indent`` is set, and the pure-Python one costs more than
-computing a multi-megabyte analyze report; here the large leaves (int lists,
-lists of int pairs, int-valued dicts) are rendered in one join each.
+`dumps` writes an ``analysis`` record on one compact line,
+``json.dumps(record, sort_keys=True, separators=(",", ":"))``, because
+CPython skips json's C encoder whenever ``indent`` is set and an analyze
+report can run to megabytes.  Every other record, verify reports among
+them, is ``json.dumps(record, sort_keys=True, indent=2)``: small, and
+meant to be diffed.  Both end in a newline.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _string
-from math import inf
+import json
 
 SCHEMA = "matchforce-report/v1"
 
@@ -26,68 +25,15 @@ def make_record(kind: str, payload: dict) -> dict:
 
 
 def dumps(record: dict) -> str:
-    return _encode(record, "\n") + "\n"
+    if record.get("kind") == "analysis":
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def _encode(value, nl: str) -> str:
-    """JSON text of `value`, whose line starts with the indentation in `nl`."""
-    if isinstance(value, str):
-        return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == inf:
-            return "Infinity"
-        if value == -inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        types = set(map(type, value))
-        if types == {int}:
-            body = sep.join(map(int.__repr__, value))
-        elif (
-            types <= {list, tuple}
-            and set(map(len, value)) == {2}
-            and set(map(type, chain.from_iterable(value))) == {int}
-        ):
-            deeper = inner + "  "
-            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
-            body = sep.join([pair] * len(value)) % tuple(chain.from_iterable(value))
-        else:
-            body = sep.join([_encode(v, inner) for v in value])
-        # one join copies the body once; chained "+" copies it per operand
-        return "".join(("[", inner, body, nl, "]"))
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        items = sorted(value.items())
-        if set(map(type, value.values())) == {int}:
-            body = sep.join([_string(k) + ": " + int.__repr__(v) for k, v in items])
-        else:
-            body = sep.join([_string(k) + ": " + _encode(v, inner) for k, v in items])
-        return "".join(("{", inner, body, nl, "}"))
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def matching_payload(flat) -> list[list[int]]:
+def matching_payload(flat) -> list[tuple[int, int]]:
     """Edge pairs of a flat matching (u0, v0, u1, v1, ...)."""
     it = iter(flat)
-    return [[u, v] for u, v in zip(it, it)]
+    return list(zip(it, it))
 
 
 def spectrum_payload(report) -> dict:
@@ -143,7 +89,7 @@ def switch_payload(sg, continuity) -> dict:
     return {
         "nodes": [matching_payload(m) for m in sg.matchings],
         "forcing": list(sg.forcing),
-        "edges": [list(e) for e in edges],
+        "edges": edges,
         # adjacent matchings differ by exactly one 4-cycle, their symmetric
         # difference, so every edge is realized once
         "cycle_multiplicity": {f"{i}-{j}": 1 for i, j in edges},

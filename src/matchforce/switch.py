@@ -71,24 +71,6 @@ class SwitchGraph:
             (i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j
         ]
 
-    def component_masks(self) -> list[int]:
-        seen = 0
-        comps = []
-        for root in range(len(self.adjacency)):
-            if (seen >> root) & 1:
-                continue
-            comp = 1 << root
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if not (comp >> v) & 1:
-                        comp |= 1 << v
-                        queue.append(v)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
 
 @dataclass(frozen=True, slots=True)
 class SwitchPath:
@@ -241,9 +223,13 @@ def verify_spectrum_continuity(
         sg = build_switch_graph(g, profile=profile)
     n = g.order // 2
     applicable = n >= 1 and profile.max_forcing == n - 1
-    top = 0
-    for i, f in enumerate(sg.forcing):
-        if f == n - 1:
-            top |= 1 << i
-    reach = bool(sg.matchings) and all(c & top for c in sg.component_masks())
+    # one search from every top matching at once marks what reaches the top
+    seen = [f == n - 1 for f in sg.forcing]
+    stack = [i for i, top in enumerate(seen) if top]
+    while stack:
+        for j in sg.adjacency[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+    reach = bool(seen) and all(seen)
     return ContinuityReport(applicable, profile.continuous, reach)

@@ -7,6 +7,7 @@ forces iff no other perfect matching contains it).  Intended for orders up
 to about 8 (10 for the cycle and set oracles).
 """
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
@@ -45,6 +46,27 @@ def oracle_switch_edges(g: Graph) -> list[tuple[int, int]]:
         for i, j in combinations(range(len(pms)), 2)
         if len(pms[i] - pms[j]) == 2
     ]
+
+
+def oracle_component_masks(adjacency) -> list[int]:
+    """Connected components of a graph given by neighbour lists, as bit
+    masks over node indices, each grown by BFS from its smallest node."""
+    seen = 0
+    comps = []
+    for root in range(len(adjacency)):
+        if (seen >> root) & 1:
+            continue
+        comp = 1 << root
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if not (comp >> v) & 1:
+                    comp |= 1 << v
+                    queue.append(v)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def oracle_has_pm_tutte(g: Graph) -> bool:

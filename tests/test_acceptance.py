@@ -6,6 +6,7 @@ session fixtures so the exhaustive corpus is only analyzed once.
 """
 
 import hashlib
+import json
 import time
 from itertools import combinations
 
@@ -115,10 +116,18 @@ def test_default_report_bytes_pinned(fixture, request):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[fixture]
 
 
+def _indented_sha256(out: str) -> str:
+    """sha256 of the record re-written with sorted keys and indent 2: the
+    bytes analyze reports had before they were written compact."""
+    text = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # sha256 of `matchforce analyze --format graph6` on H(6,2) (440 matchings):
 # the profile, classification, extendability and switch sections.
 H62_GRAPH6 = "K`?Dz~kvNw^_"
-H62_ANALYZE_SHA256 = "91d266a3083ffc2a34301f5f799bd15825ddec7a12ed0e858b30fd3f6acde9be"
+H62_ANALYZE_SHA256 = "a4fc722ecb6fde1de26fa893178d2d4ebd11ae2bdb76ed119e87c5f059847cd1"
+H62_INDENTED_SHA256 = "91d266a3083ffc2a34301f5f799bd15825ddec7a12ed0e858b30fd3f6acde9be"
 
 
 def test_analyze_report_bytes_pinned(tmp_path, capsys):
@@ -128,12 +137,14 @@ def test_analyze_report_bytes_pinned(tmp_path, capsys):
     assert main(["analyze", "--format", "graph6", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == H62_ANALYZE_SHA256
+    assert _indented_sha256(out) == H62_INDENTED_SHA256
 
 
 # sha256 of `matchforce analyze --format graph6 --profile --switch` on
 # gen_random(12, "2/3", 1): 715 matchings and 3787 switch edges.
 R12_GRAPH6 = "Kj~rbmveXtwp"
-R12_SWITCH_SHA256 = "7932dd4f81577a108028d1be8dc828da75239408e05725200eba5d69b696c29e"
+R12_SWITCH_SHA256 = "e2751fe1fa82f14ba27f4d37ab11f260f0dcdd9f83e68bafdaacd0440eb7af6b"
+R12_INDENTED_SHA256 = "7932dd4f81577a108028d1be8dc828da75239408e05725200eba5d69b696c29e"
 
 
 def test_dense_switch_report_bytes_pinned(tmp_path, capsys):
@@ -144,6 +155,7 @@ def test_dense_switch_report_bytes_pinned(tmp_path, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == R12_SWITCH_SHA256
+    assert _indented_sha256(out) == R12_INDENTED_SHA256
 
 
 def test_criterion_01_classification_exhaustive():

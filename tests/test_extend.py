@@ -361,9 +361,9 @@ class TestNonTwoExtendableStructure:
             non_2_extendable_structure(gen_non_2_extendable("ii", 3).graph)
 
     def test_preconditions_rejected(self, c6, k4):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="even order >= 6"):
             non_2_extendable_structure(k4)  # n < 3
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="not attained"):
             non_2_extendable_structure(c6)  # max forcing below top
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="one-sided-extras"):
             non_2_extendable_structure(gen_complete_multipartite([3, 3]))  # K_{n,n}

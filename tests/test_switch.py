@@ -6,6 +6,7 @@ from matchforce import (
     PairSignature,
     PerfectMatching,
     PreconditionError,
+    SwitchGraph,
     alternating_four_cycles,
     build_switch_graph,
     enumerate_perfect_matchings,
@@ -22,6 +23,7 @@ from matchforce import (
 
 from oracles import (
     oracle_alternating_cycles,
+    oracle_component_masks,
     oracle_perfect_matchings,
     oracle_switch_edges,
 )
@@ -34,6 +36,15 @@ def _signature_graph(n, mask):
         for b, p in enumerate(pairs)
     }
     return gen_minimal_from_signature(PairSignature(n, choice)).graph
+
+
+ORACLE_GRAPHS = (
+    [gen_random(6, "1/2" if s % 2 else "2/3", s) for s in range(16)]
+    + [gen_complete_multipartite((4, 4))]
+    + [_signature_graph(4, mask) for mask in (0, 5, 63)]
+    + [_signature_graph(5, mask) for mask in (0, 341, 1023)]
+    + [gen_random(10, "2/3", s) for s in range(1, 6)]
+)
 
 
 class TestFourCycleListing:
@@ -92,13 +103,13 @@ class TestSwitchGraph:
         sg = build_switch_graph(k33)
         assert len(sg.nodes) == 6
         assert all(len(adj) == 3 for adj in sg.adjacency)
-        assert len(sg.component_masks()) == 1
+        assert len(oracle_component_masks(sg.adjacency)) == 1
 
     def test_c6_two_isolated(self, c6):
         sg = build_switch_graph(c6)
         assert len(sg.nodes) == 2
         assert all(adj == () for adj in sg.adjacency)
-        assert len(sg.component_masks()) == 2
+        assert len(oracle_component_masks(sg.adjacency)) == 2
 
     def test_k4_triangle(self, k4):
         sg = build_switch_graph(k4)
@@ -113,14 +124,7 @@ class TestSwitchGraph:
                 continue
             assert len(build_switch_graph(g).nodes) == len(pms)
 
-    @pytest.mark.parametrize(
-        "g",
-        [gen_random(6, "1/2" if s % 2 else "2/3", s) for s in range(16)]
-        + [gen_complete_multipartite((4, 4))]
-        + [_signature_graph(4, mask) for mask in (0, 5, 63)]
-        + [_signature_graph(5, mask) for mask in (0, 341, 1023)]
-        + [gen_random(10, "2/3", s) for s in range(1, 6)],
-    )
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS)
     def test_matches_oracle(self, g):
         sg = build_switch_graph(g) if enumerate_perfect_matchings(g) else None
         pms = oracle_perfect_matchings(g)
@@ -210,3 +214,24 @@ class TestBoundAndContinuity:
         assert not rep.applicable
         assert rep.spectrum_continuous
         assert not rep.reach_max
+
+    @pytest.mark.parametrize("g", ORACLE_GRAPHS + [gen_h_k(4, 1).graph])
+    def test_reach_max_matches_components(self, g):
+        # every component of the switch graph holds a top matching
+        if not enumerate_perfect_matchings(g):
+            return
+        sg = build_switch_graph(g)
+        n = g.order // 2
+        top = sum(1 << i for i, f in enumerate(sg.forcing) if f == n - 1)
+        expected = all(c & top for c in oracle_component_masks(sg.adjacency))
+        assert verify_spectrum_continuity(g, sg=sg).reach_max == expected
+
+    @pytest.mark.parametrize(
+        "adjacency, reach", [(((), ()), False), (((1,), (0,)), True)]
+    )
+    def test_reach_max_needs_a_top_in_every_component(self, c6, adjacency, reach):
+        # C6's two matchings, the first relabelled top (n - 1 = 2): the other
+        # reaches the top only through a switch edge
+        sg = build_switch_graph(c6)
+        sg = SwitchGraph(sg.matchings, (2, 1), adjacency)
+        assert verify_spectrum_continuity(c6, sg=sg).reach_max is reach
