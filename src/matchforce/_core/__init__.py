@@ -1,7 +1,8 @@
 """Matching kernels.
 
 The hot kernels (matching counts, matching enumeration, forcing-set scans
-and forcing optima) live in :mod:`.pure`.  Time them with
+and the forcing numbers of a graph's matchings) live in :mod:`.pure`.
+Time them with
 ``python3 perfbench/run.py --workload all --seed N --seconds 30 --trace 0|1``.
 """
 

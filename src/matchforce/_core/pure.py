@@ -5,19 +5,18 @@ masks (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).  It memoizes the number
 of perfect matchings (capped at 2) per vertex subset, which is the inner
 primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
-matching.
+matching.  ``forcing_numbers`` answers every perfect matching of the graph
+in one search over the partial matchings they share.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
-
 from ..errors import MatchingOverflowError
 
 
 class Kernel:
-    """Per-graph matching-count, forcing-scan and forcing-optimum primitives."""
+    """Per-graph matching-count, forcing-scan and forcing-number primitives."""
 
     __slots__ = ("rows", "order", "_count_cache")
 
@@ -108,54 +107,110 @@ class Kernel:
                 return tuple(edge_masks.index(m) for m in subset), tested
         return None, tested
 
-    def forcing_optimum(self, full_mask: int, edge_masks) -> int:
-        """Minimum number of matching edges that force the matching.
+    def forcing_numbers(self, full_mask: int, matchings) -> list:
+        """Forcing number of each given perfect matching of ``full_mask``.
 
-        ``edge_masks`` are the two-vertex masks of a perfect matching of the
-        subgraph induced by ``full_mask``.  A removed set S forces iff the
-        kept edges induce a uniquely matchable subgraph, so forcing removed
-        sets are closed upward and uniquely matchable kept sets downward.
-        The search works from both ends: ``s`` is a size below which no
-        removed set forces, ``t`` the size of some uniquely matchable kept
-        set, and s <= f <= k - t.  Each step takes the cheaper side, growth
-        on a tie: the scan of all removed sets of size ``s``, which may stop
-        early, or the growth of every uniquely matchable kept set by one
-        edge of higher index (the failures are pruned, which downward
-        closure makes sound).  Scanning alone costs about 2**f sets,
-        growing alone about 2**(k - f).  A growth test asks ``count2`` of a
-        small union that other matchings of the graph have often asked
-        about already, but a scan test at small ``s`` asks it of a large
-        kept mask, often a cold memo entry with a deep recursion; so each
-        scan test is weighted by (k - s)**2, the square of its kept-set
-        size, and growth tests count one each.
+        ``matchings`` are flat tuples (u0, v0, u1, v1, ...); any subset of
+        the perfect matchings may be given, and each gets the same number
+        as when given alone.  With k edges per matching, f(M) = k - |K| for
+        the largest K in M whose vertices induce a uniquely matchable
+        subgraph, and a removed set S in M forces every matching that holds
+        it iff ``count2(full_mask ^ V(S)) <= 1``.  Uniquely matchable kept
+        sets are closed downward and forcing removed sets upward, so the
+        search works from both ends over partial matchings shared by all
+        the given ones: it grows uniquely matchable kept sets one level at
+        a time, and scans removed sets by ascending size.  A set is the
+        tuple of its edge indices in sorted edge order, extended only by
+        later edges, so each is made once for the whole graph.  Its holders
+        (a bitset over ``matchings``) are the AND of its edges' holders;
+        a set none of whose holders is unresolved is dropped.  A matching
+        gets f = s when a forcing removed set of size s holds it, f = k - t
+        when a uniquely matchable kept set of size t holds it but none of
+        size t + 1 does, and f = s = k - t when the two ends meet.  Each
+        step takes the side whose frontier has fewer candidate extensions,
+        growth on a tie.
         """
+        out = [0] * len(matchings)
+        if not matchings or self._count2(full_mask) <= 1:
+            return out
+        holders_of: dict = {}
+        for i, flat in enumerate(matchings):
+            bit = 1 << i
+            it = iter(flat)
+            for u, v in zip(it, it):
+                edge = (1 << u) | (1 << v)
+                holders_of[edge] = holders_of.get(edge, 0) | bit
+        masks = sorted(holders_of)
+        holders = [holders_of[m] for m in masks]
+        edges = len(masks)
+        k = len(matchings[0]) // 2
         count2 = self._count2
         # every test is a union of matching edges, so it has a perfect
         # matching: a memo hit is never 0, and a miss falls through
         memo = self._count_cache.get
-        k = len(edge_masks)
-        s = 0
-        # uniquely matchable kept sets of size t as (highest index, vertex
-        # mask); one matching edge alone always is one
-        level = list(enumerate(edge_masks))
-        t = min(k, 1)
-        while s + t < k:
-            grow_cost = len(level) * (k - 1) - sum([last for last, _ in level])
-            if comb(k, s) * (k - s) ** 2 < grow_cost:
-                for removed in map(sum, combinations(edge_masks, s)):
-                    kept = full_mask ^ removed
-                    if (memo(kept) or count2(kept)) <= 1:
-                        return s
+        unresolved = (1 << len(matchings)) - 1
+
+        def extend(frontier):
+            """Each entry's extensions by one later edge that some
+            unresolved matching holds, as (indices, vertex mask, holders).
+            Entries keep only edge indices, which keeps a frontier small;
+            the mask and holders are rebuilt here."""
+            for entry in frontier:
+                union = 0
+                held = unresolved
+                for i in entry:
+                    union |= masks[i]
+                    held &= holders[i]
+                if not held:
+                    continue
+                for j in range(entry[-1] + 1 if entry else 0, edges):
+                    if not masks[j] & union:
+                        both = held & holders[j]
+                        if both:
+                            yield entry + (j,), union | masks[j], both
+
+        def candidates(frontier) -> int:
+            return sum(edges - 1 - e[-1] if e else edges for e in frontier)
+
+        # an unresolved matching is forced by no removed set of size <= s
+        # and holds a uniquely matchable kept set of size t
+        scanned = [()]
+        grown = [(j,) for j in range(edges)]
+        s, t = 0, 1
+        while unresolved and s + 1 < k - t:
+            if candidates(scanned) < candidates(grown):
+                before = unresolved
+                level = []
+                for entry, union, held in extend(scanned):
+                    held &= unresolved  # some may be resolved at this size
+                    if held:
+                        kept = full_mask ^ union
+                        if (memo(kept) or count2(kept)) <= 1:
+                            unresolved ^= held
+                        else:
+                            level.append(entry)
                 s += 1
+                _assign(out, before ^ unresolved, s)
+                scanned = level
             else:
-                grown = []
-                for last, union in level:
-                    for j in range(last + 1, k):
-                        kept = union | edge_masks[j]
-                        if (memo(kept) or count2(kept)) == 1:
-                            grown.append((j, kept))
-                if not grown:
-                    return k - t
-                level = grown
+                level = []
+                kept_by = 0
+                for entry, union, held in extend(grown):
+                    if (memo(union) or count2(union)) == 1:
+                        level.append(entry)
+                        kept_by |= held
+                _assign(out, unresolved & ~kept_by, k - t)
+                unresolved &= kept_by
                 t += 1
-        return s
+                grown = level
+        _assign(out, unresolved, s + 1)
+        return out
+
+
+def _assign(out: list, bits: int, value: int) -> None:
+    """Set ``out[i] = value`` for every set bit i of ``bits``."""
+    text = bin(bits)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        out[i] = value
+        i = text.find("1", i + 1)

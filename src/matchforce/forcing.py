@@ -2,27 +2,20 @@
 
 A subset S of a perfect matching M forces M iff the graph left after
 deleting V(S) has no M-alternating cycle, equivalently iff it has exactly
-one perfect matching.  The optimum comes from the kernel's two-ended
-search (``Kernel.forcing_optimum``): forcing removed sets are closed
-upward and uniquely matchable kept sets downward, so it scans removed sets
-by ascending size and grows kept sets one edge at a time, whichever side
-is cheaper next.  A scan test at small size asks ``count2`` of a large
-kept mask, often a cold memo entry with a deep recursion, while a growth
-test asks it of a small union that is often memoized already; so a scan
-test of a size-s removed set among k matching edges weighs (k - s)**2,
-the square of its kept-set size, against one per growth test.  Every forcing check is answered by the memoized
-matching-count kernel.  The profile keeps the kernel's flat matchings
-(see `SpectrumReport`).  ``forcing_number`` adds a certificate: the first
-forcing set of the optimal size and the count of candidate sets that an
-ascending scan from the disjoint-4-cycle packing bound tests.
+one perfect matching.  Forcing numbers come from one kernel call per graph
+(``Kernel.forcing_numbers``), a two-ended search over the partial
+matchings that the given matchings share: it grows uniquely matchable
+kept sets and scans forcing removed sets by ascending size, each set made
+once for all of its matchings.  Every forcing check is answered by the
+memoized matching-count kernel.  The profile keeps the kernel's flat
+matchings (see `SpectrumReport`).  ``forcing_number`` adds a certificate:
+the first forcing set of the optimal size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from math import comb
 from typing import Optional
 
 from ._core.cycles import alternating_cycles
@@ -37,7 +30,6 @@ from .graph import (
     alternating_four_cycles,
     check_perfect_matching,
     enumerate_alternating_cycles,
-    spans_four_cycle,
 )
 
 DEFAULT_CYCLE_CAP = 10**5
@@ -45,21 +37,15 @@ DEFAULT_CYCLE_CAP = 10**5
 
 @dataclass(frozen=True, slots=True)
 class ForcingCertificate:
-    """Optimal forcing set for one matching, with search bookkeeping.
+    """Optimal forcing set for one matching.
 
-    ``optimum`` comes from the kernel's two-ended search.
+    ``optimum`` comes from the kernel's two-ended search, and
     ``witness_set`` is the lexicographically first optimal set.
-    ``lower_bound_used`` is the disjoint-4-cycle packing bound, and
-    ``nodes_explored`` counts the candidate sets an ascending scan from
-    that bound tests: every set of each size below the optimum, then those
-    of the optimal size up to the witness.
     """
 
     matching: PerfectMatching
     optimum: int
     witness_set: tuple[Edge, ...]
-    lower_bound_used: int
-    nodes_explored: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,20 +128,6 @@ def is_forcing_set(
     return False, AlternatingCycle.canonical(raw)
 
 
-def _four_cycle_packing(g, m, edge_masks) -> int:
-    """Vertex-disjoint alternating 4-cycles packed greedily, one per matching
-    edge pair that spans one, pairs (i, j) in ascending order."""
-    rows = g.rows
-    used = 0
-    count = 0
-    for (e, mi), (f, mj) in combinations(zip(m.edges, edge_masks), 2):
-        vm = mi | mj
-        if not (vm & used) and spans_four_cycle(rows, e, f):
-            used |= vm
-            count += 1
-    return count
-
-
 def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     """Exact minimum forcing set size for m, with a witness set.
 
@@ -164,14 +136,12 @@ def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     """
     check_perfect_matching(g, m)
     kern = _kernel(g)
-    edge_masks = [(1 << u) | (1 << v) for u, v in m.edges]
-    lower = _four_cycle_packing(g, m, edge_masks)
-    optimum = kern.forcing_optimum(g.full_mask, edge_masks)
-    found, tested = kern.forcing_scan(g.full_mask, edge_masks, optimum)
-    k = len(edge_masks)
-    nodes = sum(comb(k, s) for s in range(lower, optimum)) + tested
+    flat = tuple(x for e in m.edges for x in e)
+    (optimum,) = kern.forcing_numbers(g.full_mask, [flat])
+    edge_masks = [e.mask for e in m.edges]
+    found, _ = kern.forcing_scan(g.full_mask, edge_masks, optimum)
     witness = tuple(m.edges[i] for i in found)
-    return ForcingCertificate(m, optimum, witness, lower, nodes)
+    return ForcingCertificate(m, optimum, witness)
 
 
 def _max_disjoint(masks: list[int]) -> int:
@@ -217,17 +187,15 @@ def cycle_packing_number(g: Graph, m: PerfectMatching, cap: int | None = None) -
 def forcing_profile(g: Graph, matching_cap: int | None = None) -> SpectrumReport:
     """Forcing number of every perfect matching, in canonical matching order.
 
-    The matchings stay the kernel's flat tuples; see `SpectrumReport`."""
+    One kernel search gives all the numbers.  Past ``matching_cap``
+    matchings it raises `MatchingOverflowError`, so a profile holds every
+    perfect matching.  The matchings stay the kernel's flat tuples; see
+    `SpectrumReport`."""
     kern = _kernel(g)
     if matching_cap is None:
         matching_cap = DEFAULT_MATCHING_CAP
     matchings = tuple(kern.enumerate_pms(g.full_mask, matching_cap))
     if not matchings:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    optimum = kern.forcing_optimum
-    full = g.full_mask
-    forcing = []
-    for flat in matchings:
-        it = iter(flat)
-        forcing.append(optimum(full, [(1 << u) | (1 << v) for u, v in zip(it, it)]))
+    forcing = kern.forcing_numbers(g.full_mask, matchings)
     return SpectrumReport(g.order, matchings, tuple(forcing))

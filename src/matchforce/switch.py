@@ -116,7 +116,8 @@ def build_switch_graph(
     """Full switch graph with forcing numbers annotated per node.
 
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
-    when none is given; a capped enumeration goes in as a capped profile.
+    when none is given.  A profile holds every perfect matching, since
+    `forcing_profile` raises `MatchingOverflowError` past its cap.
     A node's key has one bit per matching edge (u, v), bit u * order + v.
     Two matchings are adjacent iff they share all but two edges, that is
     iff clearing two edges' bits from each key leaves the same rest.  The
@@ -216,7 +217,8 @@ def verify_spectrum_continuity(
     """Continuity facts: spectrum interval-ness and reachability of a
     maximal-forcing matching from every matching.  ``profile`` and ``sg``
     default to ``forcing_profile(g)`` and the switch graph built from it;
-    a capped profile goes in through ``profile``."""
+    a profile already made, with any matching cap, goes in through
+    ``profile``."""
     if profile is None:
         profile = forcing_profile(g)
     if sg is None:

@@ -188,18 +188,6 @@ def oracle_spans_four_cycle(g: Graph, e, f) -> bool:
     return parallel or crossed
 
 
-def oracle_greedy_four_cycle_packing(g: Graph, m: PerfectMatching) -> int:
-    """Vertex-disjoint alternating 4-cycles taken greedily: one per pair of
-    matching edges that spans one, pairs in ``combinations`` order."""
-    used: set[int] = set()
-    count = 0
-    for e, f in combinations(m.edges, 2):
-        if oracle_spans_four_cycle(g, e, f) and not used & {*e, *f}:
-            used |= {*e, *f}
-            count += 1
-    return count
-
-
 def oracle_vertex_connectivity(g: Graph) -> int:
     n = g.order
     if n <= 1:

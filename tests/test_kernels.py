@@ -1,6 +1,7 @@
 """The matching kernel against the brute-force oracles."""
 
-from itertools import combinations
+import random
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from matchforce import (
     Graph,
     PerfectMatching,
-    enumerate_perfect_matchings,
     gen_random,
     induced_subgraph,
 )
@@ -76,8 +76,22 @@ def test_forcing_scan_matches_oracle(seed, size):
     assert kern.forcing_scan(g.full_mask, edge_masks, size) == expected
 
 
-def _edge_masks(m: PerfectMatching) -> list[int]:
-    return [(1 << u) | (1 << v) for u, v in m.edges]
+def _forcing_numbers(g: Graph, matchings) -> list[int]:
+    return pure.Kernel(g.rows).forcing_numbers(g.full_mask, matchings)
+
+
+def test_forcing_optimum_matches_oracle():
+    # one call over all of a graph's matchings gives each its forcing number
+    cases = product((4, 6, 8), ("1/3", "1/2", "3/4"), range(12))
+    cases = chain(cases, product((10,), ("1/3", "1/2", "3/4"), range(4)))
+    for order, p, seed in cases:
+        g = gen_random(order, p, seed)
+        expected = {
+            _flat(pm): oracle_forcing_number(g, PerfectMatching.from_pairs(pm))
+            for pm in oracle_perfect_matchings(g)
+        }
+        flats = sorted(expected)
+        assert _forcing_numbers(g, flats) == [expected[f] for f in flats]
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,23 +99,28 @@ def _edge_masks(m: PerfectMatching) -> list[int]:
     st.integers(min_value=0, max_value=10**9),
     st.sampled_from(["1/2", "2/3", "3/4", "1"]),
 )
-def test_forcing_optimum_matches_oracle(seed, p):
+def test_forcing_numbers_of_any_subset(seed, p):
+    # a matching gets the same number alone, within a seeded half of the
+    # matchings, and within all of them
     g = gen_random(8, p, seed)
-    kern = pure.Kernel(g.rows)
-    for m in enumerate_perfect_matchings(g):
-        got = kern.forcing_optimum(g.full_mask, _edge_masks(m))
-        assert got == oracle_forcing_number(g, m)
+    flats = pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6)
+    whole = _forcing_numbers(g, flats)
+    for flat, f in zip(flats, whole):
+        assert _forcing_numbers(g, [flat]) == [f]
+    half = sorted(random.Random(seed).sample(range(len(flats)), len(flats) // 2))
+    assert _forcing_numbers(g, [flats[i] for i in half]) == [whole[i] for i in half]
 
 
 def test_forcing_optimum_empty_matching():
-    assert pure.Kernel(()).forcing_optimum(0, []) == 0
+    assert pure.Kernel(()).forcing_numbers(0, [()]) == [0]
+    assert pure.Kernel(()).forcing_numbers(0, []) == []
 
 
 def test_forcing_optimum_unique_matching_is_zero():
     # a path on 8 vertices has exactly one perfect matching
     g = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
-    (m,) = enumerate_perfect_matchings(g)
-    assert pure.Kernel(g.rows).forcing_optimum(g.full_mask, _edge_masks(m)) == 0
+    (flat,) = pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6)
+    assert _forcing_numbers(g, [flat]) == [0]
 
 
 def test_forcing_optimum_path_with_chord_stays_small():
@@ -109,10 +128,11 @@ def test_forcing_optimum_path_with_chord_stays_small():
     # only grew kept sets would test about 2**28 of them
     g = Graph.from_edges(60, [(i, i + 1) for i in range(59)] + [(0, 3)])
     kern = pure.Kernel(g.rows)
-    matchings = enumerate_perfect_matchings(g)
-    assert len(matchings) == 2
-    for m in matchings:
-        assert kern.forcing_optimum(g.full_mask, _edge_masks(m)) == 1
+    flats = kern.enumerate_pms(g.full_mask, 10**6)
+    assert len(flats) == 2
+    assert kern.forcing_numbers(g.full_mask, flats) == [1, 1]
+    for flat in flats:
+        assert kern.forcing_numbers(g.full_mask, [flat]) == [1]
     assert len(kern._count_cache) < 10_000
 
 

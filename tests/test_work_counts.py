@@ -13,7 +13,7 @@ from matchforce import Graph, builtin_corpus, verify_graphs
 from matchforce import _core, graph
 from matchforce._core import pure
 
-from graphs import grid_graph, half_graph
+from graphs import cycle_graph, grid_graph, half_graph
 
 
 class _CountingMemo(dict):
@@ -58,9 +58,9 @@ def kernels(monkeypatch):
 @pytest.mark.parametrize(
     "corpus, made, entries, lookups",
     [
-        ("exhaustive-4", 64, 235, 373),
+        ("exhaustive-4", 64, 235, 362),
         ("exhaustive-5", 1024, 1024, 0),
-        ("families-10", 229, 33426, 261879),
+        ("families-10", 229, 33353, 126712),
     ],
 )
 def test_verify_work_counts(kernels, corpus, made, entries, lookups):
@@ -72,20 +72,22 @@ def test_verify_work_counts(kernels, corpus, made, entries, lookups):
 
 
 # the two ends of the side-choice rule: f = 0, where growing kept sets
-# alone would take every one of the 2^12 kept sets, and a sparse grid
-# whose optima lie mid-range; graph, matchings, sum of optima, lookups
+# alone would take every one of the 2^12 kept sets; a sparse grid whose
+# optima lie mid-range; and a 40-cycle, whose 2 matchings would make
+# growth alone walk 2^19 kept sets; graph, matchings, sum of forcing
+# numbers, lookups of the one call that takes all the matchings
 @pytest.mark.parametrize(
     "g, matchings, optima, lookups",
-    [(half_graph(12), 1, 0, 13586), (grid_graph(4, 5), 95, 344, 76456)],
-    ids=["half-graph-24", "grid-4x5"],
+    [
+        (half_graph(12), 1, 0, 13313),
+        (grid_graph(4, 5), 95, 344, 35477),
+        (cycle_graph(40), 2, 2, 45),
+    ],
+    ids=["half-graph-24", "grid-4x5", "cycle-40"],
 )
 def test_forcing_optimum_lookups(g, matchings, optima, lookups):
     kern = _counting_kernel(g.rows)
     found = kern.enumerate_pms(g.full_mask, 10**6)
     assert len(found) == matchings
-    total = 0
-    for flat in found:
-        masks = [(1 << flat[i]) | (1 << flat[i + 1]) for i in range(0, len(flat), 2)]
-        total += kern.forcing_optimum(g.full_mask, masks)
-    assert total == optima
+    assert sum(kern.forcing_numbers(g.full_mask, found)) == optima
     assert kern._count_cache.lookups == lookups
