@@ -1,0 +1,6 @@
+"""``python -m matchforce``: the command line of `matchforce.cli`."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

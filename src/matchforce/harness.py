@@ -15,6 +15,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .extend import _case_labelling, is_brick, is_l_extendable
@@ -39,12 +40,10 @@ from .graph import (
 )
 from .graphio import _G6_MAX_ORDER, to_graph6
 from .structure import (
-    _unspanned_pair,
     classify_min_forcing,
     has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
-    matching_pairs_exact_four_cycles,
     max_independent_set_size,
 )
 from .switch import build_switch_graph, verify_spectrum_continuity, verify_switch_bound
@@ -96,7 +95,8 @@ class _GraphContext:
     @cached_property
     def top_matchings(self) -> list:
         """The profile's matchings of forcing number n - 1, canonical order,
-        as the only `PerfectMatching` objects a check builds."""
+        as the only `PerfectMatching` objects a check builds; thm41 alone
+        reads them."""
         top = self.n - 1
         profile = self.profile
         return [
@@ -127,14 +127,16 @@ def _block_thm13(ctx: _GraphContext):
 
 
 def _block_lemma22(ctx: _GraphContext):
+    """f(G, M) = n - 1 iff all C(n, 2) pairs of M-edges span an alternating
+    4-cycle, that is iff every pair is a switched pair of M's node."""
     if ctx.n < 1:
         return 0, True
-    top = ctx.n - 1
-    profile = ctx.profile
-    for m, f in zip(profile.matchings, profile.forcing):
-        if (_unspanned_pair(ctx.g, m) is None) != (f == top):
-            return 1, False
-    return 1, True
+    sg = ctx.switch_graph
+    pairs = comb(ctx.n, 2)
+    return 1, all(
+        (s == pairs) == (f == ctx.n - 1)
+        for s, f in zip(sg.switched_pairs, sg.forcing)
+    )
 
 
 def _block_lemma23(ctx: _GraphContext):
@@ -201,12 +203,15 @@ def _block_thm57(ctx: _GraphContext):
 
 def _block_lemma22min(ctx: _GraphContext):
     """Informational: does edge-minimality by count (|E| = n^2) differ from
-    every top matching inducing exactly a 4-cycle on each pair?  Never
+    every top matching inducing exactly a 4-cycle on each pair, read as
+    |E| = n^2 with all C(n, 2) pairs of each top node switched?  Never
     fails; differing graphs are counted."""
     if not ctx.max_is_top:
         return 0, True
-    every = all(
-        matching_pairs_exact_four_cycles(ctx.g, m) for m in ctx.top_matchings
+    sg = ctx.switch_graph
+    pairs = comb(ctx.n, 2)
+    every = ctx.g.edge_count() == ctx.n * ctx.n and all(
+        s == pairs for s, f in zip(sg.switched_pairs, sg.forcing) if f == ctx.n - 1
     )
     return 1, True, {"readings_differ": int(ctx.minimal_max_forcing != every)}
 

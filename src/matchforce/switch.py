@@ -5,7 +5,8 @@ two matchings are adjacent when they differ by one alternating 4-cycle,
 that is when they share all but two edges.  The symmetric difference of
 adjacent matchings is that cycle's edge set, so each switch edge is
 realized by exactly one cycle.  The build works on the profile's flat
-matchings alone and keeps only adjacency; ``switch_path`` derives the
+matchings alone and keeps adjacency and each node's switched pairs,
+which answer Lemma 2.2 (see `SwitchGraph`); ``switch_path`` derives the
 cycle of each hop it takes from the hop's two matchings, so verifying or
 reporting a switch graph never builds a cycle, and `PerfectMatching`
 objects are made only for a path or a reported violation.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -29,6 +30,7 @@ from .graph import (
     apply_cycle,
     check_perfect_matching,
     is_alternating_cycle,
+    iter_bits,
     switch_cycle,
 )
 
@@ -49,13 +51,16 @@ class SwitchGraph:
 
     ``matchings`` holds the nodes as flat tuples (u0, v0, u1, v1, ...),
     ``forcing`` their forcing numbers and ``adjacency`` their sorted
-    neighbour indices.  ``nodes`` holds the same matchings as
-    `PerfectMatching` objects; it is built on first use.
+    neighbour indices.  ``switched_pairs`` counts, per node, the pairs of
+    its edges that span an alternating 4-cycle, so Lemma 2.2 reads node i
+    as maximal iff all C(n, 2) pairs switch.  ``nodes`` holds the same
+    matchings as `PerfectMatching` objects; it is built on first use.
     """
 
     matchings: tuple[tuple[int, ...], ...]
     forcing: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
+    switched_pairs: tuple[int, ...]
 
     @cached_property
     def nodes(self) -> tuple[PerfectMatching, ...]:
@@ -101,38 +106,35 @@ class ContinuityReport:
     reach_max: bool
 
 
-@lru_cache(maxsize=4)
-def _edge_bits(order: int) -> tuple[tuple[int, ...], ...]:
-    """bit[u][v] = bit[v][u]: the node-key bit of matching edge {u, v}."""
-    return tuple(
-        tuple(1 << min(u, v) * order + max(u, v) for v in range(order))
-        for u in range(order)
-    )
-
-
 def build_switch_graph(
     g: Graph, profile: SpectrumReport | None = None
 ) -> SwitchGraph:
-    """Full switch graph with forcing numbers annotated per node.
+    """Full switch graph with forcing numbers and switched pairs per node.
 
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given.  A profile holds every perfect matching, since
     `forcing_profile` raises `MatchingOverflowError` past its cap.
-    A node's key has one bit per matching edge (u, v), bit u * order + v.
-    Two matchings are adjacent iff they share all but two edges, that is
-    iff clearing two edges' bits from each key leaves the same rest.  The
-    rest covers all but four vertices, so at most three matchings share
-    it (the perfect matchings of those four), pairwise adjacent: each
-    node is joined to the first and the second earlier node with each of
-    its rests.  The build reads ``g`` only for its order and, without
-    ``profile``, its profile.
+    A node's key has one bit per matching edge (u, v), u < v, bit r for the
+    edge of rank r in ``g``.  Two matchings are adjacent iff they share all
+    but two edges, that is iff clearing two edges' bits from each key
+    leaves the same rest.  The rest covers all but four vertices, so at
+    most three matchings share it (the perfect matchings of those four),
+    pairwise adjacent: each node is joined to the first and the second
+    earlier node with each of its rests.  A rest that a second matching
+    shares is a switched pair of both, and of a third as it comes.
     """
     if profile is None:
         profile = forcing_profile(g)
-    bit = _edge_bits(g.order)
+    bit = [[0] * g.order for _ in g.rows]
+    r = 1
+    for u, row in enumerate(g.rows):
+        for v in iter_bits(row >> u + 1 << u + 1):
+            bit[u][v] = r
+            r <<= 1
     first: dict[int, int] = {}
     second: dict[int, int] = {}
     adjacency = [[] for _ in profile.matchings]
+    switched = [0] * len(adjacency)
     for i, flat in enumerate(profile.matchings):
         it = iter(flat)
         bits = [bit[u][v] for u, v in zip(it, it)]
@@ -141,14 +143,20 @@ def build_switch_graph(
             rest = key ^ x ^ y
             j = first.setdefault(rest, i)
             if j != i:
+                switched[i] += 1
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-                j = second.setdefault(rest, i)
-                if j != i:
-                    adjacency[i].append(j)
-                    adjacency[j].append(i)
+                k = second.setdefault(rest, i)
+                if k == i:
+                    switched[j] += 1
+                else:
+                    adjacency[i].append(k)
+                    adjacency[k].append(i)
     return SwitchGraph(
-        profile.matchings, profile.forcing, tuple(map(tuple, map(sorted, adjacency)))
+        profile.matchings,
+        profile.forcing,
+        tuple(map(tuple, map(sorted, adjacency))),
+        tuple(switched),
     )
 
 

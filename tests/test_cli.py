@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matchforce
 from matchforce import cli, graphio, harness, to_edge_list, to_graph6
 from matchforce.cli import main
 
@@ -320,6 +324,17 @@ class TestVerify:
         record = json.loads(out)
         assert record["graphs_total"] == 64
         assert all(b["passed"] == b["checked"] for b in record["blocks"])
+
+    def test_runs_as_a_module(self, capsys):
+        argv = ["verify", "--corpus", "exhaustive-4"]
+        env = dict(os.environ, PYTHONPATH=str(Path(matchforce.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchforce", *argv], capture_output=True, env=env
+        )
+        assert main(argv) == 0
+        out, _ = capsys.readouterr()
+        assert proc.returncode == 0
+        assert proc.stdout == out.encode()
 
     def test_theorem_selection(self, capsys):
         code = main(["verify", "--corpus", "exhaustive-3", "--theorems", "thm33"])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -240,12 +241,18 @@ def _same_matchings(sg, g):
     return frozenset(sg.nodes) == frozenset(enumerate_perfect_matchings(g))
 
 
+def _one_pair_fewer(sg):
+    """The switch graph with one switched pair fewer at node 0."""
+    first, *rest = sg.switched_pairs
+    return replace(sg, switched_pairs=(first - 1, *rest))
+
+
 # block, target graph, harness name the block reads, the reading that
 # fails on the target (made from the real one), and a test of whether the
 # first argument belongs to the target when it is not the graph itself
 _FAILING_READINGS = [
     ("thm13", _k33, "is_complete_multipartite", lambda r: None, None),
-    ("lemma22", _k33, "_unspanned_pair", lambda r: (0, 1), None),
+    ("lemma22", _k33, "build_switch_graph", _one_pair_fewer, None),
     ("lemma23", _k33, "vertex_connectivity", lambda r: 0, None),
     ("lemma25", _non2ext, "is_brick", lambda r: False, None),
     (
@@ -309,8 +316,11 @@ class TestBlocksCanFail:
         assert "error" not in result.info
 
     def test_lemma22min_never_fails(self, monkeypatch):
+        real = harness.build_switch_graph
         monkeypatch.setattr(
-            harness, "matching_pairs_exact_four_cycles", lambda g, m: False
+            harness,
+            "build_switch_graph",
+            lambda g, **kwargs: _one_pair_fewer(real(g, **kwargs)),
         )
         corpus = [_k33(), gen_h_k(3, 1).graph]
         (result,) = verify_graphs("patched", corpus, theorems=["lemma22min"]).blocks
@@ -359,6 +369,19 @@ class TestSharedMatchings:
         res = check_graph(g, THEOREM_IDS)
         assert all(ok for _, ok, _, _ in res["blocks"].values())
         assert [flat for (flat,) in made] == tops
+
+    def test_no_objects_for_a_2_extendable_top_graph(self, monkeypatch):
+        # lemma22 and lemma22min read the switch graph's flat counts, and
+        # thm41 builds the top matchings only for a non-2-extendable graph
+        g = gen_complete_multipartite([2, 2, 2, 2])
+        ctx = harness._GraphContext(g)
+        assert ctx.max_is_top and ctx.knn_plus is None
+        assert is_l_extendable(g, 2)
+        made = _counted(monkeypatch, graph.PerfectMatching, "_unchecked")
+        res = check_graph(g, THEOREM_IDS)
+        assert all(ok for _, ok, _, _ in res["blocks"].values())
+        assert all(res["blocks"][t][0] for t in ("lemma22", "thm41", "lemma22min"))
+        assert made == []
 
     def test_profile_tops_give_the_structure(self):
         searched = 0

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from matchforce import (
@@ -6,7 +9,6 @@ from matchforce import (
     PairSignature,
     PerfectMatching,
     PreconditionError,
-    SwitchGraph,
     alternating_four_cycles,
     build_switch_graph,
     enumerate_perfect_matchings,
@@ -20,6 +22,7 @@ from matchforce import (
     verify_spectrum_continuity,
     verify_switch_bound,
 )
+from matchforce import graph
 
 from oracles import (
     oracle_alternating_cycles,
@@ -150,6 +153,28 @@ class TestSwitchGraph:
             assert cyc == AlternatingCycle.canonical(cyc.vertices)
             assert switch_path(sg, sg.nodes[j], sg.nodes[i]).cycles == (cyc,)
 
+    @pytest.mark.parametrize(
+        "g",
+        ORACLE_GRAPHS
+        + [gen_random(order, "1/2", s) for order in (8, 10) for s in range(1, 9)],
+    )
+    def test_switched_pairs_match_oracle(self, g):
+        if not enumerate_perfect_matchings(g):
+            return
+        sg = build_switch_graph(g)
+        expected = []
+        for flat in sg.matchings:
+            it = iter(flat)
+            pairs = combinations(list(zip(it, it)), 2)
+            expected.append(sum(graph.spans_four_cycle(g.rows, e, f) for e, f in pairs))
+        assert sg.switched_pairs == tuple(expected)
+
+    def test_k4_counts_pairs_not_neighbours(self, k4):
+        # each matching's one pair switches, into either of two others
+        sg = build_switch_graph(k4)
+        assert sg.switched_pairs == (1, 1, 1)
+        assert [len(adj) for adj in sg.adjacency] == [2, 2, 2]
+
     def test_annotations_match_profile(self, k33):
         profile = forcing_profile(k33)
         sg = build_switch_graph(k33, profile=profile)
@@ -233,5 +258,5 @@ class TestBoundAndContinuity:
         # C6's two matchings, the first relabelled top (n - 1 = 2): the other
         # reaches the top only through a switch edge
         sg = build_switch_graph(c6)
-        sg = SwitchGraph(sg.matchings, (2, 1), adjacency)
+        sg = replace(sg, forcing=(2, 1), adjacency=adjacency)
         assert verify_spectrum_continuity(c6, sg=sg).reach_max is reach

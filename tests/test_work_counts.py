@@ -10,7 +10,7 @@ new values in CHANGES.md.
 import pytest
 
 from matchforce import Graph, builtin_corpus, verify_graphs
-from matchforce import _core, graph
+from matchforce import _core, graph, harness
 from matchforce._core import pure
 
 from graphs import cycle_graph, grid_graph, half_graph
@@ -69,6 +69,41 @@ def test_verify_work_counts(kernels, corpus, made, entries, lookups):
     assert len(kernels) == made
     assert sum(len(k._count_cache) for k in kernels) == entries
     assert sum(k._count_cache.lookups for k in kernels) == lookups
+
+
+# corpus, matchings enumerated, switch edges, switched pairs; the last
+# is the number of pairs of a node's edges that span an alternating
+# 4-cycle (`graph.spans_four_cycle`), summed over every switch graph node
+@pytest.mark.parametrize(
+    "corpus, matchings, switch_edges, switched_pairs",
+    [
+        ("exhaustive-4", 48, 12, 21),
+        ("families-10", 17066, 106002, 151200),
+    ],
+)
+def test_verify_matching_and_switch_counts(
+    kernels, monkeypatch, corpus, matchings, switch_edges, switched_pairs
+):
+    enumerated = []
+    built = []
+    enumerate_pms = pure.Kernel.enumerate_pms
+    build = harness.build_switch_graph
+
+    def counted_enumerate(self, *args):
+        enumerated.append(enumerate_pms(self, *args))
+        return enumerated[-1]
+
+    def counted_build(g, **kwargs):
+        built.append(build(g, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pure.Kernel, "enumerate_pms", counted_enumerate)
+    monkeypatch.setattr(harness, "build_switch_graph", counted_build)
+    report = verify_graphs(corpus, builtin_corpus(corpus))
+    assert report.all_passed
+    assert sum(map(len, enumerated)) == matchings
+    assert sum(len(sg.edges()) for sg in built) == switch_edges
+    assert sum(sum(sg.switched_pairs) for sg in built) == switched_pairs
 
 
 # the two ends of the side-choice rule: f = 0, where growing kept sets
