@@ -8,7 +8,6 @@ bitmask graph substrate.
 
 from ._core import kernel_backend
 from .errors import (
-    CycleOverflowError,
     MatchforceError,
     MatchingOverflowError,
     NoPerfectMatchingError,
@@ -20,19 +19,11 @@ from .graph import (
     Edge,
     Graph,
     PerfectMatching,
-    alternating_four_cycles,
-    apply_cycle,
-    complement,
     components_masks,
-    enumerate_alternating_cycles,
     enumerate_perfect_matchings,
-    find_alternating_cycle,
     has_perfect_matching,
-    induced_subgraph,
-    is_alternating_cycle,
     is_bipartite,
     is_connected,
-    odd_component_count,
     vertex_connectivity,
 )
 from .graphio import (
@@ -45,11 +36,8 @@ from .graphio import (
     to_graph6,
 )
 from .forcing import (
-    CyclePacking,
     ForcingCertificate,
     SpectrumReport,
-    cycle_packing,
-    cycle_packing_number,
     forcing_number,
     forcing_profile,
     is_forcing_set,
@@ -59,13 +47,9 @@ from .structure import (
     ClassTag,
     classify_min_forcing,
     has_fixed_double_bond,
-    has_max_forcing_n_minus_1,
     is_complete_multipartite,
     is_knn_plus,
-    is_minimal_max_forcing,
-    matching_pairs_exact_four_cycles,
     max_independent_set_size,
-    pairwise_alternating_condition,
 )
 from .extend import (
     DeficiencyWitness,
@@ -73,9 +57,7 @@ from .extend import (
     deficiency_witness,
     is_bicritical,
     is_brick,
-    is_factor_critical,
     is_l_extendable,
-    non_2_extendable_structure,
 )
 from .generate import (
     Connector,
@@ -96,7 +78,6 @@ from .switch import (
     SwitchPath,
     build_switch_graph,
     switch_path,
-    two_switch,
     verify_spectrum_continuity,
     verify_switch_bound,
 )

@@ -17,9 +17,8 @@ path's vertex mask, since endpoints enter in pairs).
 
 The search runs on the subgraph that a vertex mask ``alive`` induces.  A
 matching edge with an end outside ``alive`` is not in that subgraph, so
-the walk never steps onto it; callers that want the first cycle take
-``next`` of the generator, and callers that bound the count take an
-``islice``.
+the walk never steps onto it.  ``forcing.is_forcing_set`` takes ``next``
+of the generator for its counterexample cycle.
 """
 
 from __future__ import annotations

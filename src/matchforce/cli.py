@@ -8,7 +8,7 @@ a corpus).  Every run emits one versioned JSON record on stdout unless
 ``verify`` indented (see `records.dumps`).
 
 Exit codes: 0 success (for verify: all blocks passed), 1 parse/usage/domain
-error, 2 no perfect matching, 3 enumeration cap exceeded.  ``analyze``
+error, 2 no perfect matching, 3 matching cap exceeded.  ``analyze``
 reads MATCHFORCE_MATCHING_CAP to override the default matching cap; the
 other subcommands do not read it.
 """
@@ -23,7 +23,6 @@ from typing import Iterable
 
 from . import records
 from .errors import (
-    CycleOverflowError,
     MatchingOverflowError,
     NoPerfectMatchingError,
     ParseError,
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
     except NoPerfectMatchingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MatchingOverflowError, CycleOverflowError) as exc:
+    except MatchingOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PreconditionError, ValueError) as exc:

@@ -24,7 +24,3 @@ class NoPerfectMatchingError(PreconditionError):
 
 class MatchingOverflowError(MatchforceError):
     """Perfect-matching enumeration exceeded the configured cap."""
-
-
-class CycleOverflowError(MatchforceError):
-    """Alternating-cycle enumeration exceeded the configured cap."""

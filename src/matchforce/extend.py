@@ -11,20 +11,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import NoPerfectMatchingError, PreconditionError
+from .errors import PreconditionError
 from .graph import (
     Edge,
     Graph,
     PerfectMatching,
     _kernel,
     components_masks,
-    enumerate_perfect_matchings,
     is_connected,
     iter_bits,
     mask_of,
     vertex_connectivity,
 )
-from .structure import is_knn_plus, pairwise_alternating_condition
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,12 +62,6 @@ def _factor_critical(g: Graph, mask: int) -> bool:
         return False
     kern = _kernel(g)
     return all(kern.count2(mask ^ (1 << v)) > 0 for v in iter_bits(mask))
-
-
-def is_factor_critical(g: Graph) -> bool:
-    """True iff the order is odd and every single-vertex deletion leaves a
-    perfect matching (the one-vertex graph qualifies vacuously)."""
-    return _factor_critical(g, g.full_mask)
 
 
 def is_bicritical(g: Graph) -> bool:
@@ -224,31 +216,3 @@ def _case_labelling(g: Graph, tops: list) -> Optional[NonTwoExtendableStructure]
                     return NonTwoExtendableStructure("ii", m, u_side, v_side, pivot)
     return None
 
-
-def non_2_extendable_structure(g: Graph) -> Optional[NonTwoExtendableStructure]:
-    """Structural certificate for non-2-extendability, per the
-    characterization of graphs with maximal forcing number.
-
-    Preconditions: maximal forcing number is attained, the graph is outside
-    the one-sided-extras family, and the matching size is at least 3.
-    Returns None exactly when the graph is 2-extendable.
-    """
-    n = g.order // 2
-    if g.order % 2 or n < 3:
-        raise PreconditionError("structure search needs even order >= 6")
-    if is_knn_plus(g) is not None:
-        raise PreconditionError("graph lies in the one-sided-extras family")
-    matchings = enumerate_perfect_matchings(g)
-    if not matchings:
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    tops = [m for m in matchings if pairwise_alternating_condition(g, m)[0]]
-    if not tops:
-        raise PreconditionError("maximal forcing number is not attained")
-    if is_l_extendable(g, 2):
-        return None
-    structure = _case_labelling(g, tops)
-    if structure is None:
-        raise AssertionError(
-            "graph is not 2-extendable but no structural labeling was found"
-        )
-    return structure

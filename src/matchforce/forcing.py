@@ -1,4 +1,4 @@
-"""Exact forcing numbers, forcing sets, cycle packing and forcing spectra.
+"""Exact forcing numbers, forcing sets and forcing spectra.
 
 A subset S of a perfect matching M forces M iff the graph left after
 deleting V(S) has no M-alternating cycle, equivalently iff it has exactly
@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from ._core.cycles import alternating_cycles
-from .errors import CycleOverflowError, NoPerfectMatchingError, PreconditionError
+from .errors import NoPerfectMatchingError, PreconditionError
 from .graph import (
     DEFAULT_MATCHING_CAP,
     AlternatingCycle,
@@ -27,12 +27,8 @@ from .graph import (
     Graph,
     PerfectMatching,
     _kernel,
-    alternating_four_cycles,
     check_perfect_matching,
-    enumerate_alternating_cycles,
 )
-
-DEFAULT_CYCLE_CAP = 10**5
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,18 +42,6 @@ class ForcingCertificate:
     matching: PerfectMatching
     optimum: int
     witness_set: tuple[Edge, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CyclePacking:
-    """Maximum number of vertex-disjoint alternating cycles found.
-
-    ``exact`` is False when cycle enumeration overflowed its cap and the
-    value is only the 4-cycle packing lower bound.
-    """
-
-    value: int
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -142,46 +126,6 @@ def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     found, _ = kern.forcing_scan(g.full_mask, edge_masks, optimum)
     witness = tuple(m.edges[i] for i in found)
     return ForcingCertificate(m, optimum, witness)
-
-
-def _max_disjoint(masks: list[int]) -> int:
-    best = 0
-
-    def rec(cands: list[int], count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        for i, cm in enumerate(cands):
-            if count + len(cands) - i <= best:
-                break
-            rec([x for x in cands[i + 1 :] if not (x & cm)], count + 1)
-
-    rec(masks, 0)
-    return best
-
-
-def cycle_packing(
-    g: Graph, m: PerfectMatching, cap: int | None = None
-) -> CyclePacking:
-    """Maximum vertex-disjoint family of m-alternating cycles.
-
-    Exact branch and bound over the full cycle list; when that list would
-    exceed ``cap`` the packing is done over 4-cycles only and flagged as a
-    lower bound.
-    """
-    if cap is None:
-        cap = DEFAULT_CYCLE_CAP
-    try:
-        cycles = enumerate_alternating_cycles(g, m, cap=cap)
-        exact = True
-    except CycleOverflowError:
-        cycles = alternating_four_cycles(g, m)
-        exact = False
-    return CyclePacking(_max_disjoint([c.mask for c in cycles]), exact)
-
-
-def cycle_packing_number(g: Graph, m: PerfectMatching, cap: int | None = None) -> int:
-    return cycle_packing(g, m, cap).value
 
 
 def forcing_profile(g: Graph, matching_cap: int | None = None) -> SpectrumReport:

@@ -46,10 +46,6 @@ class PairSignature:
             )
 
     @classmethod
-    def all_cross(cls, n: int) -> "PairSignature":
-        return cls.from_parallel_pairs(n, ())
-
-    @classmethod
     def from_parallel_pairs(
         cls, n: int, parallel: Iterable[tuple[int, int]]
     ) -> "PairSignature":

@@ -3,9 +3,7 @@
 Vertices are integers ``0..order-1``.  Adjacency is a tuple of row masks,
 one int per vertex, bit ``v`` of ``rows[u]`` set iff ``u ~ v``.  Everything
 is immutable after construction and all operations are pure functions, so
-values can be shared freely across threads and worker processes.  Lemma
-2.2's rule for a pair of matching edges, which every maximum-forcing test
-asks, is ``spans_four_cycle`` over these rows.
+values can be shared freely across threads and worker processes.
 """
 
 from __future__ import annotations
@@ -13,12 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _core
-from ._core.cycles import alternating_cycles
-from .errors import CycleOverflowError, PreconditionError
+from .errors import PreconditionError
 
 DEFAULT_MATCHING_CAP = 10**6
 
@@ -229,14 +225,6 @@ class AlternatingCycle:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def mask(self) -> int:
-        return mask_of(self.vertices)
-
-    def pairs(self) -> list[Edge]:
-        vs = self.vertices
-        return [Edge.of(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
 
 def check_perfect_matching(g: Graph, m: PerfectMatching) -> None:
     """Raise PreconditionError unless m is a perfect matching of g."""
@@ -246,44 +234,6 @@ def check_perfect_matching(g: Graph, m: PerfectMatching) -> None:
     for e in m.edges:
         if not (rows[e.u] >> e.v) & 1:
             raise PreconditionError(f"matching edge {e} is not in the graph")
-
-
-def is_alternating_cycle(g: Graph, m: PerfectMatching, c: AlternatingCycle) -> bool:
-    """True iff every cycle edge is in g and membership in m alternates."""
-    pairs = c.pairs()
-    if not all(g.has_edge(e.u, e.v) for e in pairs):
-        return False
-    m_set = set(m.edges)
-    flags = [e in m_set for e in pairs]
-    return all(flags[i] != flags[(i + 1) % len(flags)] for i in range(len(flags)))
-
-
-# ---------------------------------------------------------------------------
-# graph operations
-
-
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    rows = tuple((full ^ r) & ~(1 << u) for u, r in enumerate(g.rows))
-    return Graph(g.order, rows)
-
-
-def induced_subgraph(g: Graph, t: Iterable[int]) -> Graph:
-    """Subgraph induced by t, relabeled 0..len(t)-1 in the order given."""
-    verts = list(t)
-    for v in verts:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} out of range")
-    if len(set(verts)) != len(verts):
-        raise ValueError("induced vertex set has repeats")
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for v, i in index.items():
-        for w in iter_bits(g.rows[v]):
-            j = index.get(w)
-            if j is not None:
-                rows[i] |= 1 << j
-    return Graph(len(verts), tuple(rows))
 
 
 def enumerate_perfect_matchings(
@@ -306,77 +256,9 @@ def has_perfect_matching(g: Graph) -> bool:
     return _kernel(g).count2(g.full_mask) > 0
 
 
-def find_alternating_cycle(g: Graph, m: PerfectMatching) -> Optional[AlternatingCycle]:
-    """Some m-alternating cycle of g, or None.
-
-    The first cycle in the deterministic search order is returned, so equal
-    inputs give equal witnesses.
-    """
-    check_perfect_matching(g, m)
-    raw = next(alternating_cycles(g.rows, m.mates(g.order), g.full_mask), None)
-    return None if raw is None else AlternatingCycle.canonical(raw)
-
-
-def enumerate_alternating_cycles(
-    g: Graph, m: PerfectMatching, cap: int | None = None
-) -> tuple[AlternatingCycle, ...]:
-    """All m-alternating cycles, canonicalized, sorted by (length, vertices).
-
-    Raises CycleOverflowError when more than ``cap`` cycles exist.
-    """
-    check_perfect_matching(g, m)
-    found = alternating_cycles(g.rows, m.mates(g.order), g.full_mask)
-    cyc = [AlternatingCycle.canonical(r) for r in islice(found, cap)]
-    if next(found, None) is not None:
-        raise CycleOverflowError(f"more than {cap} alternating cycles")
-    cyc.sort(key=lambda c: (len(c), c.vertices))
-    return tuple(cyc)
-
-
-def spans_four_cycle(rows: tuple[int, ...], e: Edge, f: Edge) -> bool:
-    """Lemma 2.2's rule: matching edges e = (a, b) and f = (c, d) span an
-    alternating 4-cycle iff a~c and b~d (the parallel connectors) or a~d
-    and b~c (the crossed connectors).  The matching's forcing number is
-    one less than its size iff every pair of its edges spans one."""
-    (a, b), (c, d) = e, f
-    ra = rows[a]
-    rb = rows[b]
-    return (ra >> c & rb >> d | ra >> d & rb >> c) & 1 == 1
-
-
 def switch_cycle(a: int, b: int, y: int, w: int) -> AlternatingCycle:
     """Canonical form of the 4-cycle a-b-w-y whose smallest vertex is a."""
     return AlternatingCycle((a, b, w, y) if b < y else (a, y, w, b))
-
-
-def alternating_four_cycles(
-    g: Graph, m: PerfectMatching
-) -> tuple[AlternatingCycle, ...]:
-    """All m-alternating 4-cycles, canonicalized and sorted: one for each
-    connector class of ``spans_four_cycle`` that a pair of matching edges
-    holds in full, so a pair may give two."""
-    check_perfect_matching(g, m)
-    rows = g.rows
-    cycles = []
-    for (a, b), (c, d) in combinations(m.edges, 2):
-        ra = rows[a]
-        rb = rows[b]
-        if ra >> c & rb >> d & 1:
-            cycles.append(switch_cycle(a, b, c, d))
-        if ra >> d & rb >> c & 1:
-            cycles.append(switch_cycle(a, b, d, c))
-    return tuple(sorted(cycles, key=lambda cy: cy.vertices))
-
-
-def apply_cycle(m: PerfectMatching, c: AlternatingCycle) -> PerfectMatching:
-    """Symmetric difference of m with the cycle's edges; an involution."""
-    m_set = set(m.edges)
-    pairs = c.pairs()
-    flags = [e in m_set for e in pairs]
-    if not all(flags[i] != flags[(i + 1) % len(flags)] for i in range(len(flags))):
-        raise PreconditionError("cycle does not alternate with the matching")
-    swapped = (m_set - set(pairs)) | {e for e, f in zip(pairs, flags) if not f}
-    return PerfectMatching(tuple(sorted(swapped)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +286,6 @@ def components_masks(g: Graph, within: int | None = None) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return g.order <= 1 or len(components_masks(g)) == 1
-
-
-def odd_component_count(g: Graph, removed: Iterable[int]) -> int:
-    """Number of odd-order components after deleting the given vertices."""
-    rm = mask_of(removed)
-    if rm & ~g.full_mask:
-        raise ValueError("removed set references a vertex out of range")
-    within = g.full_mask & ~rm
-    return sum(1 for comp in components_masks(g, within) if comp.bit_count() & 1)
 
 
 def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:

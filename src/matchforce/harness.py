@@ -111,6 +111,11 @@ class _GraphContext:
 
     @cached_property
     def minimal_max_forcing(self) -> bool:
+        """Edge-minimality among graphs with F = n - 1, by counting: a top
+        matching M splits E(G) into its n edges and the connectors of each
+        pair of them.  By Lemma 2.2 every pair spans an alternating 4-cycle,
+        so has at least 2 connectors: |E| >= n + 2 C(n, 2) = n^2, with
+        equality iff every pair induces exactly a 4-cycle."""
         return self.max_is_top and self.g.edge_count() == self.n * self.n
 
     @cached_property

@@ -6,31 +6,16 @@ one-sided extras" family is recognized by locating an independent side
 fully joined to the rest.  Together these recognizers decide whether the
 minimum forcing number is as large as it can get; the prediction flag
 records that verdict so it can be tested against the exact solver.
-
-The maximum forcing number is read pair by pair from Lemma 2.2's rule
-(``graph.spans_four_cycle``), and edge-minimality among graphs that attain
-it from the edge count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
 from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
-from .graph import (
-    Edge,
-    Graph,
-    PerfectMatching,
-    _kernel,
-    check_perfect_matching,
-    enumerate_perfect_matchings,
-    has_perfect_matching,
-    iter_bits,
-    spans_four_cycle,
-)
+from .graph import Edge, Graph, _kernel, has_perfect_matching, iter_bits
 
 
 class ClassTag(Enum):
@@ -105,73 +90,6 @@ def is_knn_plus(
                 tuple(sorted(extra)),
             )
     return None
-
-
-def pairwise_alternating_condition(
-    g: Graph, m: PerfectMatching
-) -> tuple[bool, Optional[tuple[Edge, Edge]]]:
-    """Whether every pair of matching edges spans an alternating 4-cycle
-    (``spans_four_cycle``), which by Lemma 2.2 holds iff the forcing number
-    of m is maximal (one less than the matching size).  On failure the
-    first offending pair in ``combinations`` order is returned."""
-    pair = _unspanned_pair(g, chain.from_iterable(m.edges))
-    if pair is None:
-        return True, None
-    i, j = pair
-    return False, (m.edges[i], m.edges[j])
-
-
-def _unspanned_pair(g: Graph, flat) -> Optional[tuple[int, int]]:
-    """Indices (i, j) of the first pair of edges, in ``combinations``
-    order, of the flat matching (u0, v0, u1, v1, ...) that spans no
-    alternating 4-cycle, or None when every pair spans one."""
-    rows = g.rows
-    it = iter(flat)
-    for (i, e), (j, f) in combinations(enumerate(zip(it, it)), 2):
-        if not spans_four_cycle(rows, e, f):
-            return i, j
-    return None
-
-
-def matching_pairs_exact_four_cycles(g: Graph, m: PerfectMatching) -> bool:
-    """Whether every pair of matching edges induces exactly a 4-cycle: one
-    alternating connector class and no further edges.
-
-    Decided by counting: the perfect matching m splits E(G) into its n
-    edges and the connectors of each pair of its edges.  When every pair
-    spans an alternating 4-cycle it has at least 2 connectors, so
-    |E| >= n + 2 C(n, 2) = n^2, with equality iff every pair has exactly
-    one connector class."""
-    check_perfect_matching(g, m)
-    n = len(m)
-    return g.edge_count() == n * n and pairwise_alternating_condition(g, m)[0]
-
-
-def has_max_forcing_n_minus_1(g: Graph) -> Optional[PerfectMatching]:
-    """First perfect matching (canonical order) whose forcing number is
-    maximal, or None when no matching attains it."""
-    matchings = enumerate_perfect_matchings(g)
-    if not matchings:
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    for m in matchings:
-        ok, _ = pairwise_alternating_condition(g, m)
-        if ok:
-            return m
-    return None
-
-
-def is_minimal_max_forcing(g: Graph) -> bool:
-    """True iff some matching attains the maximal forcing number with every
-    edge pair inducing exactly a 4-cycle (4 vertices, 4 edges).  Graphs
-    without a perfect matching, or without a maximal matching, give False.
-
-    By the count in ``matching_pairs_exact_four_cycles``, every maximal
-    matching then qualifies iff |E| = n^2, so the test is F(G) = n - 1
-    and |E| = n^2."""
-    n = g.order // 2
-    if g.order % 2 or g.edge_count() != n * n or not has_perfect_matching(g):
-        return False
-    return has_max_forcing_n_minus_1(g) is not None
 
 
 def classify_min_forcing(g: Graph) -> ClassificationResult:

@@ -27,22 +27,9 @@ from .graph import (
     Edge,
     Graph,
     PerfectMatching,
-    apply_cycle,
-    check_perfect_matching,
-    is_alternating_cycle,
     iter_bits,
     switch_cycle,
 )
-
-
-def two_switch(
-    g: Graph, m: PerfectMatching, c: AlternatingCycle
-) -> PerfectMatching:
-    """Exchange the matching along an alternating 4-cycle (an involution)."""
-    check_perfect_matching(g, m)
-    if len(c) != 4 or not is_alternating_cycle(g, m, c):
-        raise PreconditionError("not an alternating 4-cycle for this matching")
-    return apply_cycle(m, c)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from matchforce import (
     Graph,
     PairSignature,
+    components_masks,
     gen_complete_multipartite,
     gen_minimal_from_signature,
 )
+from matchforce.graph import iter_bits, mask_of
 
 
 def cycle_graph(n: int) -> Graph:
@@ -43,6 +45,33 @@ def half_graph(n: int) -> Graph:
     """u_i = i and v_j = n + j adjacent iff i <= j: exactly one perfect
     matching, u_i v_i, so its forcing number is 0."""
     return Graph.from_edges(2 * n, [(i, n + j) for i in range(n) for j in range(i, n)])
+
+
+def induced_subgraph(g: Graph, t) -> Graph:
+    """Subgraph induced by t, relabeled 0..len(t)-1 in the order given."""
+    verts = list(t)
+    for v in verts:
+        if not 0 <= v < g.order:
+            raise ValueError(f"vertex {v} out of range")
+    if len(set(verts)) != len(verts):
+        raise ValueError("induced vertex set has repeats")
+    index = {v: i for i, v in enumerate(verts)}
+    rows = [0] * len(verts)
+    for v, i in index.items():
+        for w in iter_bits(g.rows[v]):
+            j = index.get(w)
+            if j is not None:
+                rows[i] |= 1 << j
+    return Graph(len(verts), tuple(rows))
+
+
+def odd_component_count(g: Graph, removed) -> int:
+    """Number of odd-order components after deleting the given vertices."""
+    rm = mask_of(removed)
+    if rm & ~g.full_mask:
+        raise ValueError("removed set references a vertex out of range")
+    within = g.full_mask & ~rm
+    return sum(1 for comp in components_masks(g, within) if comp.bit_count() & 1)
 
 
 def planted_matching_strategy():

@@ -140,6 +140,35 @@ def oracle_alternating_cycles(g: Graph, m: PerfectMatching) -> list[tuple[int, .
     return [c for c in oracle_simple_cycles(g) if _alternates(c, m_edges)]
 
 
+def oracle_flip(g: Graph, m: PerfectMatching, cycle) -> PerfectMatching | None:
+    """m with the edges of the vertex cycle exchanged, M xor E(C), or None
+    when the cycle is not an m-alternating cycle of g."""
+    k = len(cycle)
+    pairs = {tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)}
+    m_edges = frozenset((e.u, e.v) for e in m.edges)
+    if not all(g.has_edge(*p) for p in pairs) or not _alternates(cycle, m_edges):
+        return None
+    return PerfectMatching.from_pairs(m_edges ^ pairs)
+
+
+def oracle_cycle_packing_number(g: Graph, m: PerfectMatching) -> int:
+    """Most vertex-disjoint m-alternating cycles, over every family of
+    `oracle_alternating_cycles` grown one disjoint cycle at a time."""
+    masks = [sum(1 << v for v in c) for c in oracle_alternating_cycles(g, m)]
+
+    def most(start: int, used: int) -> int:
+        return max(
+            (
+                1 + most(i + 1, used | c)
+                for i, c in enumerate(masks[start:], start)
+                if not c & used
+            ),
+            default=0,
+        )
+
+    return most(0, 0)
+
+
 def oracle_is_forcing(g: Graph, m: PerfectMatching, subset) -> bool:
     """Definition check: no other perfect matching contains the subset."""
     sub = set(subset)
@@ -186,6 +215,17 @@ def oracle_spans_four_cycle(g: Graph, e, f) -> bool:
     parallel = g.has_edge(a, c) and g.has_edge(b, d)
     crossed = g.has_edge(a, d) and g.has_edge(b, c)
     return parallel or crossed
+
+
+def oracle_every_pair_spans(g: Graph, m: PerfectMatching) -> bool:
+    """Lemma 2.2's condition for f(G, M) = n - 1: every pair of m's edges
+    spans an alternating 4-cycle."""
+    return all(oracle_spans_four_cycle(g, e, f) for e, f in combinations(m.edges, 2))
+
+
+def oracle_every_pair_exact(g: Graph, m: PerfectMatching) -> bool:
+    """Every pair of m's edges induces exactly one alternating 4-cycle."""
+    return all(_induces_four_cycle(g, e, f) for e, f in combinations(m.edges, 2))
 
 
 def oracle_vertex_connectivity(g: Graph) -> int:

@@ -19,7 +19,6 @@ from matchforce import (
     PairSignature,
     PerfectMatching,
     enumerate_perfect_matchings,
-    find_alternating_cycle,
     forcing_number,
     forcing_profile,
     gen_complete_multipartite,
@@ -27,7 +26,7 @@ from matchforce import (
     gen_minimal_from_signature,
     gen_non_2_extendable,
     gen_random,
-    induced_subgraph,
+    is_forcing_set,
     is_l_extendable,
     builtin_corpus,
     splitmix64,
@@ -36,6 +35,7 @@ from matchforce import (
     AlternatingCycle,
 )
 
+from graphs import induced_subgraph
 from oracles import oracle_alternating_cycles, oracle_forcing_number
 
 RANDOM_WORKERS = 8
@@ -387,7 +387,7 @@ def test_criterion_11_oracle_cross_checks():
         if not pms:
             continue
         m = pms[seed % len(pms)]
-        mine = find_alternating_cycle(g, m)
+        mine = is_forcing_set(g, m, ())[1]
         brute = oracle_alternating_cycles(g, m)
         if (mine is not None) != bool(brute):
             mismatch.append(("cycle", to_graph6(g)))

@@ -9,22 +9,17 @@ from matchforce import (
     PreconditionError,
     deficiency_witness,
     enumerate_perfect_matchings,
-    gen_complete_multipartite,
     gen_knn_plus,
     gen_non_2_extendable,
     gen_random,
-    has_max_forcing_n_minus_1,
-    induced_subgraph,
     is_bicritical,
     is_connected,
     is_brick,
-    is_factor_critical,
     is_knn_plus,
     is_l_extendable,
-    non_2_extendable_structure,
-    odd_component_count,
 )
 from matchforce.extend import (
+    _case_labelling,
     _factor_critical,
     _fits_case_i,
     _fits_case_ii,
@@ -33,8 +28,24 @@ from matchforce.extend import (
 from matchforce.generate import enumerate_labeled_graphs
 from matchforce.graph import components_masks
 
-from graphs import cycle_graph, path_graph
-from oracles import oracle_is_bicritical, oracle_is_l_extendable
+from graphs import cycle_graph, induced_subgraph, odd_component_count, path_graph
+from oracles import (
+    oracle_every_pair_spans,
+    oracle_is_bicritical,
+    oracle_is_l_extendable,
+)
+
+
+def is_factor_critical(g):
+    """Odd order, and every single-vertex deletion leaves a perfect
+    matching (the one-vertex graph qualifies vacuously)."""
+    return _factor_critical(g, g.full_mask)
+
+
+def tops(g):
+    """The perfect matchings whose every edge pair spans an alternating
+    4-cycle, in canonical order."""
+    return [m for m in enumerate_perfect_matchings(g) if oracle_every_pair_spans(g, m)]
 
 
 class TestFactorCritical:
@@ -275,9 +286,12 @@ class TestDeficiencyWitness:
 
 
 class TestNonTwoExtendableStructure:
+    """The case i/ii labelling search over the top matchings, as the
+    harness's thm41 block runs it on graphs that are not 2-extendable."""
+
     def test_case_i_instance(self):
         lg = gen_non_2_extendable("i", 4)
-        s = non_2_extendable_structure(lg.graph)
+        s = _case_labelling(lg.graph, tops(lg.graph))
         assert s is not None and s.case == "i"
         # v side: one triangle plus isolated vertices
         v_edges = [
@@ -290,11 +304,13 @@ class TestNonTwoExtendableStructure:
         assert len({v for e in v_edges for v in e}) == 3
 
     def test_k6_is_2_extendable(self, k6):
-        assert non_2_extendable_structure(k6) is None
+        # K6 is 2-extendable, and none of its top matchings has a labelling
+        assert is_l_extendable(k6, 2)
+        assert _case_labelling(k6, tops(k6)) is None
 
     def test_case_ii_instance(self):
         lg = gen_non_2_extendable("ii", 3)
-        s = non_2_extendable_structure(lg.graph)
+        s = _case_labelling(lg.graph, tops(lg.graph))
         assert s is not None and s.case == "ii"
         rest = [s.v_side[i] for i in range(len(s.v_side)) if i != s.pivot]
         assert all(
@@ -310,9 +326,10 @@ class TestNonTwoExtendableStructure:
             g = gen_random(6, "2/3", seed)
             if not enumerate_perfect_matchings(g):
                 continue
-            if has_max_forcing_n_minus_1(g) is None or is_knn_plus(g) is not None:
+            top = tops(g)
+            if not top or is_knn_plus(g) is not None:
                 continue
-            assert (non_2_extendable_structure(g) is not None) == (
+            assert (_case_labelling(g, top) is not None) == (
                 not is_l_extendable(g, 2)
             )
 
@@ -339,7 +356,7 @@ class TestNonTwoExtendableStructure:
                 g = gen_minimal_from_signature(sig).graph
                 if is_knn_plus(g) is not None or is_l_extendable(g, 2):
                     continue
-                s = non_2_extendable_structure(g)
+                s = _case_labelling(g, tops(g))
                 assert s is not None and s.case == "ii"
                 rest_v = [v for i, v in enumerate(s.v_side) if i != s.pivot]
                 rest_u = [u for i, u in enumerate(s.u_side) if i != s.pivot]
@@ -352,18 +369,3 @@ class TestNonTwoExtendableStructure:
                 vi = [x for x in rest_v if g.has_edge(x, s.v_side[s.pivot])]
                 vj = [x for x in rest_v if g.has_edge(x, s.u_side[s.pivot])]
                 assert any(a != b for a in vi for b in vj)
-
-    def test_missing_labelling_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            "matchforce.extend._case_labelling", lambda g, tops: None
-        )
-        with pytest.raises(AssertionError, match="no structural labeling"):
-            non_2_extendable_structure(gen_non_2_extendable("ii", 3).graph)
-
-    def test_preconditions_rejected(self, c6, k4):
-        with pytest.raises(PreconditionError, match="even order >= 6"):
-            non_2_extendable_structure(k4)  # n < 3
-        with pytest.raises(PreconditionError, match="not attained"):
-            non_2_extendable_structure(c6)  # max forcing below top
-        with pytest.raises(PreconditionError, match="one-sided-extras"):
-            non_2_extendable_structure(gen_complete_multipartite([3, 3]))  # K_{n,n}

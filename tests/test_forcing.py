@@ -9,23 +9,19 @@ from matchforce import (
     NoPerfectMatchingError,
     PerfectMatching,
     PreconditionError,
-    cycle_packing,
-    cycle_packing_number,
-    enumerate_alternating_cycles,
     enumerate_perfect_matchings,
     forcing_number,
     forcing_profile,
     gen_h_k,
     gen_random,
     has_perfect_matching,
-    induced_subgraph,
     is_forcing_set,
     vertex_connectivity,
 )
-from matchforce.errors import CycleOverflowError
 
-from graphs import cycle_graph, grid_graph, star_graph
+from graphs import cycle_graph, grid_graph, induced_subgraph, star_graph
 from oracles import (
+    oracle_cycle_packing_number,
     oracle_forcing_number,
     oracle_is_forcing,
 )
@@ -88,28 +84,21 @@ class TestForcingNumber:
 
 
 class TestCyclePacking:
+    """`oracles.oracle_cycle_packing_number`, which the paper invariants
+    below compare the forcing number with, on known packings."""
+
     def test_c6(self, c6, c6_matching):
-        assert cycle_packing_number(c6, c6_matching) == 1
+        assert oracle_cycle_packing_number(c6, c6_matching) == 1
 
     def test_k2(self, k2):
-        assert cycle_packing_number(k2, first_matching(k2)) == 0
+        assert oracle_cycle_packing_number(k2, first_matching(k2)) == 0
 
     def test_two_disjoint_squares(self):
         g = Graph.from_edges(
             8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
         )
         m = PerfectMatching.from_pairs([(0, 1), (2, 3), (4, 5), (6, 7)])
-        assert cycle_packing_number(g, m) == 2
-
-    def test_overflow_falls_back_to_lower_bound(self, k33):
-        m = first_matching(k33)
-        packed = cycle_packing(k33, m, cap=2)
-        assert not packed.exact
-        assert packed.value <= cycle_packing_number(k33, m)
-
-    def test_enumeration_cap_raises(self, k33):
-        with pytest.raises(CycleOverflowError):
-            enumerate_alternating_cycles(k33, first_matching(k33), cap=2)
+        assert oracle_cycle_packing_number(g, m) == 2
 
 
 class TestForcingProfile:
@@ -157,7 +146,7 @@ class TestPaperInvariants:
             g = gen_random(8, "1/2", seed)
             for m in enumerate_perfect_matchings(g)[:5]:
                 f = forcing_number(g, m).optimum
-                assert cycle_packing_number(g, m) <= f <= len(m) - 1
+                assert oracle_cycle_packing_number(g, m) <= f <= len(m) - 1
 
     @pytest.mark.parametrize("maker", [cycle_graph, None], ids=["c6", "grid"])
     def test_plane_bipartite_minimax(self, maker):
@@ -165,7 +154,7 @@ class TestPaperInvariants:
         # packing number for every matching
         g = maker(6) if maker else grid_graph(2, 3)
         for m in enumerate_perfect_matchings(g):
-            assert forcing_number(g, m).optimum == cycle_packing_number(g, m)
+            assert forcing_number(g, m).optimum == oracle_cycle_packing_number(g, m)
 
     def test_spanning_subgraph_monotone(self):
         # removing non-matching edges never raises the forcing number

@@ -18,13 +18,15 @@ from matchforce import (
     gen_random,
     is_knn_plus,
     is_l_extendable,
-    is_minimal_max_forcing,
-    pairwise_alternating_condition,
-    matching_pairs_exact_four_cycles,
     vertex_connectivity,
 )
 
 from graphs import complete_graph
+from oracles import (
+    oracle_every_pair_exact,
+    oracle_every_pair_spans,
+    oracle_is_minimal_max_forcing,
+)
 
 
 class TestCompleteMultipartite:
@@ -67,7 +69,7 @@ class TestKnnPlus:
 
 class TestSignature:
     def test_all_cross_is_complete_bipartite(self):
-        lg = gen_minimal_from_signature(PairSignature.all_cross(3))
+        lg = gen_minimal_from_signature(PairSignature.from_parallel_pairs(3, ()))
         assert lg.graph == gen_complete_multipartite([3, 3])
 
     def test_one_parallel_matches_ladder(self):
@@ -86,11 +88,11 @@ class TestSignature:
                     },
                 )
                 lg = gen_minimal_from_signature(sig)
-                assert pairwise_alternating_condition(lg.graph, lg.m0)[0]
-                assert matching_pairs_exact_four_cycles(lg.graph, lg.m0)
+                assert oracle_every_pair_spans(lg.graph, lg.m0)
+                assert oracle_every_pair_exact(lg.graph, lg.m0)
                 assert all(lg.graph.degree(v) == n for v in range(2 * n))
                 if n <= 3:
-                    assert is_minimal_max_forcing(lg.graph)
+                    assert oracle_is_minimal_max_forcing(lg.graph)
 
     def test_incomplete_signature_rejected(self):
         with pytest.raises(PreconditionError):
@@ -130,7 +132,7 @@ class TestLadderFamily:
 class TestNonTwoExtendableGenerators:
     def test_case_i_properties(self):
         lg = gen_non_2_extendable("i", 4)
-        assert pairwise_alternating_condition(lg.graph, lg.m0)[0]
+        assert oracle_every_pair_spans(lg.graph, lg.m0)
         assert is_l_extendable(lg.graph, 1)
         assert not is_l_extendable(lg.graph, 2)
 
@@ -141,7 +143,7 @@ class TestNonTwoExtendableGenerators:
     def test_case_ii_defaults(self):
         for n in (3, 4, 5):
             lg = gen_non_2_extendable("ii", n)
-            assert pairwise_alternating_condition(lg.graph, lg.m0)[0]
+            assert oracle_every_pair_spans(lg.graph, lg.m0)
             assert is_l_extendable(lg.graph, 1)
             assert not is_l_extendable(lg.graph, 2)
 

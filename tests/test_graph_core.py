@@ -8,22 +8,26 @@ from matchforce import (
     Graph,
     PerfectMatching,
     PreconditionError,
-    apply_cycle,
-    complement,
     enumerate_perfect_matchings,
-    find_alternating_cycle,
     gen_random,
     has_perfect_matching,
-    induced_subgraph,
-    odd_component_count,
+    is_forcing_set,
     vertex_connectivity,
 )
 from matchforce._core.cycles import alternating_cycles
 from matchforce.errors import MatchingOverflowError
 
-from graphs import complete_graph, path_graph, planted_matching_strategy, star_graph
+from graphs import (
+    complete_graph,
+    induced_subgraph,
+    odd_component_count,
+    path_graph,
+    planted_matching_strategy,
+    star_graph,
+)
 from oracles import (
     oracle_alternating_cycles,
+    oracle_flip,
     oracle_has_pm_tutte,
     oracle_perfect_matchings,
     oracle_vertex_connectivity,
@@ -41,6 +45,12 @@ def random_graph_strategy(max_order=8):
         )
 
     return build()
+
+
+def first_cycle(g, m):
+    """The first alternating cycle, as `is_forcing_set` returns it for the
+    empty set: None when m is the only perfect matching."""
+    return is_forcing_set(g, m, ())[1]
 
 
 class TestGraphType:
@@ -63,23 +73,6 @@ class TestGraphType:
         assert Edge.of(5, 2) == Edge(2, 5)
         with pytest.raises(ValueError):
             Edge.of(3, 3)
-
-
-class TestComplement:
-    def test_k4_complement_empty(self, k4):
-        assert complement(k4) == Graph.empty(4)
-
-    def test_empty3_complement_k3(self):
-        assert complement(Graph.empty(3)) == complete_graph(3)
-
-    def test_p3_complement(self):
-        # path 0-1-2 flips to the single edge 0-2 plus the isolated middle
-        assert complement(path_graph(3)) == Graph.from_edges(3, [(0, 2)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(random_graph_strategy())
-    def test_involution(self, g):
-        assert complement(complement(g)) == g
 
 
 class TestInducedSubgraph:
@@ -210,31 +203,31 @@ class TestHasPerfectMatching:
 
 class TestAlternatingCycles:
     def test_c6_cycle_found(self, c6, c6_matching):
-        cyc = find_alternating_cycle(c6, c6_matching)
+        cyc = first_cycle(c6, c6_matching)
         assert cyc is not None
         assert cyc.vertices == (0, 1, 2, 3, 4, 5)
 
     def test_p4_none(self, p4):
         m = PerfectMatching.from_pairs([(0, 1), (2, 3)])
-        assert find_alternating_cycle(p4, m) is None
+        assert first_cycle(p4, m) is None
 
     def test_k4_cycle(self, k4, k4_matching):
         # oracle: K4 with matching {01, 23} carries exactly two alternating
         # 4-cycles, 0-1-2-3 and 0-1-3-2
         raw = oracle_alternating_cycles(k4, k4_matching)
         assert sorted(raw) == [(0, 1, 2, 3), (0, 1, 3, 2)]
-        cyc = find_alternating_cycle(k4, k4_matching)
+        cyc = first_cycle(k4, k4_matching)
         assert cyc.vertices == (0, 1, 2, 3)
 
     def test_invalid_matching_rejected(self, k4):
         with pytest.raises(PreconditionError):
-            find_alternating_cycle(k4, PerfectMatching.from_pairs([(0, 1)]))
+            first_cycle(k4, PerfectMatching.from_pairs([(0, 1)]))
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(planted_matching_strategy())
     def test_presence_matches_exhaustive(self, g):
         for m in enumerate_perfect_matchings(g):
-            found = find_alternating_cycle(g, m)
+            found = first_cycle(g, m)
             expected = oracle_alternating_cycles(g, m)
             assert (found is not None) == bool(expected)
             if found is not None:
@@ -270,8 +263,6 @@ class TestAlternatingCycles:
             assert {AlternatingCycle.canonical(c).vertices for c in found} == inside
 
     def test_full_enumeration_matches_exhaustive_order10(self):
-        from matchforce import enumerate_alternating_cycles, gen_random
-
         checked = 0
         for seed in range(40):
             g = gen_random(10, "2/5", seed)
@@ -279,12 +270,13 @@ class TestAlternatingCycles:
             if not pms:
                 continue
             m = pms[0]
-            mine = {c.vertices for c in enumerate_alternating_cycles(g, m)}
-            brute = {
+            found = alternating_cycles(g.rows, m.mates(g.order), g.full_mask)
+            mine = [AlternatingCycle.canonical(c).vertices for c in found]
+            brute = [
                 AlternatingCycle.canonical(c).vertices
                 for c in oracle_alternating_cycles(g, m)
-            }
-            assert mine == brute
+            ]
+            assert sorted(mine) == sorted(brute)
             checked += 1
             if checked >= 10:
                 break
@@ -292,32 +284,36 @@ class TestAlternatingCycles:
 
 
 class TestApplyCycle:
+    """`oracles.oracle_flip`, which replays switch paths, on known flips."""
+
     def test_c6_switch(self, c6, c6_matching):
-        cyc = AlternatingCycle.canonical((0, 1, 2, 3, 4, 5))
-        flipped = apply_cycle(c6_matching, cyc)
+        flipped = oracle_flip(c6, c6_matching, (0, 1, 2, 3, 4, 5))
         assert flipped.as_pairs() == [[0, 5], [1, 2], [3, 4]]
 
     def test_involution(self, c6, c6_matching):
-        cyc = AlternatingCycle.canonical((0, 1, 2, 3, 4, 5))
-        assert apply_cycle(apply_cycle(c6_matching, cyc), cyc) == c6_matching
+        cyc = (0, 1, 2, 3, 4, 5)
+        flipped = oracle_flip(c6, c6_matching, cyc)
+        assert oracle_flip(c6, flipped, cyc) == c6_matching
 
     def test_k4_switch(self, k4, k4_matching):
-        cyc = AlternatingCycle.canonical((0, 1, 2, 3))
-        assert apply_cycle(k4_matching, cyc).as_pairs() == [[0, 3], [1, 2]]
+        assert oracle_flip(k4, k4_matching, (0, 1, 2, 3)).as_pairs() == [[0, 3], [1, 2]]
 
-    def test_non_alternating_rejected(self, c6, c6_matching):
-        # pairs (1,2),(2,3),(3,4),(4,1) hold exactly one matching edge
-        bad = AlternatingCycle.canonical((1, 2, 3, 4))
-        with pytest.raises(PreconditionError):
-            apply_cycle(c6_matching, bad)
+    def test_non_alternating_rejected(self, k4, k4_matching):
+        # (0,2), (2,1), (1,3) and (3,0) are edges of K4 but none is in the
+        # matching {01, 23}
+        assert oracle_flip(k4, k4_matching, (0, 2, 1, 3)) is None
 
     @settings(max_examples=40, deadline=None)
     @given(random_graph_strategy(max_order=8))
     def test_involution_everywhere(self, g):
+        # the first cycle alternates with m, so flipping it twice is m
         for m in enumerate_perfect_matchings(g)[:4]:
-            cyc = find_alternating_cycle(g, m)
+            cyc = first_cycle(g, m)
             if cyc is not None:
-                assert apply_cycle(apply_cycle(m, cyc), cyc) == m
+                flipped = oracle_flip(g, m, cyc.vertices)
+                assert flipped in enumerate_perfect_matchings(g)
+                assert flipped != m
+                assert oracle_flip(g, flipped, cyc.vertices) == m
 
 
 class TestConnectivity:

@@ -21,7 +21,6 @@ from matchforce import (
     has_perfect_matching,
     is_connected,
     is_l_extendable,
-    non_2_extendable_structure,
     to_graph6,
     verify_graphs,
     vertex_connectivity,
@@ -37,6 +36,7 @@ from graphs import (
     planted_matching_strategy,
     top_forcing_strategy,
 )
+from oracles import oracle_every_pair_spans
 
 
 class TestCorpora:
@@ -394,8 +394,11 @@ class TestSharedMatchings:
             if is_l_extendable(g, 2):
                 continue
             searched += 1
+            tops = [
+                m for m in enumerate_perfect_matchings(g) if oracle_every_pair_spans(g, m)
+            ]
             found = harness._case_labelling(g, ctx.top_matchings)
-            assert found == non_2_extendable_structure(g), name
+            assert found == harness._case_labelling(g, tops), name
         assert searched == 86
 
 

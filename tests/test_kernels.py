@@ -12,11 +12,11 @@ from matchforce import (
     Graph,
     PerfectMatching,
     gen_random,
-    induced_subgraph,
 )
 from matchforce._core import make_kernel, pure
 from matchforce.errors import MatchingOverflowError
 
+from graphs import induced_subgraph
 from oracles import (
     oracle_forcing_number,
     oracle_is_forcing,

@@ -1,22 +1,22 @@
 import hashlib
-from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchforce import (
+    AlternatingCycle,
     ClassTag,
     Edge,
     Graph,
     NoPerfectMatchingError,
     PreconditionError,
+    build_switch_graph,
     classify_min_forcing,
-    enumerate_alternating_cycles,
     enumerate_labeled_graphs,
     enumerate_perfect_matchings,
     family_corpus,
-    find_alternating_cycle,
     forcing_number,
     forcing_profile,
     gen_complete_multipartite,
@@ -24,25 +24,24 @@ from matchforce import (
     gen_knn_plus,
     gen_random,
     has_fixed_double_bond,
-    has_max_forcing_n_minus_1,
+    has_perfect_matching,
     is_complete_multipartite,
     is_forcing_set,
     is_knn_plus,
-    is_minimal_max_forcing,
-    matching_pairs_exact_four_cycles,
     max_independent_set_size,
-    pairwise_alternating_condition,
     to_graph6,
 )
+from matchforce._core.cycles import alternating_cycles
+from matchforce.harness import _GraphContext
 
 from graphs import complete_graph, path_graph
 from oracles import (
-    _induces_four_cycle,
+    oracle_every_pair_exact,
+    oracle_every_pair_spans,
     oracle_is_complete_multipartite,
     oracle_is_minimal_max_forcing,
     oracle_max_independent_set,
     oracle_perfect_matchings,
-    oracle_spans_four_cycle,
 )
 
 
@@ -126,17 +125,18 @@ class TestKnnPlus:
 
 
 class TestPairwiseCondition:
+    """Lemma 2.2 as the switch build answers it: a matching's pairs of
+    edges that span an alternating 4-cycle are its switched pairs."""
+
     def test_k33_true(self, k33):
-        for m in enumerate_perfect_matchings(k33):
-            assert pairwise_alternating_condition(k33, m) == (True, None)
+        assert build_switch_graph(k33).switched_pairs == (3,) * 6
 
-    def test_c6_failing_pair(self, c6, c6_matching):
-        ok, pair = pairwise_alternating_condition(c6, c6_matching)
-        assert not ok
-        assert pair == (Edge(0, 1), Edge(2, 3))
+    def test_c6_failing_pair(self, c6):
+        # no pair of either matching's edges spans an alternating 4-cycle
+        assert build_switch_graph(c6).switched_pairs == (0, 0)
 
-    def test_k4_true(self, k4, k4_matching):
-        assert pairwise_alternating_condition(k4, k4_matching)[0]
+    def test_k4_true(self, k4):
+        assert build_switch_graph(k4).switched_pairs == (1, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -145,25 +145,27 @@ class TestPairwiseCondition:
         g = gen_random(8, "1/2", seed)
         n = g.order // 2
         for m in enumerate_perfect_matchings(g)[:6]:
-            ok, _ = pairwise_alternating_condition(g, m)
+            ok = oracle_every_pair_spans(g, m)
             assert ok == (forcing_number(g, m).optimum == n - 1)
 
 
 class TestMaxForcingWitness:
+    """The top matchings (f = n - 1) that the harness reads off the
+    forcing profile."""
+
     def test_k33_any(self, k33):
-        assert has_max_forcing_n_minus_1(k33) is not None
+        assert _GraphContext(k33).top_matchings
 
     def test_c6_none(self, c6):
-        assert has_max_forcing_n_minus_1(c6) is None
+        assert _GraphContext(c6).top_matchings == []
 
     def test_hk_defining_matching(self):
         lg = gen_h_k(3, 1)
-        found = has_max_forcing_n_minus_1(lg.graph)
-        assert found == lg.m0
+        assert _GraphContext(lg.graph).top_matchings[0] == lg.m0
 
     def test_no_pm_rejected(self):
         with pytest.raises(NoPerfectMatchingError):
-            has_max_forcing_n_minus_1(Graph.empty(4))
+            _GraphContext(Graph.empty(4)).top_matchings
 
 
 # sha256 of `_cycle_witnesses` over every perfect matching of every labeled
@@ -175,14 +177,25 @@ WITNESS_SHA256 = "696b0bcf48b394a74c2ad2a25b16a89767943b317be86ffdea04fea2428ac4
 def _cycle_witnesses(g, m) -> bytes:
     """The first alternating cycle, every alternating cycle, and the
     counterexample cycle of each one-edge forcing-set candidate."""
-    first = find_alternating_cycle(g, m)
+    first = is_forcing_set(g, m, ())[1]
+    found = alternating_cycles(g.rows, m.mates(g.order), g.full_mask)
+    every = sorted(
+        (AlternatingCycle.canonical(c) for c in found),
+        key=lambda c: (len(c), c.vertices),
+    )
     refuted = [is_forcing_set(g, m, [e])[1] for e in m.edges]
     line = (
         first and first.vertices,
-        [c.vertices for c in enumerate_alternating_cycles(g, m)],
+        [c.vertices for c in every],
         [c and c.vertices for c in refuted],
     )
     return repr(line).encode() + b"\n"
+
+
+def is_minimal_max_forcing(g) -> bool:
+    """Edge-minimality by count, as the harness reads it: F = n - 1 and
+    |E| = n^2 (False without a perfect matching)."""
+    return has_perfect_matching(g) and _GraphContext(g).minimal_max_forcing
 
 
 class TestMinimality:
@@ -196,32 +209,37 @@ class TestMinimality:
         assert is_minimal_max_forcing(gen_h_k(3, 1).graph)
 
     def test_count_matches_definition_exhaustive(self):
-        # every labeled graph through order 6: the count (F = n - 1 and
-        # |E| = n^2) against "some matching induces only 4-cycles"; on
-        # every perfect matching, both pair tests against per-pair oracles,
-        # and a digest of its alternating-cycle witnesses
+        # every labeled graph through order 6 with a perfect matching: the
+        # count (F = n - 1 and |E| = n^2) against "some matching induces
+        # only 4-cycles"; on every perfect matching, the switch build's
+        # pair count (all C(n, 2) pairs switch, and with |E| = n^2 each
+        # pair induces exactly a 4-cycle) against per-pair oracles, and a
+        # digest of its alternating-cycle witnesses
         minimal = 0
         matchings = spanning = exact = 0
         witnesses = hashlib.sha256()
-        for order in range(1, 7):
+        for order in range(2, 7, 2):
             for g in enumerate_labeled_graphs(order):
-                expected = oracle_is_minimal_max_forcing(g)
-                assert is_minimal_max_forcing(g) == expected, to_graph6(g)
-                minimal += expected
-                for m in enumerate_perfect_matchings(g):
-                    pairs = list(combinations(m.edges, 2))
-                    first = next(
-                        (p for p in pairs if not oracle_spans_four_cycle(g, *p)),
-                        None,
-                    )
-                    got = pairwise_alternating_condition(g, m)
-                    assert got == (first is None, first), to_graph6(g)
-                    every = all(_induces_four_cycle(g, *p) for p in pairs)
-                    assert matching_pairs_exact_four_cycles(g, m) == every
+                if not has_perfect_matching(g):
+                    continue
+                n = order // 2
+                sized = g.edge_count() == n * n
+                profile = forcing_profile(g)
+                sg = build_switch_graph(g, profile=profile)
+                some_exact = False
+                for m, pairs in zip(sg.nodes, sg.switched_pairs):
+                    every_spans = pairs == comb(n, 2)
+                    assert every_spans == oracle_every_pair_spans(g, m), to_graph6(g)
+                    every_exact = oracle_every_pair_exact(g, m)
+                    assert (every_spans and sized) == every_exact, to_graph6(g)
+                    some_exact |= every_exact
                     matchings += 1
-                    spanning += first is None
-                    exact += every
+                    spanning += every_spans
+                    exact += every_exact
                     witnesses.update(_cycle_witnesses(g, m))
+                counted = profile.max_forcing == n - 1 and sized
+                assert counted == some_exact, to_graph6(g)
+                minimal += some_exact
         assert minimal == 74  # 1, 3 and 70 at orders 2, 4 and 6
         # perfect matchings; those whose every pair spans a 4-cycle; those
         # whose every pair induces exactly one
@@ -317,7 +335,7 @@ class TestFixedDoubleBond:
             pms = enumerate_perfect_matchings(g)
             if not pms or g.order < 4:
                 continue
-            if has_max_forcing_n_minus_1(g) is not None:
+            if forcing_profile(g).max_forcing == g.order // 2 - 1:
                 assert has_fixed_double_bond(g) is None
 
     def test_no_pm_rejected(self):

@@ -9,7 +9,6 @@ from matchforce import (
     PairSignature,
     PerfectMatching,
     PreconditionError,
-    alternating_four_cycles,
     build_switch_graph,
     enumerate_perfect_matchings,
     forcing_profile,
@@ -18,16 +17,16 @@ from matchforce import (
     gen_minimal_from_signature,
     gen_random,
     switch_path,
-    two_switch,
     verify_spectrum_continuity,
     verify_switch_bound,
 )
-from matchforce import graph
 
 from oracles import (
     oracle_alternating_cycles,
     oracle_component_masks,
+    oracle_flip,
     oracle_perfect_matchings,
+    oracle_spans_four_cycle,
     oracle_switch_edges,
 )
 
@@ -50,55 +49,36 @@ ORACLE_GRAPHS = (
 )
 
 
+def four_cycles(g, m):
+    """The m-alternating 4-cycles, one per switch edge at m: the cycle of
+    the one-hop switch path to each neighbour, sorted."""
+    sg = build_switch_graph(g)
+    i = sg.node_index[m]
+    hops = (switch_path(sg, m, sg.nodes[j]).cycles for j in sg.adjacency[i])
+    return sorted(cyc.vertices for (cyc,) in hops)
+
+
 class TestFourCycleListing:
     def test_c6_none(self, c6, c6_matching):
-        assert alternating_four_cycles(c6, c6_matching) == ()
+        assert four_cycles(c6, c6_matching) == []
 
     def test_k4_two(self, k4, k4_matching):
-        cycles = alternating_four_cycles(k4, k4_matching)
-        assert [c.vertices for c in cycles] == [(0, 1, 2, 3), (0, 1, 3, 2)]
+        assert four_cycles(k4, k4_matching) == [(0, 1, 2, 3), (0, 1, 3, 2)]
 
     def test_k33_three(self, k33):
         m = PerfectMatching.from_pairs([(0, 3), (1, 4), (2, 5)])
-        cycles = alternating_four_cycles(k33, m)
-        assert len(cycles) == 3
-
-    def test_rejects_non_matching(self, c6):
-        m = PerfectMatching.from_pairs([(0, 3), (1, 4), (2, 5)])
-        with pytest.raises(PreconditionError):
-            alternating_four_cycles(c6, m)
+        assert len(four_cycles(k33, m)) == 3
 
     def test_matches_exhaustive_search(self):
         for seed in range(30):
             g = gen_random(8, "1/2", seed)
             for m in enumerate_perfect_matchings(g)[:4]:
-                mine = {c.vertices for c in alternating_four_cycles(g, m)}
-                brute = {
+                brute = sorted(
                     AlternatingCycle.canonical(c).vertices
                     for c in oracle_alternating_cycles(g, m)
                     if len(c) == 4
-                }
-                assert mine == brute
-
-
-class TestTwoSwitch:
-    def test_k4(self, k4, k4_matching):
-        cyc = AlternatingCycle.canonical((0, 1, 2, 3))
-        assert two_switch(k4, k4_matching, cyc).as_pairs() == [[0, 3], [1, 2]]
-
-    def test_involution(self, k4, k4_matching):
-        cyc = AlternatingCycle.canonical((0, 1, 2, 3))
-        assert two_switch(k4, two_switch(k4, k4_matching, cyc), cyc) == k4_matching
-
-    def test_c6_rejects_long_cycle(self, c6, c6_matching):
-        six = AlternatingCycle.canonical((0, 1, 2, 3, 4, 5))
-        with pytest.raises(PreconditionError):
-            two_switch(c6, c6_matching, six)
-
-    def test_rejects_cycle_outside_graph(self, c6, c6_matching):
-        fake = AlternatingCycle.canonical((0, 1, 4, 5))
-        with pytest.raises(PreconditionError):
-            two_switch(c6, c6_matching, fake)
+                )
+                assert four_cycles(g, m) == brute
 
 
 class TestSwitchGraph:
@@ -147,9 +127,8 @@ class TestSwitchGraph:
         for i, j in expected:
             # a one-hop path carries the edge's cycle, in canonical form,
             # whichever end it starts from
-            diff = set(sg.nodes[i].edges) ^ set(sg.nodes[j].edges)
             (cyc,) = switch_path(sg, sg.nodes[i], sg.nodes[j]).cycles
-            assert set(cyc.pairs()) == diff
+            assert oracle_flip(g, sg.nodes[i], cyc.vertices) == sg.nodes[j]
             assert cyc == AlternatingCycle.canonical(cyc.vertices)
             assert switch_path(sg, sg.nodes[j], sg.nodes[i]).cycles == (cyc,)
 
@@ -166,7 +145,7 @@ class TestSwitchGraph:
         for flat in sg.matchings:
             it = iter(flat)
             pairs = combinations(list(zip(it, it)), 2)
-            expected.append(sum(graph.spans_four_cycle(g.rows, e, f) for e, f in pairs))
+            expected.append(sum(oracle_spans_four_cycle(g, e, f) for e, f in pairs))
         assert sg.switched_pairs == tuple(expected)
 
     def test_k4_counts_pairs_not_neighbours(self, k4):
@@ -189,10 +168,11 @@ class TestSwitchPath:
                 path = switch_path(sg, a, b)
                 assert path is not None
                 assert len(path) <= 3
-                # replay the path through two_switch
+                # replay the path one 4-cycle flip at a time
                 cur = a
                 for cyc in path.cycles:
-                    cur = two_switch(k33, cur, cyc)
+                    assert len(cyc) == 4
+                    cur = oracle_flip(k33, cur, cyc.vertices)
                 assert cur == b
 
     def test_c6_unreachable(self, c6):

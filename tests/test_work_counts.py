@@ -73,7 +73,7 @@ def test_verify_work_counts(kernels, corpus, made, entries, lookups):
 
 # corpus, matchings enumerated, switch edges, switched pairs; the last
 # is the number of pairs of a node's edges that span an alternating
-# 4-cycle (`graph.spans_four_cycle`), summed over every switch graph node
+# 4-cycle, summed over every switch graph node
 @pytest.mark.parametrize(
     "corpus, matchings, switch_edges, switched_pairs",
     [
