@@ -8,9 +8,9 @@ a corpus).  Every run emits one versioned JSON record on stdout unless
 ``verify`` indented (see `records.dumps`).
 
 Exit codes: 0 success (for verify: all blocks passed), 1 parse/usage/domain
-error, 2 no perfect matching, 3 matching cap exceeded.  ``analyze``
-reads MATCHFORCE_MATCHING_CAP to override the default matching cap; the
-other subcommands do not read it.
+error or, for verify, a refuted block, 2 no perfect matching, 3 matching
+cap exceeded.  ``analyze`` reads MATCHFORCE_MATCHING_CAP to override the
+default matching cap; the other subcommands do not read it.
 """
 
 from __future__ import annotations

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import PreconditionError
 from .graph import (
     Edge,
     Graph,
-    PerfectMatching,
     _kernel,
     components_masks,
     is_connected,
@@ -42,14 +41,15 @@ class DeficiencyWitness:
 class NonTwoExtendableStructure:
     """Labeled matching certifying failure of 2-extendability.
 
-    ``u_side[i]``-``v_side[i]`` is the i-th matching edge.  In case "i" the
-    v side induces one triangle plus isolated vertices and the u side has
-    two independent edges; in case "ii" the v side minus ``pivot`` is
-    independent and the required edges meet the pivot pair.
+    ``matching`` is a flat tuple (u0, v0, u1, v1, ...) as the forcing
+    profile holds it, and ``u_side[i]``-``v_side[i]`` is its i-th edge.
+    In case "i" the v side induces one triangle plus isolated vertices and
+    the u side has two independent edges; in case "ii" the v side minus
+    ``pivot`` is independent and the required edges meet the pivot pair.
     """
 
     case: str
-    matching: PerfectMatching
+    matching: tuple[int, ...]
     u_side: tuple[int, ...]
     v_side: tuple[int, ...]
     pivot: Optional[int]
@@ -97,19 +97,11 @@ def is_l_extendable(g: Graph, l: int) -> bool:
     if kern.count2(full) == 0:
         return False
     masks = [(1 << u) | (1 << v) for u, v in g.edges()]
-
-    def extends(start: int, used: int, need: int) -> bool:
-        """Every matching of ``need`` more edges from ``masks[start:]``,
-        added to ``used``, leaves a perfect matching in the rest."""
-        if need == 0:
-            return kern.count2(full ^ used) > 0
-        for i in range(start, len(masks) - need + 1):
-            mask = masks[i]
-            if not mask & used and not extends(i + 1, used | mask, need - 1):
-                return False
-        return True
-
-    return extends(0, 0, l)
+    return all(
+        kern.count2(full ^ used) > 0
+        for used in map(sum, combinations(masks, l))
+        if used.bit_count() == 2 * l
+    )
 
 
 def _independent_edges(g: Graph, mask: int, l: int) -> Optional[tuple[Edge, ...]]:
@@ -195,24 +187,26 @@ def _fits_case_ii(g: Graph, u_mask: int, v_mask: int, u: int, v: int) -> bool:
     )
 
 
-def _case_labelling(g: Graph, tops: list) -> Optional[NonTwoExtendableStructure]:
+def _case_labelling(
+    g: Graph, tops: Iterable[tuple[int, ...]]
+) -> Optional[NonTwoExtendableStructure]:
     """First case i or case ii labelling of a top matching, or None.
 
-    The given top matchings are tried in order, then orientations (bit i
-    set puts the i-th edge's larger end on the u side), case i before
-    case ii, pivots ascending."""
+    ``tops`` yields the forcing profile's flat top matchings
+    (u0, v0, u1, v1, ...), tried in order, then orientations (bit i set
+    puts the i-th edge's larger end on the u side), case i before case
+    ii, pivots ascending."""
     n = g.order // 2
-    for m in tops:
+    for flat in tops:
         for orient in range(1 << n):
             bits = [orient >> i & 1 for i in range(n)]
-            u_side = tuple(e[b] for e, b in zip(m.edges, bits))
-            v_side = tuple(e[1 - b] for e, b in zip(m.edges, bits))
+            u_side = tuple(flat[2 * i + b] for i, b in enumerate(bits))
+            v_side = tuple(flat[2 * i + 1 - b] for i, b in enumerate(bits))
             u_mask = mask_of(u_side)
             v_mask = g.full_mask ^ u_mask
             if n >= 4 and _fits_case_i(g, u_mask, v_mask):
-                return NonTwoExtendableStructure("i", m, u_side, v_side, None)
+                return NonTwoExtendableStructure("i", flat, u_side, v_side, None)
             for pivot in range(n):
                 if _fits_case_ii(g, u_mask, v_mask, u_side[pivot], v_side[pivot]):
-                    return NonTwoExtendableStructure("ii", m, u_side, v_side, pivot)
+                    return NonTwoExtendableStructure("ii", flat, u_side, v_side, pivot)
     return None
-

@@ -256,11 +256,6 @@ def has_perfect_matching(g: Graph) -> bool:
     return _kernel(g).count2(g.full_mask) > 0
 
 
-def switch_cycle(a: int, b: int, y: int, w: int) -> AlternatingCycle:
-    """Canonical form of the 4-cycle a-b-w-y whose smallest vertex is a."""
-    return AlternatingCycle((a, b, w, y) if b < y else (a, y, w, b))
-
-
 # ---------------------------------------------------------------------------
 # connectivity and components
 

@@ -33,7 +33,6 @@ from .generate import (
 )
 from .graph import (
     Graph,
-    PerfectMatching,
     has_perfect_matching,
     is_bipartite,
     vertex_connectivity,
@@ -91,19 +90,6 @@ class _GraphContext:
     @cached_property
     def max_is_top(self) -> bool:
         return self.n >= 1 and self.profile.max_forcing == self.n - 1
-
-    @cached_property
-    def top_matchings(self) -> list:
-        """The profile's matchings of forcing number n - 1, canonical order,
-        as the only `PerfectMatching` objects a check builds; thm41 alone
-        reads them."""
-        top = self.n - 1
-        profile = self.profile
-        return [
-            PerfectMatching._unchecked(m)
-            for m, f in zip(profile.matchings, profile.forcing)
-            if f == top
-        ]
 
     @cached_property
     def knn_plus(self):
@@ -179,11 +165,15 @@ def _block_thm33(ctx: _GraphContext):
 
 def _block_thm41(ctx: _GraphContext):
     """One direction of Theorem 4.1: a graph that is not 2-extendable has a
-    case i or case ii labelling of a top matching."""
+    case i or case ii labelling of a top matching, searched over the
+    profile's flat matchings of forcing number n - 1."""
     if not ctx.max_is_top or ctx.n < 3 or ctx.knn_plus is not None:
         return 0, True
-    g = ctx.g
-    return 1, is_l_extendable(g, 2) or _case_labelling(g, ctx.top_matchings) is not None
+    if is_l_extendable(ctx.g, 2):
+        return 1, True
+    profile = ctx.profile
+    tops = (m for m, f in zip(profile.matchings, profile.forcing) if f == ctx.n - 1)
+    return 1, _case_labelling(ctx.g, tops) is not None
 
 
 def _block_cor52(ctx: _GraphContext):

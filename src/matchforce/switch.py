@@ -28,7 +28,6 @@ from .graph import (
     Graph,
     PerfectMatching,
     iter_bits,
-    switch_cycle,
 )
 
 
@@ -183,7 +182,7 @@ def switch_path(
         kept = set(after.edges)
         (a, b), (c, d) = sorted(set(m.edges) - kept)
         y, w = (c, d) if Edge(a, c) in kept else (d, c)
-        cycles.append(switch_cycle(a, b, y, w))
+        cycles.append(AlternatingCycle.canonical((a, b, w, y)))
     return SwitchPath(matchings, tuple(cycles))
 
 
@@ -228,5 +227,4 @@ def verify_spectrum_continuity(
             if not seen[j]:
                 seen[j] = True
                 stack.append(j)
-    reach = bool(seen) and all(seen)
-    return ContinuityReport(applicable, profile.continuous, reach)
+    return ContinuityReport(applicable, profile.continuous, all(seen))

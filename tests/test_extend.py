@@ -44,8 +44,12 @@ def is_factor_critical(g):
 
 def tops(g):
     """The perfect matchings whose every edge pair spans an alternating
-    4-cycle, in canonical order."""
-    return [m for m in enumerate_perfect_matchings(g) if oracle_every_pair_spans(g, m)]
+    4-cycle, in canonical order, as flat tuples (u0, v0, u1, v1, ...)."""
+    return [
+        tuple(v for e in m for v in e)
+        for m in enumerate_perfect_matchings(g)
+        if oracle_every_pair_spans(g, m)
+    ]
 
 
 class TestFactorCritical:

@@ -16,6 +16,7 @@ from matchforce import (
     forcing_profile,
     gen_complete_multipartite,
     gen_h_k,
+    gen_knn_plus,
     gen_non_2_extendable,
     gen_random,
     has_perfect_matching,
@@ -247,6 +248,12 @@ def _one_pair_fewer(sg):
     return replace(sg, switched_pairs=(first - 1, *rest))
 
 
+def _node_zero_one_lower(sg):
+    """The switch graph with node 0's forcing number one lower."""
+    first, *rest = sg.forcing
+    return replace(sg, forcing=(first - 1, *rest))
+
+
 # block, target graph, harness name the block reads, the reading that
 # fails on the target (made from the real one), and a test of whether the
 # first argument belongs to the target when it is not the graph itself
@@ -274,6 +281,30 @@ _FAILING_READINGS = [
     ),
 ]
 
+# readings one step past the boundary of a block's comparison, which a
+# block that reads its theorem one step less strictly lets pass
+_BOUNDARY_READINGS = [
+    # connectivity n - 1 = 2 on K3,3
+    ("lemma23", _k33, "vertex_connectivity", lambda r: r - 1, None),
+    # independence number n = 3 on K2,2,2, a top brick that is not knn_plus
+    (
+        "lemma25",
+        lambda: gen_complete_multipartite([2, 2, 2]),
+        "max_independent_set_size",
+        lambda r: 3,
+        None,
+    ),
+    # on H(3,1) node 0 (f = 1) is a leaf of node 1 (f = 2): one adjacent
+    # pair at |f - f'| = 2
+    (
+        "lemma56",
+        lambda: gen_h_k(3, 1).graph,
+        "build_switch_graph",
+        _node_zero_one_lower,
+        None,
+    ),
+]
+
 
 class TestBlocksCanFail:
     """Every block but the informational one has a reachable False that is
@@ -285,8 +316,9 @@ class TestBlocksCanFail:
 
     @pytest.mark.parametrize(
         "block, make_target, name, fail, of_target",
-        _FAILING_READINGS,
-        ids=[row[0] for row in _FAILING_READINGS],
+        _FAILING_READINGS + _BOUNDARY_READINGS,
+        ids=[row[0] for row in _FAILING_READINGS]
+        + [f"{row[0]}-boundary" for row in _BOUNDARY_READINGS],
     )
     def test_failed_reading_is_a_counterexample(
         self, monkeypatch, block, make_target, name, fail, of_target
@@ -314,6 +346,16 @@ class TestBlocksCanFail:
         assert to_graph6(target) in result.counterexamples
         assert result.passed == result.checked - 1
         assert "error" not in result.info
+
+    def test_lemma23_minimal_graph_with_a_vertex_of_degree_n_plus_1(self, monkeypatch):
+        # K3,3 plus one edge has F = n - 1 and a vertex of degree n + 1 = 4;
+        # read as edge-minimal it must fail, while K3,3 itself passes
+        target = gen_knn_plus(3, [(3, 4)])
+        monkeypatch.setattr(harness._GraphContext, "minimal_max_forcing", True)
+        corpus = [target, _k33()]
+        (result,) = verify_graphs("patched", corpus, theorems=["lemma23"]).blocks
+        assert result.checked == 2
+        assert result.counterexamples == (to_graph6(target),)
 
     def test_lemma22min_never_fails(self, monkeypatch):
         real = harness.build_switch_graph
@@ -358,6 +400,8 @@ class TestSharedMatchings:
         assert len(calls) == 1
 
     def test_objects_only_for_top_matchings(self, monkeypatch):
+        # thm41 searches the top matchings as flat tuples read from the
+        # profile, so even the top matchings get no PerfectMatching objects
         g = _non2ext()
         profile = forcing_profile(g)
         tops = [
@@ -368,11 +412,12 @@ class TestSharedMatchings:
         made = _counted(monkeypatch, graph.PerfectMatching, "_unchecked")
         res = check_graph(g, THEOREM_IDS)
         assert all(ok for _, ok, _, _ in res["blocks"].values())
-        assert [flat for (flat,) in made] == tops
+        assert res["blocks"]["thm41"][0]
+        assert made == []
 
     def test_no_objects_for_a_2_extendable_top_graph(self, monkeypatch):
         # lemma22 and lemma22min read the switch graph's flat counts, and
-        # thm41 builds the top matchings only for a non-2-extendable graph
+        # thm41 reads the profile's flat top matchings
         g = gen_complete_multipartite([2, 2, 2, 2])
         ctx = harness._GraphContext(g)
         assert ctx.max_is_top and ctx.knn_plus is None
@@ -382,6 +427,26 @@ class TestSharedMatchings:
         assert all(ok for _, ok, _, _ in res["blocks"].values())
         assert all(res["blocks"][t][0] for t in ("lemma22", "thm41", "lemma22min"))
         assert made == []
+
+    def test_a_passing_verify_builds_no_matching_objects(self, monkeypatch):
+        # every block reads the profile's and the switch graph's flat
+        # matchings, thm41's labelling search included
+        corpus = [
+            *builtin_corpus("families-10"),
+            *builtin_corpus("exhaustive-5"),
+            # the non2ext constructions past families-10's order limit
+            *(
+                gen_non_2_extendable(case, n).graph
+                for case, n in (("i", 5), ("i", 6), ("ii", 6))
+            ),
+        ]
+        unchecked = _counted(monkeypatch, graph.PerfectMatching, "_unchecked")
+        checked = _counted(monkeypatch, graph.PerfectMatching, "__post_init__")
+        labellings = _counted(monkeypatch, harness, "_case_labelling")
+        rep = verify_graphs("flat", corpus)
+        assert rep.all_passed
+        assert len(labellings) > 0
+        assert unchecked == checked == []
 
     def test_profile_tops_give_the_structure(self):
         searched = 0
@@ -394,11 +459,17 @@ class TestSharedMatchings:
             if is_l_extendable(g, 2):
                 continue
             searched += 1
-            tops = [
-                m for m in enumerate_perfect_matchings(g) if oracle_every_pair_spans(g, m)
+            profile = ctx.profile
+            profile_tops = [
+                m for m, f in zip(profile.matchings, profile.forcing) if f == ctx.n - 1
             ]
-            found = harness._case_labelling(g, ctx.top_matchings)
-            assert found == harness._case_labelling(g, tops), name
+            oracle_tops = [
+                tuple(v for e in m for v in e)
+                for m in enumerate_perfect_matchings(g)
+                if oracle_every_pair_spans(g, m)
+            ]
+            found = harness._case_labelling(g, profile_tops)
+            assert found == harness._case_labelling(g, oracle_tops), name
         assert searched == 86
 
 

@@ -149,23 +149,30 @@ class TestPairwiseCondition:
             assert ok == (forcing_number(g, m).optimum == n - 1)
 
 
+def _profile_tops(g) -> list:
+    """The forcing profile's flat matchings of forcing number n - 1."""
+    profile = forcing_profile(g)
+    top = g.order // 2 - 1
+    return [m for m, f in zip(profile.matchings, profile.forcing) if f == top]
+
+
 class TestMaxForcingWitness:
-    """The top matchings (f = n - 1) that the harness reads off the
-    forcing profile."""
+    """The top matchings (f = n - 1) that the thm41 block reads off the
+    forcing profile, as flat tuples (u0, v0, u1, v1, ...)."""
 
     def test_k33_any(self, k33):
-        assert _GraphContext(k33).top_matchings
+        assert _profile_tops(k33)
 
     def test_c6_none(self, c6):
-        assert _GraphContext(c6).top_matchings == []
+        assert _profile_tops(c6) == []
 
     def test_hk_defining_matching(self):
         lg = gen_h_k(3, 1)
-        assert _GraphContext(lg.graph).top_matchings[0] == lg.m0
+        assert _profile_tops(lg.graph)[0] == tuple(v for e in lg.m0 for v in e)
 
     def test_no_pm_rejected(self):
         with pytest.raises(NoPerfectMatchingError):
-            _GraphContext(Graph.empty(4)).top_matchings
+            _profile_tops(Graph.empty(4))
 
 
 # sha256 of `_cycle_witnesses` over every perfect matching of every labeled
