@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from matchforce import cli, graphio, harness, to_edge_list, to_graph6
 from matchforce.cli import main
 
 from graphs import cycle_graph, path_graph, star_graph
+from test_reach import FAMILIES
 
 
 def count_calls(monkeypatch, func) -> list:
@@ -259,6 +262,53 @@ class TestAnalyze:
         )
 
 
+def _generator_sweep():
+    """Every `generate` argv the sweep digest covers: the reach families,
+    every ladder H(n, k) for n <= 7, every parallel-pair set for n <= 4,
+    and both non-2-extendable cases under each of their options."""
+    runs = [list(family) for family in FAMILIES]
+    for n in range(1, 8):
+        runs += [["hk", "--n", str(n), "--k", str(k)] for k in range((n + 1) // 2)]
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            chosen = [f"{i}-{j}" for b, (i, j) in enumerate(pairs) if mask >> b & 1]
+            runs.append(["signature", "--n", str(n), "--parallel", ",".join(chosen)])
+    for n in range(4, 7):
+        for opts in (
+            [],
+            ["--u-edges", "0-1,1-2,2-3"],
+            ["--u-edges", "0-2,1-3"],
+            ["--u-edges", "0-1"],
+            ["--triangle", "0,1,2"],
+            ["--triangle", "0,2,3"],
+            ["--parallel-index", "-1"],
+            ["--extra-v", "0-3"],
+        ):
+            runs.append(["non2ext", "--case", "i", "--n", str(n), *opts])
+    for n in range(3, 7):
+        pivot = n - 1
+        for opts in (
+            [],
+            ["--u-edges", "0-1"],
+            ["--triangle", "0,1,2"],
+            ["--parallel-index", "-1"],
+            ["--parallel-index", str(n - 2)],
+            ["--extra-v", f"{n - 2}-{pivot}"],
+            ["--parallel-index", "-1", "--u-edges", "0-1", "--extra-v", f"0-{pivot}"],
+            ["--u-edges", "0-1", "--extra-v", f"1-{pivot}"],
+        ):
+            runs.append(["non2ext", "--case", "ii", "--n", str(n), *opts])
+    return runs
+
+
+# sha256 over every sweep run's argv, exit code and stdout; a change to
+# any generated graph, its m0 line or which options are refused moves it
+GENERATOR_SWEEP_SHA256 = (
+    "ddbd57d9759b3615c8b48fc0c0b7a98b8e0709443ff96b5964eeafec40664f89"
+)
+
+
 class TestGenerate:
     def test_hk_regular(self, capsys):
         code = main(["generate", "hk", "--n", "6", "--k", "2"])
@@ -307,6 +357,14 @@ class TestGenerate:
             if code2 == 2:  # random graphs may lack a perfect matching
                 continue
             assert code2 == 0 and json.loads(out2)["sections"]["classification"]
+
+    def test_generator_sweep_digest(self, capsys):
+        digest = hashlib.sha256()
+        for argv in _generator_sweep():
+            code = main(["generate", *argv])
+            out, _ = capsys.readouterr()
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+        assert digest.hexdigest() == GENERATOR_SWEEP_SHA256
 
     def test_random_deterministic(self, capsys):
         main(["generate", "random", "--order", "8", "--p", "1/2", "--seed", "5"])
