@@ -60,9 +60,7 @@ from .extend import (
     is_l_extendable,
 )
 from .generate import (
-    Connector,
     LabeledGraph,
-    PairSignature,
     enumerate_labeled_graphs,
     gen_complete_multipartite,
     gen_h_k,

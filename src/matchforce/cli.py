@@ -40,7 +40,6 @@ from .graphio import (
 )
 from .generate import (
     LabeledGraph,
-    PairSignature,
     gen_complete_multipartite,
     gen_h_k,
     gen_knn_plus,
@@ -193,8 +192,7 @@ def _cmd_generate(args) -> int:
         labeled = gen_h_k(args.n, args.k)
         g = labeled.graph
     elif args.family == "signature":
-        sig = PairSignature.from_parallel_pairs(args.n, _parse_pairs(args.parallel))
-        labeled = gen_minimal_from_signature(sig)
+        labeled = gen_minimal_from_signature(args.n, _parse_pairs(args.parallel))
         g = labeled.graph
     elif args.family == "non2ext":
         labeled = gen_non_2_extendable(

@@ -3,64 +3,28 @@
 The minimal families are all built from one device: put a perfect matching
 u_i-v_i on 2n vertices and connect every pair of matching edges by exactly
 one connector pair, either "parallel" (u_iu_j and v_iv_j) or "cross"
-(u_iv_j and v_iu_j).  Every pair of matching edges then induces exactly an
+(u_iv_j and v_iu_j).  A signature is the set of parallel pairs; every other
+pair crosses.  Every pair of matching edges then induces exactly an
 alternating 4-cycle, which pins the forcing number of the base matching at
 its maximum and makes the graph edge-minimal for that property.  The
-ladder family with k parallel pairs is the special case with pairs
-(2i-1, 2i) parallel and everything else crossed: the prescribed k edges on
-the u side force those pairs parallel, and edge-minimality forces every
-remaining pair to cross, so the construction is the unique one matching
-its description.
+ladder family H(n, k) is the signature with pairs (2i, 2i+1) parallel for
+i < k: the prescribed k edges on the u side force those pairs parallel,
+and edge-minimality forces every remaining pair to cross, so the
+construction is the unique one matching its description.  The
+non-2-extendable families start from the signature of the pairs joined on
+both sides, then add the one-sided edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import PreconditionError
 from .extend import _fits_case_i, _fits_case_ii
 from .graph import Edge, Graph, PerfectMatching
-
-
-class Connector(Enum):
-    PARALLEL = "parallel"
-    CROSS = "cross"
-
-
-@dataclass(frozen=True, slots=True)
-class PairSignature:
-    """Connector choice for every pair of matching edges, 0-based indices."""
-
-    n: int
-    choice: Mapping[tuple[int, int], Connector]
-
-    def __post_init__(self):
-        want = {(i, j) for i in range(self.n) for j in range(i + 1, self.n)}
-        have = set(self.choice)
-        if have != want:
-            raise PreconditionError(
-                "signature must assign exactly the pairs i < j < n"
-            )
-
-    @classmethod
-    def from_parallel_pairs(
-        cls, n: int, parallel: Iterable[tuple[int, int]]
-    ) -> "PairSignature":
-        if n < 1:
-            raise PreconditionError("signature needs at least one pair")
-        par = {tuple(sorted(p)) for p in parallel}
-        choice = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                choice[(i, j)] = (
-                    Connector.PARALLEL if (i, j) in par else Connector.CROSS
-                )
-        if len(par) != sum(1 for c in choice.values() if c is Connector.PARALLEL):
-            raise PreconditionError("parallel pair out of range or repeated")
-        return cls(n, choice)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +35,40 @@ class LabeledGraph:
     m0: PerfectMatching
     u_side: tuple[int, ...]
     v_side: tuple[int, ...]
+
+
+def _pair_set(n: int, pairs: Iterable[tuple[int, int]], what: str) -> set:
+    """The pairs sorted to (i, j); one outside 0 <= i < j < n, or repeated
+    in either order, raises PreconditionError naming it."""
+    out = set()
+    for p in pairs:
+        q = tuple(sorted(p))
+        if not 0 <= q[0] < q[1] < n:
+            raise PreconditionError(f"{what} {p} out of range for n={n}")
+        if q in out:
+            raise PreconditionError(f"{what} {p} repeated")
+        out.add(q)
+    return out
+
+
+def _signature_edges(n: int, parallel) -> list[tuple[int, int]]:
+    """Matching edges i-(n+i) plus one connector pair per pair i < j:
+    u_iu_j and v_iv_j when (i, j) is in ``parallel``, else u_iv_j and
+    v_iu_j."""
+    pairs = [(i, n + i) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        if (i, j) in parallel:
+            pairs += [(i, j), (n + i, n + j)]
+        else:
+            pairs += [(i, n + j), (j, n + i)]
+    return pairs
+
+
+def _labeled(n: int, pairs) -> LabeledGraph:
+    """The graph on 2n vertices with base matching i-(n+i)."""
+    m0 = PerfectMatching.from_pairs((i, n + i) for i in range(n))
+    g = Graph.from_edges(2 * n, pairs)
+    return LabeledGraph(g, m0, tuple(range(n)), tuple(range(n, 2 * n)))
 
 
 def gen_complete_multipartite(sizes: Sequence[int]) -> Graph:
@@ -110,21 +108,15 @@ def gen_knn_plus(n: int, extra: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph.from_edges(2 * n, pairs)
 
 
-def gen_minimal_from_signature(sig: PairSignature) -> LabeledGraph:
+def gen_minimal_from_signature(
+    n: int, parallel: Iterable[tuple[int, int]] = ()
+) -> LabeledGraph:
     """Edge-minimal graph whose base matching has maximal forcing number:
-    matching edges i-(n+i) plus one connector pair per edge pair."""
-    n = sig.n
-    pairs = [(i, n + i) for i in range(n)]
-    for (i, j), conn in sorted(sig.choice.items()):
-        if conn is Connector.PARALLEL:
-            pairs.append((i, j))
-            pairs.append((n + i, n + j))
-        else:
-            pairs.append((i, n + j))
-            pairs.append((j, n + i))
-    g = Graph.from_edges(2 * n, pairs)
-    m0 = PerfectMatching.from_pairs((i, n + i) for i in range(n))
-    return LabeledGraph(g, m0, tuple(range(n)), tuple(range(n, 2 * n)))
+    matching edges i-(n+i) plus one connector pair per edge pair, parallel
+    on the given pairs (either order) and crossed on the rest."""
+    if n < 1:
+        raise PreconditionError("signature needs at least one pair")
+    return _labeled(n, _signature_edges(n, _pair_set(n, parallel, "parallel pair")))
 
 
 def gen_h_k(n: int, k: int) -> LabeledGraph:
@@ -134,8 +126,7 @@ def gen_h_k(n: int, k: int) -> LabeledGraph:
         raise PreconditionError("need at least one matching edge")
     if not 0 <= k <= (n - 1) // 2:
         raise PreconditionError(f"k={k} out of range for n={n}")
-    parallel = [(2 * i, 2 * i + 1) for i in range(k)]
-    return gen_minimal_from_signature(PairSignature.from_parallel_pairs(n, parallel))
+    return gen_minimal_from_signature(n, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
 def gen_non_2_extendable(
@@ -155,8 +146,9 @@ def gen_non_2_extendable(
     ``parallel_index`` parallel to the final pair and crosses the rest;
     ``u_edges`` and ``extra_v_edges`` (pairs (l, n-1) on the v side) extend
     it.  Missing connector pairs are completed with crosses so the base
-    matching keeps maximal forcing number; options that break the target
-    structure raise PreconditionError.
+    matching keeps maximal forcing number.  Options that break the target
+    structure, or repeat a pair within ``u_edges`` or ``extra_v_edges``,
+    raise PreconditionError.
     """
     if case == "i":
         if n < 4:
@@ -168,71 +160,50 @@ def gen_non_2_extendable(
         tri = tuple(sorted(triangle))
         if len(set(tri)) != 3 or tri[0] < 0 or tri[2] >= n:
             raise PreconditionError("triangle must name three distinct pairs")
-        e_u = {tuple(sorted(p)) for p in u_edges}
-        e_v = {
-            (tri[0], tri[1]),
-            (tri[0], tri[2]),
-            (tri[1], tri[2]),
-        }
+        e_u = _pair_set(n, u_edges, "u-side edge")
+        e_v = set(combinations(tri, 2))
     elif case == "ii":
         if n < 3:
             raise PreconditionError("case ii needs n >= 3")
-        if u_edges is None:
-            u_edges = ()
-        e_u = {tuple(sorted(p)) for p in u_edges}
-        e_v = set()
+        e_u = _pair_set(n, u_edges or (), "u-side edge")
+        e_v = _pair_set(n, extra_v_edges, "extra v-side edge")
+        for q in e_v:
+            if q[1] != n - 1:
+                raise PreconditionError(
+                    f"extra v-side edge {q} must join the pivot pair"
+                )
         if parallel_index is not None:
             if not 0 <= parallel_index <= n - 2:
                 raise PreconditionError("parallel index must point below the pivot")
             e_u.add((parallel_index, n - 1))
             e_v.add((parallel_index, n - 1))
-        for p in extra_v_edges:
-            q = tuple(sorted(p))
-            if q[1] != n - 1 or not 0 <= q[0] < n - 1:
-                raise PreconditionError(
-                    f"extra v-side edge {p} must join the pivot pair"
-                )
-            e_v.add(q)
     else:
         raise PreconditionError(f"unknown case {case!r}; expected 'i' or 'ii'")
 
-    for a, b in e_u | e_v:
-        if not (0 <= a < b < n):
-            raise PreconditionError(f"pair ({a}, {b}) out of range")
-
-    pairs = [(i, n + i) for i in range(n)]
-    pairs += [(a, b) for a, b in sorted(e_u)]
-    pairs += [(n + a, n + b) for a, b in sorted(e_v)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in e_u and (i, j) in e_v:
-                continue
-            pairs.append((i, n + j))
-            pairs.append((j, n + i))
-    g = Graph.from_edges(2 * n, pairs)
+    # a pair joined on both sides is parallel; every other pair crosses
+    pairs = _signature_edges(n, e_u & e_v)
+    pairs += e_u - e_v
+    pairs += [(n + a, n + b) for a, b in e_v - e_u]
+    lg = _labeled(n, pairs)
     u_mask = (1 << n) - 1
     v_mask = u_mask << n
 
     if case == "i":
-        if not _fits_case_i(g, u_mask, v_mask):
+        if not _fits_case_i(lg.graph, u_mask, v_mask):
             raise PreconditionError("options broke the case i structure")
-    elif not _fits_case_ii(g, u_mask, v_mask, n - 1, 2 * n - 1):
+    elif not _fits_case_ii(lg.graph, u_mask, v_mask, n - 1, 2 * n - 1):
         raise PreconditionError("options broke the case ii structure")
-
-    m0 = PerfectMatching.from_pairs((i, n + i) for i in range(n))
-    return LabeledGraph(g, m0, tuple(range(n)), tuple(range(n, 2 * n)))
+    return lg
 
 
-def enumerate_labeled_graphs(order: int, predicate=None) -> Iterator[Graph]:
+def enumerate_labeled_graphs(order: int) -> Iterator[Graph]:
     """Every labeled simple graph on the given order, edge-mask ascending.
 
-    Above order 6 a filter predicate is required, as a guard against
-    accidentally materializing 2^(order choose 2) graphs.
+    Orders above 6 raise PreconditionError, as a guard against
+    materializing 2^(order choose 2) graphs.
     """
-    if order > 6 and predicate is None:
-        raise PreconditionError(
-            "orders above 6 need an explicit filter predicate"
-        )
+    if order > 6:
+        raise PreconditionError("exhaustive enumeration stops at order 6")
     pairs = [(i, j) for i in range(order) for j in range(i + 1, order)]
     for mask in range(1 << len(pairs)):
         rows = [0] * order
@@ -243,9 +214,7 @@ def enumerate_labeled_graphs(order: int, predicate=None) -> Iterator[Graph]:
             i, j = pairs[bit.bit_length() - 1]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        g = Graph(order, tuple(rows))
-        if predicate is None or predicate(g):
-            yield g
+        yield Graph(order, tuple(rows))
 
 
 _MASK64 = (1 << 64) - 1

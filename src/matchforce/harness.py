@@ -29,7 +29,6 @@ from .generate import (
     gen_non_2_extendable,
     gen_random,
     splitmix64,
-    PairSignature,
 )
 from .graph import (
     Graph,
@@ -387,10 +386,9 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
     for n in range(2, min(4, max_order // 2) + 1):
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pair_list)):
-            sig = PairSignature.from_parallel_pairs(
-                n, [p for b, p in enumerate(pair_list) if mask >> b & 1]
-            )
-            out.append((f"sig:{n}:{mask}", gen_minimal_from_signature(sig).graph))
+            parallel = [p for b, p in enumerate(pair_list) if mask >> b & 1]
+            g = gen_minimal_from_signature(n, parallel).graph
+            out.append((f"sig:{n}:{mask}", g))
     if max_order >= 10:
         stream = splitmix64(5)
         pair_list = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -400,10 +398,9 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
             if mask in seen:
                 continue
             seen.add(mask)
-            sig = PairSignature.from_parallel_pairs(
-                5, [p for b, p in enumerate(pair_list) if mask >> b & 1]
-            )
-            out.append((f"sig:5:{mask}", gen_minimal_from_signature(sig).graph))
+            parallel = [p for b, p in enumerate(pair_list) if mask >> b & 1]
+            g = gen_minimal_from_signature(5, parallel).graph
+            out.append((f"sig:5:{mask}", g))
     if max_order >= 8:
         out.append(("non2ext:i:4", gen_non_2_extendable("i", 4).graph))
         out.append(

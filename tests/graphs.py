@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from matchforce import (
     Graph,
-    PairSignature,
     components_masks,
     gen_complete_multipartite,
     gen_minimal_from_signature,
@@ -107,9 +106,7 @@ def top_forcing_strategy():
         n = draw(st.sampled_from((3, 4)))
         pairs = list(combinations(range(n), 2))
         parallel = draw(st.lists(st.sampled_from(pairs), unique=True))
-        g = gen_minimal_from_signature(
-            PairSignature.from_parallel_pairs(n, sorted(parallel))
-        ).graph
+        g = gen_minimal_from_signature(n, parallel).graph
         present = set(g.edges())
         others = [p for p in combinations(range(2 * n), 2) if p not in present]
         extra = draw(st.sets(st.sampled_from(others), max_size=4))

@@ -16,7 +16,6 @@ from matchforce import records
 from matchforce.cli import main
 from matchforce import (
     Graph,
-    PairSignature,
     PerfectMatching,
     enumerate_perfect_matchings,
     forcing_number,
@@ -74,11 +73,7 @@ def top_graphs_with_extra_edges(count=40, n=5, seed=14):
     for _ in range(count):
         bits = next(stream)
         parallel = [p for k, p in enumerate(pairs) if (bits >> k) & 1]
-        rows = list(
-            gen_minimal_from_signature(
-                PairSignature.from_parallel_pairs(n, parallel)
-            ).graph.rows
-        )
+        rows = list(gen_minimal_from_signature(n, parallel).graph.rows)
         for _ in range(1 + next(stream) % 4):
             free = [
                 (u, v)

@@ -358,6 +358,27 @@ class TestGenerate:
                 continue
             assert code2 == 0 and json.loads(out2)["sections"]["classification"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["signature", "--n", "3", "--parallel", "0-1,1-0"], "(1, 0) repeated"),
+            (["signature", "--n", "3", "--parallel", "0-3"], "(0, 3) out of range"),
+            (
+                ["non2ext", "--case", "i", "--n", "4", "--u-edges", "0-1,2-3,3-2"],
+                "(3, 2) repeated",
+            ),
+            (
+                ["non2ext", "--case", "ii", "--n", "4", "--extra-v", "1-3,3-1"],
+                "(3, 1) repeated",
+            ),
+        ],
+    )
+    def test_bad_pair_exit_1(self, capsys, argv, message):
+        code = main(["generate", *argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert message in err
+
     def test_generator_sweep_digest(self, capsys):
         digest = hashlib.sha256()
         for argv in _generator_sweep():

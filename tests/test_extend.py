@@ -341,23 +341,13 @@ class TestNonTwoExtendableStructure:
         # on edge-minimal top-forcing graphs the triangle case never occurs,
         # the pivot pair is met by two distinct v's, and both sides away
         # from the pivot are independent
-        from matchforce import Connector, PairSignature, gen_minimal_from_signature
+        from matchforce import gen_minimal_from_signature
 
         for n in (3, 4):
             pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
             for mask in range(1 << len(pair_list)):
-                sig = PairSignature(
-                    n,
-                    {
-                        p: (
-                            Connector.PARALLEL
-                            if (mask >> b) & 1
-                            else Connector.CROSS
-                        )
-                        for b, p in enumerate(pair_list)
-                    },
-                )
-                g = gen_minimal_from_signature(sig).graph
+                parallel = [p for b, p in enumerate(pair_list) if (mask >> b) & 1]
+                g = gen_minimal_from_signature(n, parallel).graph
                 if is_knn_plus(g) is not None or is_l_extendable(g, 2):
                     continue
                 s = _case_labelling(g, tops(g))

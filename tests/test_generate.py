@@ -1,11 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchforce import (
-    Connector,
     Graph,
-    PairSignature,
     PreconditionError,
     enumerate_labeled_graphs,
     enumerate_perfect_matchings,
@@ -69,34 +69,41 @@ class TestKnnPlus:
 
 class TestSignature:
     def test_all_cross_is_complete_bipartite(self):
-        lg = gen_minimal_from_signature(PairSignature.from_parallel_pairs(3, ()))
+        lg = gen_minimal_from_signature(3)
         assert lg.graph == gen_complete_multipartite([3, 3])
 
     def test_one_parallel_matches_ladder(self):
-        sig = PairSignature.from_parallel_pairs(3, [(0, 1)])
-        assert gen_minimal_from_signature(sig).graph == gen_h_k(3, 1).graph
+        assert gen_minimal_from_signature(3, [(0, 1)]).graph == gen_h_k(3, 1).graph
+
+    def test_pair_order_is_free(self):
+        assert gen_minimal_from_signature(4, [(2, 0), (3, 1)]) == (
+            gen_minimal_from_signature(4, [(0, 2), (1, 3)])
+        )
 
     def test_every_signature_is_minimal_and_regular(self):
         for n in (2, 3, 4):
             pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
             for mask in range(1 << len(pair_list)):
-                sig = PairSignature(
-                    n,
-                    {
-                        p: Connector.PARALLEL if (mask >> b) & 1 else Connector.CROSS
-                        for b, p in enumerate(pair_list)
-                    },
-                )
-                lg = gen_minimal_from_signature(sig)
+                parallel = [p for b, p in enumerate(pair_list) if (mask >> b) & 1]
+                lg = gen_minimal_from_signature(n, parallel)
                 assert oracle_every_pair_spans(lg.graph, lg.m0)
                 assert oracle_every_pair_exact(lg.graph, lg.m0)
                 assert all(lg.graph.degree(v) == n for v in range(2 * n))
                 if n <= 3:
                     assert oracle_is_minimal_max_forcing(lg.graph)
 
-    def test_incomplete_signature_rejected(self):
-        with pytest.raises(PreconditionError):
-            PairSignature(3, {(0, 1): Connector.CROSS})
+    @pytest.mark.parametrize(
+        "n,parallel,message",
+        [
+            (3, [(0, 3)], "(0, 3) out of range"),
+            (3, [(1, 1)], "(1, 1) out of range"),
+            (3, [(0, 1), (1, 0)], "(1, 0) repeated"),
+            (0, [], "at least one pair"),
+        ],
+    )
+    def test_bad_signature_rejected(self, n, parallel, message):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            gen_minimal_from_signature(n, parallel)
 
 
 class TestLadderFamily:
@@ -162,6 +169,14 @@ class TestNonTwoExtendableGenerators:
         with pytest.raises(PreconditionError):
             gen_non_2_extendable("x", 4)
 
+    def test_repeated_u_edge_rejected(self):
+        with pytest.raises(PreconditionError, match=re.escape("(3, 2) repeated")):
+            gen_non_2_extendable("i", 4, u_edges=((0, 1), (2, 3), (3, 2)))
+
+    def test_repeated_extra_v_edge_rejected(self):
+        with pytest.raises(PreconditionError, match=re.escape("(1, 3) repeated")):
+            gen_non_2_extendable("ii", 4, extra_v_edges=((3, 1), (1, 3)))
+
 
 class TestExhaustiveEnumeration:
     @pytest.mark.parametrize("order,count", [(3, 8), (4, 64), (6, 32768)])
@@ -176,14 +191,6 @@ class TestExhaustiveEnumeration:
     def test_guard_above_6(self):
         with pytest.raises(PreconditionError):
             next(enumerate_labeled_graphs(7))
-
-    def test_filter_unlocks_larger_orders(self):
-        from matchforce import Edge
-
-        stream = enumerate_labeled_graphs(7, predicate=lambda g: g.edge_count() >= 1)
-        first = next(stream)
-        assert first.order == 7
-        assert first.edges() == (Edge(0, 1),)
 
 
 class TestRandom:

@@ -294,6 +294,15 @@ _BOUNDARY_READINGS = [
         lambda r: 3,
         None,
     ),
+    # min forcing n // 2 - 1 = 1 on K5,5: at n = 3 that is the min-0 row,
+    # so this is the first n where a block reading F_min > 0 lets it pass
+    (
+        "cor52",
+        lambda: gen_h_k(5, 0).graph,
+        "forcing_profile",
+        lambda r: SimpleNamespace(max_forcing=r.max_forcing, min_forcing=5 // 2 - 1),
+        None,
+    ),
     # on H(3,1) node 0 (f = 1) is a leaf of node 1 (f = 2): one adjacent
     # pair at |f - f'| = 2
     (

@@ -5,8 +5,6 @@ import pytest
 
 from matchforce import (
     AlternatingCycle,
-    Connector,
-    PairSignature,
     PerfectMatching,
     PreconditionError,
     build_switch_graph,
@@ -32,12 +30,9 @@ from oracles import (
 
 
 def _signature_graph(n, mask):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    choice = {
-        p: Connector.PARALLEL if (mask >> b) & 1 else Connector.CROSS
-        for b, p in enumerate(pairs)
-    }
-    return gen_minimal_from_signature(PairSignature(n, choice)).graph
+    pairs = combinations(range(n), 2)
+    parallel = [p for b, p in enumerate(pairs) if (mask >> b) & 1]
+    return gen_minimal_from_signature(n, parallel).graph
 
 
 ORACLE_GRAPHS = (
