@@ -195,16 +195,19 @@ def _cmd_generate(args) -> int:
         labeled = gen_minimal_from_signature(args.n, _parse_pairs(args.parallel))
         g = labeled.graph
     elif args.family == "non2ext":
-        labeled = gen_non_2_extendable(
-            args.case,
-            args.n,
-            u_edges=_parse_pairs(args.u_edges) if args.u_edges else None,
-            triangle=_parse_ints(args.triangle) if args.triangle else None,
-            parallel_index=(
-                None if args.parallel_index < 0 else args.parallel_index
-            ),
-            extra_v_edges=_parse_pairs(args.extra_v),
-        )
+        # only the options given, so that a case can refuse one it does not take
+        readers = {
+            "u_edges": _parse_pairs,
+            "triangle": _parse_ints,
+            "parallel_index": lambda i: None if i < 0 else i,
+            "extra_v_edges": _parse_pairs,
+        }
+        options = {
+            name: read(getattr(args, name))
+            for name, read in readers.items()
+            if getattr(args, name) is not None
+        }
+        labeled = gen_non_2_extendable(args.case, args.n, **options)
         g = labeled.graph
     elif args.family == "random":
         g = gen_random(args.order, args.p, args.seed)
@@ -284,10 +287,10 @@ def build_parser() -> _Parser:
     p = gen_sub.add_parser("non2ext")
     p.add_argument("--case", choices=("i", "ii"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u-edges", dest="u_edges", default="")
-    p.add_argument("--triangle", default="")
-    p.add_argument("--parallel-index", dest="parallel_index", type=int, default=0)
-    p.add_argument("--extra-v", dest="extra_v", default="")
+    p.add_argument("--u-edges", dest="u_edges")
+    p.add_argument("--triangle")
+    p.add_argument("--parallel-index", dest="parallel_index", type=int)
+    p.add_argument("--extra-v", dest="extra_v_edges")
     p = gen_sub.add_parser("random")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--p", default="1/2", help="edge probability, e.g. 1/2 or 0.5")

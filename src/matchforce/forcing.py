@@ -15,7 +15,6 @@ the first forcing set of the optimal size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from ._core.cycles import alternating_cycles
@@ -50,8 +49,7 @@ class SpectrumReport:
 
     ``matchings`` holds the matchings as the kernel's flat tuples
     (u0, v0, u1, v1, ...) in canonical order, and ``forcing`` their forcing
-    numbers in the same order.  ``per_matching`` maps `PerfectMatching`
-    objects to the same numbers; it is built on first use.
+    numbers in the same order.
     """
 
     order: int
@@ -72,10 +70,6 @@ class SpectrumReport:
         object.__setattr__(
             self, "continuous", values == list(range(values[0], values[-1] + 1))
         )
-
-    @cached_property
-    def per_matching(self) -> dict[PerfectMatching, int]:
-        return dict(zip(map(PerfectMatching._unchecked, self.matchings), self.forcing))
 
     @property
     def matching_count(self) -> int:

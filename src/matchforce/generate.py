@@ -129,13 +129,16 @@ def gen_h_k(n: int, k: int) -> LabeledGraph:
     return gen_minimal_from_signature(n, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
+_UNSET = object()
+
+
 def gen_non_2_extendable(
     case: str,
     n: int,
     u_edges: Optional[Sequence[tuple[int, int]]] = None,
     triangle: Optional[Sequence[int]] = None,
-    parallel_index: Optional[int] = 0,
-    extra_v_edges: Sequence[tuple[int, int]] = (),
+    parallel_index: Optional[int] = _UNSET,
+    extra_v_edges: Optional[Sequence[tuple[int, int]]] = None,
 ) -> LabeledGraph:
     """Non-2-extendable graph with maximal forcing number, case "i" or "ii".
 
@@ -143,16 +146,22 @@ def gen_non_2_extendable(
     indices in the options are 0-based.  Case "i" (n >= 4) puts a triangle
     on the last three v's (or on ``triangle``) and the given edges on the u
     side (default two independent edges).  Case "ii" (n >= 3) makes pair
-    ``parallel_index`` parallel to the final pair and crosses the rest;
-    ``u_edges`` and ``extra_v_edges`` (pairs (l, n-1) on the v side) extend
-    it.  Missing connector pairs are completed with crosses so the base
-    matching keeps maximal forcing number.  Options that break the target
-    structure, or repeat a pair within ``u_edges`` or ``extra_v_edges``,
-    raise PreconditionError.
+    ``parallel_index`` (default 0, None for no pair) parallel to the final
+    pair and crosses the rest; ``u_edges`` and ``extra_v_edges`` (pairs
+    (l, n-1) on the v side) extend it.  Missing connector pairs are
+    completed with crosses so the base matching keeps maximal forcing
+    number.  An option the case does not take (``parallel_index`` or
+    ``extra_v_edges`` in case i, ``triangle`` in case ii), options that
+    break the target structure, or a pair repeated within ``u_edges`` or
+    ``extra_v_edges`` raise PreconditionError.
     """
     if case == "i":
         if n < 4:
             raise PreconditionError("case i needs n >= 4")
+        if parallel_index is not _UNSET:
+            raise PreconditionError("case i takes no parallel_index")
+        if extra_v_edges is not None:
+            raise PreconditionError("case i takes no extra_v_edges")
         if u_edges is None:
             u_edges = ((0, 1), (2, 3))
         if triangle is None:
@@ -165,8 +174,12 @@ def gen_non_2_extendable(
     elif case == "ii":
         if n < 3:
             raise PreconditionError("case ii needs n >= 3")
+        if triangle is not None:
+            raise PreconditionError("case ii takes no triangle")
+        if parallel_index is _UNSET:
+            parallel_index = 0
         e_u = _pair_set(n, u_edges or (), "u-side edge")
-        e_v = _pair_set(n, extra_v_edges, "extra v-side edge")
+        e_v = _pair_set(n, extra_v_edges or (), "extra v-side edge")
         for q in e_v:
             if q[1] != n - 1:
                 raise PreconditionError(

@@ -98,10 +98,6 @@ class Graph:
             rows[e.v] |= 1 << e.u
         return cls(order, tuple(rows))
 
-    @classmethod
-    def empty(cls, order: int) -> "Graph":
-        return cls(order, (0,) * order)
-
     @property
     def full_mask(self) -> int:
         return (1 << self.order) - 1
@@ -111,9 +107,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.rows[v])
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -170,9 +163,6 @@ class PerfectMatching:
         object.__setattr__(m, "edges", tuple(map(Edge._make, zip(it, it))))
         return m
 
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -190,9 +180,6 @@ class PerfectMatching:
             mate[e.u] = e.v
             mate[e.v] = e.u
         return tuple(mate)
-
-    def as_pairs(self) -> list[list[int]]:
-        return [[e.u, e.v] for e in self.edges]
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,9 +208,6 @@ class AlternatingCycle:
         if rot[-1] < rot[1]:
             rot = (rot[0],) + tuple(reversed(rot[1:]))
         return cls(rot)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 def check_perfect_matching(g: Graph, m: PerfectMatching) -> None:

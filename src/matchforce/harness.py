@@ -14,7 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -112,7 +112,9 @@ def _block_thm13(ctx: _GraphContext):
     if ctx.n < 1 or is_bipartite(ctx.g) is None:
         return 0, True
     parts = is_complete_multipartite(ctx.g)
-    balanced = parts is not None and sorted(len(p) for p in parts) == [ctx.n, ctx.n]
+    # blocks only see graphs with a perfect matching, and a complete
+    # bipartite graph has one only when its sides are equal
+    balanced = parts is not None and len(parts) == 2
     return 1, (ctx.profile.min_forcing == ctx.n - 1) == balanced
 
 
@@ -275,10 +277,6 @@ def check_graph(g: Graph, theorems: Sequence[str]) -> dict:
     return result
 
 
-def _worker(args):
-    return check_graph(*args)
-
-
 def verify_graphs(
     corpus_id: str,
     graphs: Iterable[Graph],
@@ -309,7 +307,7 @@ def verify_graphs(
         pool = multiprocessing.Pool(processes=workers)
         chunk = max(1, len(graphs) // (workers * 8))
         results = pool.imap(
-            _worker, ((g, theorems) for g in graphs), chunksize=chunk
+            partial(check_graph, theorems=theorems), graphs, chunksize=chunk
         )
     else:
         pool = None

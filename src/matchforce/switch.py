@@ -74,9 +74,6 @@ class SwitchPath:
         if len(self.matchings) != len(self.cycles) + 1:
             raise ValueError("path needs one more matching than cycles")
 
-    def __len__(self) -> int:
-        return len(self.cycles)
-
 
 @dataclass(frozen=True, slots=True)
 class ContinuityReport:

@@ -22,7 +22,7 @@ def path_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return gen_complete_multipartite([1] * n) if n else Graph.empty(0)
+    return gen_complete_multipartite([1] * n) if n else Graph(0, ())
 
 
 def star_graph(leaves: int) -> Graph:

@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from matchforce import Graph, PerfectMatching
+from matchforce.graph import iter_bits
 
 
 @lru_cache(maxsize=64)
@@ -87,7 +88,7 @@ def _components(g: Graph, removed: set) -> list[set]:
         stack = [seed]
         while stack:
             u = stack.pop()
-            for v in g.neighbors(u):
+            for v in iter_bits(g.rows[u]):
                 if v in left and v not in comp:
                     comp.add(v)
                     stack.append(v)
@@ -103,7 +104,7 @@ def _odd_components(g: Graph, removed: set) -> int:
 def oracle_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Every simple cycle once: rooted at its smallest vertex, direction
     fixed by second < last."""
-    adj = [sorted(g.neighbors(v)) for v in range(g.order)]
+    adj = [sorted(iter_bits(g.rows[v])) for v in range(g.order)]
     cycles = []
 
     def extend(path, visited):

@@ -322,7 +322,7 @@ def test_criterion_10_monotonicity_and_additivity():
         whole = forcing_number(g, m).optimum
         if mono < 1000:
             keep = [e for e in g.edges() if e not in set(m.edges) and next(stream) & 1]
-            sub = Graph.from_edges(g.order, [tuple(e) for e in keep] + m.as_pairs())
+            sub = Graph.from_edges(g.order, [tuple(e) for e in keep] + list(m.edges))
             if forcing_number(sub, m).optimum > whole:
                 violations.append(("mono", to_graph6(g)))
             mono += 1

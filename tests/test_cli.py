@@ -305,7 +305,7 @@ def _generator_sweep():
 # sha256 over every sweep run's argv, exit code and stdout; a change to
 # any generated graph, its m0 line or which options are refused moves it
 GENERATOR_SWEEP_SHA256 = (
-    "ddbd57d9759b3615c8b48fc0c0b7a98b8e0709443ff96b5964eeafec40664f89"
+    "fd9b8a8234d651eff59bd2832ffb6f02d39fbcc314b93108b58fbca12f2af558"
 )
 
 
@@ -370,6 +370,18 @@ class TestGenerate:
             (
                 ["non2ext", "--case", "ii", "--n", "4", "--extra-v", "1-3,3-1"],
                 "(3, 1) repeated",
+            ),
+            (
+                ["non2ext", "--case", "i", "--n", "4", "--parallel-index", "0"],
+                "case i takes no parallel_index",
+            ),
+            (
+                ["non2ext", "--case", "i", "--n", "4", "--extra-v", "0-3"],
+                "case i takes no extra_v_edges",
+            ),
+            (
+                ["non2ext", "--case", "ii", "--n", "3", "--triangle", "0,1,2"],
+                "case ii takes no triangle",
             ),
         ],
     )

@@ -68,7 +68,7 @@ class TestForcingNumber:
         assert cert.optimum == 1 == oracle_forcing_number(c6, c6_matching)
 
     def test_empty_graph(self):
-        cert = forcing_number(Graph.empty(0), PerfectMatching(()))
+        cert = forcing_number(Graph(0, ()), PerfectMatching(()))
         assert cert.optimum == 0
 
     def test_certificate_witness_forces(self, c6, c6_matching):
@@ -129,14 +129,16 @@ class TestForcingProfile:
         if not has_perfect_matching(g):
             return
         profile = forcing_profile(g)
-        assert list(profile.per_matching) == list(enumerate_perfect_matchings(g))
-        for m, value in profile.per_matching.items():
+        pms = enumerate_perfect_matchings(g)
+        assert profile.matchings == tuple(
+            tuple(v for e in m.edges for v in e) for m in pms
+        )
+        for m, value in zip(pms, profile.forcing):
             assert value == forcing_number(g, m).optimum
 
     def test_canonical_order(self, c6):
         report = forcing_profile(c6)
-        keys = list(report.per_matching)
-        assert keys == sorted(keys, key=lambda m: m.edges)
+        assert list(report.matchings) == sorted(report.matchings)
 
 
 class TestPaperInvariants:
@@ -167,7 +169,7 @@ class TestPaperInvariants:
             keep = m.cover_mask
             pairs = [tuple(e) for e in g.edges() if e not in set(m.edges)]
             sub_pairs = [p for i, p in enumerate(pairs) if (seed >> (i % 5)) & 1]
-            sub = Graph.from_edges(g.order, sub_pairs + m.as_pairs())
+            sub = Graph.from_edges(g.order, sub_pairs + list(m.edges))
             assert (
                 forcing_number(sub, m).optimum <= forcing_number(g, m).optimum
             )

@@ -132,7 +132,7 @@ class TestLadderFamily:
 
     def test_m0_carried(self):
         lg = gen_h_k(4, 1)
-        assert lg.m0.as_pairs() == [[0, 4], [1, 5], [2, 6], [3, 7]]
+        assert lg.m0.edges == ((0, 4), (1, 5), (2, 6), (3, 7))
         assert lg.m0 in enumerate_perfect_matchings(lg.graph)
 
 
@@ -168,6 +168,13 @@ class TestNonTwoExtendableGenerators:
             gen_non_2_extendable("ii", 3, parallel_index=None)  # no required pair
         with pytest.raises(PreconditionError):
             gen_non_2_extendable("x", 4)
+        # an option of the other case, even at its default value
+        with pytest.raises(PreconditionError, match="case i takes no parallel_index"):
+            gen_non_2_extendable("i", 4, parallel_index=0)
+        with pytest.raises(PreconditionError, match="case i takes no extra_v_edges"):
+            gen_non_2_extendable("i", 4, extra_v_edges=())
+        with pytest.raises(PreconditionError, match="case ii takes no triangle"):
+            gen_non_2_extendable("ii", 4, triangle=(0, 1, 2))
 
     def test_repeated_u_edge_rejected(self):
         with pytest.raises(PreconditionError, match=re.escape("(3, 2) repeated")):
@@ -185,7 +192,7 @@ class TestExhaustiveEnumeration:
 
     def test_edge_mask_ascending(self):
         got = list(enumerate_labeled_graphs(3))
-        assert got[0] == Graph.empty(3)
+        assert got[0] == Graph(3, (0, 0, 0))
         assert got[-1] == complete_graph(3)
 
     def test_guard_above_6(self):
@@ -195,7 +202,7 @@ class TestExhaustiveEnumeration:
 
 class TestRandom:
     def test_extremes(self):
-        assert gen_random(6, 0, 1) == Graph.empty(6)
+        assert gen_random(6, 0, 1) == Graph(6, (0,) * 6)
         assert gen_random(6, 1, 1) == complete_graph(6)
 
     def test_determinism(self):

@@ -36,7 +36,7 @@ class TestGraph6:
         assert to_graph6(g) == "E?~o"
 
     def test_empty_and_k1(self):
-        assert to_graph6(Graph.empty(0)) == "?"
+        assert to_graph6(Graph(0, ())) == "?"
         assert parse_graph6("?").order == 0
         assert parse_graph6("@").order == 1
 

@@ -1,5 +1,7 @@
 import json
+from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from matchforce import (
     THEOREM_IDS,
+    Edge,
     Graph,
     builtin_corpus,
     classify_min_forcing,
@@ -209,10 +212,19 @@ class TestVerify:
     def test_order_zero_is_not_checked(self):
         # n - 1 = -1 is no forcing number: the blocks that read it, like
         # the top-gated ones, check no graph on 0 vertices
-        rep = verify_graphs("empty-graph", [Graph.empty(0)])
+        rep = verify_graphs("empty-graph", [Graph(0, ())])
         assert (rep.graphs_total, rep.graphs_with_pm) == (1, 1)
         assert rep.all_passed
         assert [b.theorem for b in rep.blocks if b.checked] == ["lemma56"]
+
+    def test_counterexamples_stop_at_the_cap_in_corpus_order(self, monkeypatch):
+        monkeypatch.setattr(harness, "verify_switch_bound", lambda sg: (False, None))
+        with_pm = (g for g in builtin_corpus("exhaustive-4") if has_perfect_matching(g))
+        corpus = list(islice(with_pm, 33))
+        assert len(corpus) == 33 == harness._MAX_COUNTEREXAMPLES + 1
+        (result,) = verify_graphs("capped", corpus, theorems=["lemma56"]).blocks
+        assert (result.checked, result.passed) == (33, 0)
+        assert result.counterexamples == tuple(map(to_graph6, corpus[:32]))
 
     def test_counterexamples_capped_schema(self):
         rep = verify_graphs("tiny", [cycle_graph(6)])
@@ -312,7 +324,58 @@ _BOUNDARY_READINGS = [
         _node_zero_one_lower,
         None,
     ),
+    # min forcing n - 2 with max forcing n - 1 on K3,3, which a block that
+    # reads the max forcing number lets pass
+    (
+        "thm13",
+        _k33,
+        "forcing_profile",
+        lambda r: SimpleNamespace(max_forcing=2, min_forcing=1),
+        None,
+    ),
+    # a node with every pair switched and f = n - 2: "f = n - 1 => every
+    # pair switches" alone lets it pass
+    ("lemma22", _k33, "build_switch_graph", _node_zero_one_lower, None),
+    # a fixed double bond on a graph that passes every other clause
+    ("lemma23", _k33, "has_fixed_double_bond", lambda r: Edge(0, 3), None),
+    # predicted where f = 1 < n - 1: "f = n - 1 => predicted" alone lets
+    # it pass
+    (
+        "thm33",
+        lambda: cycle_graph(6),
+        "classify_min_forcing",
+        lambda r: SimpleNamespace(predicted_min_forcing_is_max=True),
+        None,
+    ),
+    # min forcing n // 2 - 1 = 1 at even n = 4, where a block reading
+    # (n - 1) // 2 lets it pass
+    (
+        "cor52",
+        lambda: gen_h_k(4, 0).graph,
+        "forcing_profile",
+        lambda r: SimpleNamespace(max_forcing=r.max_forcing, min_forcing=4 // 2 - 1),
+        None,
+    ),
+    # a continuous spectrum whose top is not reached from every matching
+    (
+        "thm57",
+        _k33,
+        "verify_spectrum_continuity",
+        lambda r: SimpleNamespace(spectrum_continuous=True, reach_max=False),
+        None,
+    ),
 ]
+
+
+def _reading_ids():
+    """A failing row by its block, a boundary row as "<block>-boundary",
+    and a block's second boundary row as "<block>-boundary2"."""
+    ids = [row[0] for row in _FAILING_READINGS]
+    seen = Counter()
+    for block, *_ in _BOUNDARY_READINGS:
+        seen[block] += 1
+        ids.append(f"{block}-boundary" + (str(seen[block]) if seen[block] > 1 else ""))
+    return ids
 
 
 class TestBlocksCanFail:
@@ -326,8 +389,7 @@ class TestBlocksCanFail:
     @pytest.mark.parametrize(
         "block, make_target, name, fail, of_target",
         _FAILING_READINGS + _BOUNDARY_READINGS,
-        ids=[row[0] for row in _FAILING_READINGS]
-        + [f"{row[0]}-boundary" for row in _BOUNDARY_READINGS],
+        ids=_reading_ids(),
     )
     def test_failed_reading_is_a_counterexample(
         self, monkeypatch, block, make_target, name, fail, of_target
@@ -473,7 +535,7 @@ class TestSharedMatchings:
                 m for m, f in zip(profile.matchings, profile.forcing) if f == ctx.n - 1
             ]
             oracle_tops = [
-                tuple(v for e in m for v in e)
+                tuple(v for e in m.edges for v in e)
                 for m in enumerate_perfect_matchings(g)
                 if oracle_every_pair_spans(g, m)
             ]

@@ -9,6 +9,7 @@ from matchforce import (
     PreconditionError,
     build_switch_graph,
     enumerate_perfect_matchings,
+    forcing_number,
     forcing_profile,
     gen_complete_multipartite,
     gen_h_k,
@@ -152,7 +153,7 @@ class TestSwitchGraph:
     def test_annotations_match_profile(self, k33):
         profile = forcing_profile(k33)
         sg = build_switch_graph(k33, profile=profile)
-        assert sg.forcing == tuple(profile.per_matching[m] for m in sg.nodes)
+        assert sg.forcing == tuple(forcing_number(k33, m).optimum for m in sg.nodes)
 
 
 class TestSwitchPath:
@@ -162,11 +163,11 @@ class TestSwitchPath:
             for b in sg.nodes:
                 path = switch_path(sg, a, b)
                 assert path is not None
-                assert len(path) <= 3
+                assert len(path.cycles) <= 3
                 # replay the path one 4-cycle flip at a time
                 cur = a
                 for cyc in path.cycles:
-                    assert len(cyc) == 4
+                    assert len(cyc.vertices) == 4
                     cur = oracle_flip(k33, cur, cyc.vertices)
                 assert cur == b
 
@@ -177,7 +178,7 @@ class TestSwitchPath:
     def test_identical_endpoints(self, k33):
         sg = build_switch_graph(k33)
         path = switch_path(sg, sg.nodes[0], sg.nodes[0])
-        assert len(path) == 0
+        assert path.cycles == ()
         assert path.matchings == (sg.nodes[0],)
 
     def test_foreign_matching_rejected(self, k33, c6_matching):
