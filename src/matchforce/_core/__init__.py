@@ -1,27 +1,115 @@
 """Matching kernels.
 
-The hot kernels (matching counts, matching enumeration, forcing-set scans
-and the forcing numbers of a graph's matchings) live in :mod:`.pure`.
-Time them with
+The kernels (matching counts, matching enumeration, forcing-set scans, the
+forcing numbers of a graph's matchings and the switch-graph pass) live in
+:mod:`.pure`.  Two of them have a twin in ``native.c``, over the same flat
+data: ``Kernel.forcing_numbers`` and ``switch_pass``.  On first import
+this module compiles that file with the running interpreter's C compiler
+(sysconfig's ``CC``) and header directory into ``build/``, under a name
+that carries a CRC-32 of the source and the interpreter's extension suffix,
+and later imports load that file.  A graph of order above 64 takes the
+pure code, and so does every graph when the build or the load fails; the
+pure code is also the reference the tests hold the native code to.
+``kernel_backend()`` names the path a graph of order <= 64 takes.  Time
+them with
 ``python3 perfbench/run.py --workload all --seed N --seconds 30 --trace 0|1``.
 """
 
+import binascii
+import functools
+import importlib.machinery
+import importlib.util
+import os
+from pathlib import Path
+
 from . import cycles, pure
+
+MAX_NATIVE_ORDER = 64
+_SOURCE = Path(__file__).resolve().with_name("native.c")
+_BUILD = _SOURCE.with_name("build")
+
+
+def _build(path: Path) -> bool:
+    """Compile native.c to ``path``; False when the compiler fails.  The
+    output goes to a temporary name first, so no partial file is left at
+    ``path`` and concurrent builds do not clash."""
+    import shlex
+    import subprocess
+    import sysconfig
+
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    path.parent.mkdir(exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        done = subprocess.run(
+            [*compiler, "-shared", "-fPIC", "-O2", "-I", include,
+             "-o", str(tmp), str(_SOURCE)],
+            capture_output=True,
+        )
+        if done.returncode != 0:
+            return False
+        os.replace(tmp, path)
+        return True
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@functools.cache
+def _native():
+    """The compiled native.c, built first when no build of this source
+    exists, or None when it cannot be built or loaded."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    try:
+        path = _BUILD / f"native-{binascii.crc32(_SOURCE.read_bytes()):08x}{suffix}"
+        if not path.exists() and not _build(path):
+            return None
+        spec = importlib.util.spec_from_file_location(f"{__name__}.native", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError):  # no source, compiler or write access
+        return None
+    return module
+
+
+class NativeKernel(pure.Kernel):
+    """`pure.Kernel` whose forcing numbers come from native.c."""
+
+    __slots__ = ()
+
+    def forcing_numbers(self, full_mask: int, matchings) -> list:
+        return _native().forcing_numbers(self.rows, full_mask, matchings)
 
 
 def kernel_backend() -> str:
     """Name of the kernel implementation, recorded in benchmark results."""
-    return "pure"
+    return "pure" if _native() is None else "compiled"
 
 
 def make_kernel(rows):
     """Kernel instance for the given adjacency rows."""
+    if len(rows) <= MAX_NATIVE_ORDER and _native() is not None:
+        return NativeKernel(rows)
     return pure.Kernel(rows)
 
 
+def switch_pass(rows, matchings) -> tuple:
+    """Sorted adjacency and switched-pair counts of the switch graph on
+    ``matchings``, perfect matchings of the graph with adjacency ``rows``
+    (see `pure.switch_pass`)."""
+    if len(rows) <= MAX_NATIVE_ORDER and _native() is not None:
+        return _native().switch_pass(matchings)
+    return pure.switch_pass(rows, matchings)
+
+
+_native()  # build now, so that no command pays for it mid-run
+
+
 __all__ = [
+    "NativeKernel",
     "cycles",
     "kernel_backend",
     "make_kernel",
     "pure",
+    "switch_pass",
 ]

@@ -1,0 +1,780 @@
+/* Native twins of two pure-Python stages, for graphs of order <= 64.
+
+   forcing_numbers(rows, full_mask, matchings) runs the two-ended search of
+   pure.Kernel.forcing_numbers, with its own count2 memo, and
+   switch_pass(matchings) the loop of pure.switch_pass; their docstrings
+   say what is computed.  A vertex set is one 64-bit mask; a set of the
+   given matchings is a bitset of `words` 64-bit words.  The package
+   builds this file on first import (see __init__.py).  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef uint64_t u64;
+
+#define MAX_ORDER 64
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+static int
+ctz(u64 x)
+{
+    return __builtin_ctzll(x);
+}
+
+/* ---------------------------------------------------------------------
+   input: adjacency rows and flat matchings */
+
+static int
+parse_rows(PyObject *obj, u64 *rows, int *order)
+{
+    PyObject *seq = PySequence_Fast(obj, "rows must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (n > MAX_ORDER) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_ValueError, "order above 64");
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        rows[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (rows[i] == (u64)-1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
+        }
+    }
+    Py_DECREF(seq);
+    *order = (int)n;
+    return 0;
+}
+
+/* Matchings as edge codes u * 64 + v, u < v, each matching's codes in
+   ascending order; `*edges` per matching, the same for all of them.
+   Returns a malloc'd array of count * edges codes, or NULL with an
+   exception set.  `*count` is 0 for no matchings (and the result is a
+   non-NULL empty array). */
+static uint16_t *
+parse_matchings(PyObject *obj, int order, Py_ssize_t *count, int *edges)
+{
+    PyObject *seq = PySequence_Fast(obj, "matchings must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t nm = PySequence_Fast_GET_SIZE(seq);
+    Py_ssize_t width = -1;
+    uint16_t *codes = NULL;
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        PyObject *flat = PySequence_Fast(PySequence_Fast_GET_ITEM(seq, i),
+                                         "a matching must be a sequence");
+        if (flat == NULL)
+            goto fail;
+        Py_ssize_t len = PySequence_Fast_GET_SIZE(flat);
+        if (width < 0) {
+            if (len & 1 || len > order) {
+                Py_DECREF(flat);
+                PyErr_SetString(PyExc_ValueError, "matching length");
+                goto fail;
+            }
+            width = len / 2;
+            codes = PyMem_Malloc((size_t)(nm * width + 1) * sizeof *codes);
+            if (codes == NULL) {
+                Py_DECREF(flat);
+                PyErr_NoMemory();
+                goto fail;
+            }
+        }
+        else if (len != 2 * width) {
+            Py_DECREF(flat);
+            PyErr_SetString(PyExc_ValueError, "matchings differ in length");
+            goto fail;
+        }
+        uint16_t *own = codes + i * width;
+        for (Py_ssize_t e = 0; e < width; e++) {
+            long u = PyLong_AsLong(PySequence_Fast_GET_ITEM(flat, 2 * e));
+            long v = u == -1 && PyErr_Occurred()
+                         ? -1 : PyLong_AsLong(PySequence_Fast_GET_ITEM(flat, 2 * e + 1));
+            if (v == -1 && PyErr_Occurred()) {
+                Py_DECREF(flat);
+                goto fail;
+            }
+            if (u < 0 || v < 0 || u >= order || v >= order || u == v) {
+                Py_DECREF(flat);
+                PyErr_SetString(PyExc_ValueError, "vertex out of range");
+                goto fail;
+            }
+            uint16_t code = u < v ? (uint16_t)(u * 64 + v) : (uint16_t)(v * 64 + u);
+            Py_ssize_t p = e;  /* insertion sort: matchings are short */
+            while (p > 0 && own[p - 1] > code) {
+                own[p] = own[p - 1];
+                p--;
+            }
+            own[p] = code;
+        }
+        Py_DECREF(flat);
+    }
+    Py_DECREF(seq);
+    if (codes == NULL)
+        codes = PyMem_Malloc(1);
+    if (codes == NULL)
+        return (uint16_t *)PyErr_NoMemory();
+    *count = nm;
+    *edges = width < 0 ? 0 : (int)width;
+    return codes;
+fail:
+    PyMem_Free(codes);
+    Py_DECREF(seq);
+    return NULL;
+}
+
+static u64
+code_mask(uint16_t code)
+{
+    return (1ULL << (code >> 6)) | (1ULL << (code & 63));
+}
+
+/* ---------------------------------------------------------------------
+   perfect matchings of an induced subgraph, capped at 2, memoized */
+
+typedef struct {
+    const u64 *rows;
+    u64 *keys;        /* 0 marks a free slot: the empty set is never stored */
+    uint8_t *counts;
+    size_t cap;       /* a power of two, at least twice `used` */
+    size_t used;
+    int shift;        /* 64 - log2(cap) */
+} Memo;
+
+static size_t
+memo_slot(const Memo *m, u64 key)
+{
+    size_t s = (size_t)((key * GOLDEN) >> m->shift);
+    while (m->keys[s] != 0 && m->keys[s] != key)
+        s = (s + 1) & (m->cap - 1);
+    return s;
+}
+
+static int
+memo_init(Memo *m, const u64 *rows)
+{
+    m->rows = rows;
+    m->cap = 1024;
+    m->shift = 64 - 10;
+    m->used = 0;
+    m->keys = PyMem_Calloc(m->cap, sizeof *m->keys);
+    m->counts = PyMem_Malloc(m->cap);
+    return m->keys != NULL && m->counts != NULL ? 0 : -1;
+}
+
+static void
+memo_free(Memo *m)
+{
+    PyMem_Free(m->keys);
+    PyMem_Free(m->counts);
+}
+
+static int
+memo_grow(Memo *m)
+{
+    Memo big = *m;
+    big.cap = m->cap * 2;
+    big.shift = m->shift - 1;
+    big.keys = PyMem_Calloc(big.cap, sizeof *big.keys);
+    big.counts = PyMem_Malloc(big.cap);
+    if (big.keys == NULL || big.counts == NULL) {
+        memo_free(&big);
+        return -1;
+    }
+    for (size_t i = 0; i < m->cap; i++) {
+        if (m->keys[i] != 0) {
+            size_t s = memo_slot(&big, m->keys[i]);
+            big.keys[s] = m->keys[i];
+            big.counts[s] = m->counts[i];
+        }
+    }
+    memo_free(m);
+    *m = big;
+    return 0;
+}
+
+/* -1 when out of memory */
+static int
+count2(Memo *m, u64 mask)
+{
+    if (mask == 0)
+        return 1;
+    size_t s = memo_slot(m, mask);
+    if (m->keys[s] == mask)
+        return m->counts[s];
+    u64 rest = mask & (mask - 1);
+    u64 mates = m->rows[ctz(mask)] & rest;
+    int total = 0;
+    while (mates) {
+        u64 v = mates & -mates;
+        mates ^= v;
+        int sub = count2(m, rest ^ v);
+        if (sub < 0)
+            return -1;
+        total += sub;
+        if (total >= 2) {
+            total = 2;
+            break;
+        }
+    }
+    if (2 * (m->used + 1) > m->cap && memo_grow(m) < 0)
+        return -1;
+    s = memo_slot(m, mask);
+    m->keys[s] = mask;
+    m->counts[s] = (uint8_t)total;
+    m->used++;
+    return total;
+}
+
+/* ---------------------------------------------------------------------
+   forcing numbers */
+
+/* A frontier: `count` entries of `width` ascending edge indices each.
+   `cap` counts indices, so a spent frontier's storage serves any width. */
+typedef struct {
+    uint16_t *idx;
+    size_t count, cap;
+    int width;
+} Level;
+
+static int
+level_push(Level *l, const uint16_t *entry, uint16_t last)
+{
+    size_t w = (size_t)l->width;
+    if ((l->count + 1) * w > l->cap) {
+        size_t cap = 2 * l->cap > 64 * w ? 2 * l->cap : 64 * w;
+        uint16_t *idx = PyMem_Realloc(l->idx, cap * sizeof *idx);
+        if (idx == NULL)
+            return -1;
+        l->idx = idx;
+        l->cap = cap;
+    }
+    uint16_t *dst = l->idx + l->count * w;
+    if (w > 1)
+        memcpy(dst, entry, (w - 1) * sizeof *dst);
+    dst[w - 1] = last;
+    l->count++;
+    return 0;
+}
+
+static u64
+candidates(const Level *l, int edges)
+{
+    if (l->width == 0)
+        return (u64)l->count * (u64)edges;
+    u64 total = 0;
+    for (size_t e = 0; e < l->count; e++)
+        total += (u64)(edges - 1 - l->idx[(e + 1) * l->width - 1]);
+    return total;
+}
+
+static void
+assign(long *out, const u64 *bits, size_t words, long value)
+{
+    for (size_t w = 0; w < words; w++)
+        for (u64 b = bits[w]; b; b &= b - 1)
+            out[w * 64 + ctz(b)] = value;
+}
+
+static int
+any(const u64 *bits, size_t words)
+{
+    for (size_t w = 0; w < words; w++)
+        if (bits[w])
+            return 1;
+    return 0;
+}
+
+/* The search state shared by both ends. */
+typedef struct {
+    Memo memo;
+    u64 full;
+    int edges;            /* distinct edges over all the matchings */
+    u64 *masks;           /* their vertex masks, ascending */
+    u64 *holders;         /* edges x words: which matchings hold each edge */
+    size_t words;
+    u64 *unresolved;      /* matchings without a number yet */
+    u64 *held;            /* scratch: the holders of one entry */
+    u64 *both;            /* scratch: the holders of one extension */
+} Search;
+
+/* The vertex mask of an entry, and in s->held its unresolved holders;
+   returns whether it has any. */
+static int
+entry_holders(Search *s, const uint16_t *entry, int width, u64 *union_)
+{
+    u64 u = 0;
+    memcpy(s->held, s->unresolved, s->words * sizeof *s->held);
+    for (int i = 0; i < width; i++) {
+        const u64 *h = s->holders + entry[i] * s->words;
+        u |= s->masks[entry[i]];
+        for (size_t w = 0; w < s->words; w++)
+            s->held[w] &= h[w];
+    }
+    *union_ = u;
+    return any(s->held, s->words);
+}
+
+/* s->both = s->held & the holders of edge j & s->unresolved; returns
+   whether it has any. */
+static int
+extension_holders(Search *s, int j)
+{
+    const u64 *h = s->holders + (size_t)j * s->words;
+    u64 seen = 0;
+    for (size_t w = 0; w < s->words; w++) {
+        s->both[w] = s->held[w] & h[w] & s->unresolved[w];
+        seen |= s->both[w];
+    }
+    return seen != 0;
+}
+
+/* Removed sets one edge larger: a set that forces resolves its
+   unresolved holders, and the rest are the next frontier.  -1 when out
+   of memory. */
+static int
+scan_step(Search *s, const Level *scanned, Level *next)
+{
+    int width = scanned->width;
+    for (size_t e = 0; e < scanned->count; e++) {
+        const uint16_t *entry = width ? scanned->idx + e * width : NULL;
+        u64 union_;
+        if (!entry_holders(s, entry, width, &union_))
+            continue;
+        for (int j = width ? entry[width - 1] + 1 : 0; j < s->edges; j++) {
+            if (s->masks[j] & union_ || !extension_holders(s, j))
+                continue;
+            int c = count2(&s->memo, s->full ^ union_ ^ s->masks[j]);
+            if (c < 0)
+                return -1;
+            if (c <= 1) {
+                for (size_t w = 0; w < s->words; w++)
+                    s->unresolved[w] &= ~s->both[w];
+            }
+            else if (level_push(next, entry, (uint16_t)j) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* Uniquely matchable kept sets one edge larger, as the next frontier, and
+   in kept_by the unresolved matchings that hold one.  -1 when out of
+   memory. */
+static int
+grow_step(Search *s, const Level *grown, Level *next, u64 *kept_by)
+{
+    int width = grown->width;
+    memset(kept_by, 0, s->words * sizeof *kept_by);
+    for (size_t e = 0; e < grown->count; e++) {
+        const uint16_t *entry = grown->idx + e * width;
+        u64 union_;
+        if (!entry_holders(s, entry, width, &union_))
+            continue;
+        for (int j = entry[width - 1] + 1; j < s->edges; j++) {
+            if (s->masks[j] & union_ || !extension_holders(s, j))
+                continue;
+            int c = count2(&s->memo, union_ | s->masks[j]);
+            if (c < 0)
+                return -1;
+            if (c == 1) {
+                if (level_push(next, entry, (uint16_t)j) < 0)
+                    return -1;
+                for (size_t w = 0; w < s->words; w++)
+                    kept_by[w] |= s->both[w];
+            }
+        }
+    }
+    return 0;
+}
+
+static int
+cmp_u64(const void *a, const void *b)
+{
+    u64 x = *(const u64 *)a, y = *(const u64 *)b;
+    return (x > y) - (x < y);
+}
+
+/* The search of pure.Kernel.forcing_numbers over nm matchings of k edges
+   each; -1 when out of memory. */
+static int
+search(Search *s, const uint16_t *codes, Py_ssize_t nm, int k, long *out)
+{
+    int16_t index_of[64 * 64];
+    int result = -1;
+    Level scanned = {0}, grown = {0}, next = {0};
+    u64 *scratch = NULL;
+
+    int c = count2(&s->memo, s->full);
+    if (c < 0)
+        return -1;
+    if (c <= 1)
+        return 0;  /* out is all zeros */
+
+    /* the distinct matching edges, by ascending vertex mask */
+    u64 *masks = PyMem_Malloc(64 * 32 * sizeof *masks);
+    if (masks == NULL)
+        return -1;
+    s->masks = masks;
+    s->edges = 0;
+    memset(index_of, 0xff, sizeof index_of);
+    for (Py_ssize_t i = 0; i < nm * k; i++) {
+        if (index_of[codes[i]] < 0) {
+            index_of[codes[i]] = 0;
+            masks[s->edges++] = code_mask(codes[i]);
+        }
+    }
+    qsort(masks, (size_t)s->edges, sizeof *masks, cmp_u64);
+    for (int j = 0; j < s->edges; j++) {
+        u64 m = masks[j];
+        int u = ctz(m), v = 63 - __builtin_clzll(m);
+        index_of[u * 64 + v] = (int16_t)j;
+    }
+
+    s->words = ((size_t)nm + 63) / 64;
+    s->holders = PyMem_Calloc((size_t)s->edges * s->words, sizeof(u64));
+    scratch = PyMem_Calloc(5 * s->words, sizeof(u64));
+    if (s->holders == NULL || scratch == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < nm; i++)
+        for (int e = 0; e < k; e++)
+            s->holders[index_of[codes[i * k + e]] * s->words + i / 64] |=
+                1ULL << (i % 64);
+    s->unresolved = scratch;
+    s->held = scratch + s->words;
+    s->both = scratch + 2 * s->words;
+    u64 *before = scratch + 3 * s->words;
+    u64 *kept_by = scratch + 4 * s->words;
+    for (Py_ssize_t i = 0; i < nm; i++)
+        s->unresolved[i / 64] |= 1ULL << (i % 64);
+
+    /* an unresolved matching is forced by no removed set of size <= sz
+       and holds a uniquely matchable kept set of size t */
+    scanned.width = 0;
+    scanned.count = 1;  /* the empty set; width 0 entries hold no indices */
+    grown.width = 1;
+    for (int j = 0; j < s->edges; j++) {
+        uint16_t idx = (uint16_t)j;
+        if (level_push(&grown, &idx, idx) < 0)
+            goto done;
+    }
+    int sz = 0, t = 1;
+    while (any(s->unresolved, s->words) && sz + 1 < k - t) {
+        Level *from = candidates(&scanned, s->edges) < candidates(&grown, s->edges)
+                          ? &scanned : &grown;
+        next.count = 0;
+        next.width = from->width + 1;
+        if (from == &scanned) {
+            memcpy(before, s->unresolved, s->words * sizeof *before);
+            if (scan_step(s, &scanned, &next) < 0)
+                goto done;
+            sz++;
+            for (size_t w = 0; w < s->words; w++)
+                before[w] &= ~s->unresolved[w];
+            assign(out, before, s->words, sz);
+        }
+        else {
+            if (grow_step(s, &grown, &next, kept_by) < 0)
+                goto done;
+            for (size_t w = 0; w < s->words; w++) {
+                before[w] = s->unresolved[w] & ~kept_by[w];
+                s->unresolved[w] &= kept_by[w];
+            }
+            assign(out, before, s->words, k - t);
+            t++;
+        }
+        Level spent = *from;  /* recycle the old frontier's storage */
+        *from = next;
+        next = spent;
+    }
+    assign(out, s->unresolved, s->words, sz + 1);
+    result = 0;
+done:
+    PyMem_Free(scanned.idx);
+    PyMem_Free(grown.idx);
+    PyMem_Free(next.idx);
+    PyMem_Free(s->holders);
+    PyMem_Free(scratch);
+    PyMem_Free(masks);
+    return result;
+}
+
+static PyObject *
+forcing_numbers(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj, *full_obj, *matchings_obj;
+    if (!PyArg_ParseTuple(args, "OOO", &rows_obj, &full_obj, &matchings_obj))
+        return NULL;
+    u64 rows[MAX_ORDER];
+    int order;
+    if (parse_rows(rows_obj, rows, &order) < 0)
+        return NULL;
+    u64 full = PyLong_AsUnsignedLongLong(full_obj);
+    if (full == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    if (order < 64 && full >> order) {
+        PyErr_SetString(PyExc_ValueError, "full_mask has a vertex past the rows");
+        return NULL;
+    }
+    Py_ssize_t nm;
+    int k;
+    uint16_t *codes = parse_matchings(matchings_obj, order, &nm, &k);
+    if (codes == NULL)
+        return NULL;
+    PyObject *result = NULL;
+    long *out = PyMem_Calloc((size_t)nm + 1, sizeof *out);
+    Search s = {0};
+    s.full = full;
+    if (out == NULL || memo_init(&s.memo, rows) < 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (nm > 0 && search(&s, codes, nm, k, out) < 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    result = PyList_New(nm);
+    if (result == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        PyObject *f = PyLong_FromLong(out[i]);
+        if (f == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, i, f);
+    }
+done:
+    memo_free(&s.memo);
+    PyMem_Free(out);
+    PyMem_Free(codes);
+    return result;
+}
+
+/* ---------------------------------------------------------------------
+   switch pass */
+
+/* A matching minus two of its edges, its "rest": the first matching seen
+   with it and which two of its edges are out, and the second matching. */
+typedef struct {
+    u64 hash;
+    int32_t first, second;  /* -1: none yet */
+    uint8_t a, b;
+} Rest;
+
+static u64
+edge_hash(uint16_t code)
+{
+    u64 z = (u64)code * GOLDEN + GOLDEN;  /* splitmix64 */
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* Whether matching i without its edges a, b and matching j without c, d
+   hold the same edges; both lists ascend, so they are walked together. */
+static int
+same_rest(const uint16_t *codes, int k, int32_t i, int a, int b,
+          int32_t j, int c, int d)
+{
+    const uint16_t *x = codes + (size_t)i * k, *y = codes + (size_t)j * k;
+    int p = 0, q = 0;
+    for (;;) {
+        while (p == a || p == b)
+            p++;
+        while (q == c || q == d)
+            q++;
+        if (p >= k || q >= k)
+            return p >= k && q >= k;
+        if (x[p++] != y[q++])
+            return 0;
+    }
+}
+
+static int
+cmp_i32(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+static PyObject *
+switch_pass(PyObject *self, PyObject *args)
+{
+    PyObject *matchings_obj;
+    if (!PyArg_ParseTuple(args, "O", &matchings_obj))
+        return NULL;
+    Py_ssize_t nm;
+    int k;
+    uint16_t *codes = parse_matchings(matchings_obj, MAX_ORDER, &nm, &k);
+    if (codes == NULL)
+        return NULL;
+    if (nm > INT32_MAX / 2) {
+        PyMem_Free(codes);
+        PyErr_SetString(PyExc_ValueError, "too many matchings");
+        return NULL;
+    }
+
+    PyObject *result = NULL, *adjacency = NULL, *switched_obj = NULL;
+    PyObject **ints = NULL;
+    Rest *table = NULL;
+    int32_t *pairs = NULL, *start = NULL, *fill = NULL, *nbrs = NULL;
+    long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
+    u64 *hashes = PyMem_Malloc((size_t)k * sizeof *hashes + 1);
+    size_t rests = (size_t)nm * (size_t)(k * (k - 1) / 2);
+    size_t cap = 16;
+    while (cap < 2 * rests)
+        cap *= 2;
+    int shift = 64 - __builtin_ctzll(cap);
+    table = PyMem_Malloc(cap * sizeof *table);
+    /* every switch edge is found once, from its later node */
+    size_t npairs = 0, pairs_cap = 1024;
+    pairs = PyMem_Malloc(pairs_cap * 2 * sizeof *pairs);
+    if (switched == NULL || hashes == NULL || table == NULL || pairs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (size_t s = 0; s < cap; s++)
+        table[s].first = -1;
+
+    for (int32_t i = 0; i < nm; i++) {
+        const uint16_t *own = codes + (size_t)i * k;
+        u64 key = 0;
+        for (int e = 0; e < k; e++) {
+            hashes[e] = edge_hash(own[e]);
+            key ^= hashes[e];
+        }
+        for (int a = 0; a < k; a++) {
+            for (int b = a + 1; b < k; b++) {
+                u64 h = key ^ hashes[a] ^ hashes[b];
+                size_t s = (size_t)((h * GOLDEN) >> shift);
+                /* a hash hit counts only when the two rests are equal */
+                while (table[s].first >= 0
+                       && !(table[s].hash == h
+                            && same_rest(codes, k, table[s].first, table[s].a,
+                                         table[s].b, i, a, b)))
+                    s = (s + 1) & (cap - 1);
+                Rest *r = &table[s];
+                if (r->first < 0) {
+                    r->hash = h;
+                    r->first = i;
+                    r->second = -1;
+                    r->a = (uint8_t)a;
+                    r->b = (uint8_t)b;
+                    continue;
+                }
+                /* i joins the first matching with this rest, and the
+                   second when there is one; at most three share a rest,
+                   the perfect matchings of the four vertices it leaves */
+                int32_t joined[2] = {r->first, r->second};
+                int links = r->second < 0 ? 1 : 2;
+                switched[i]++;
+                if (r->second < 0) {
+                    switched[r->first]++;
+                    r->second = i;
+                }
+                if (npairs + 2 > pairs_cap) {
+                    int32_t *more = PyMem_Realloc(pairs, pairs_cap * 4 * sizeof *pairs);
+                    if (more == NULL) {
+                        PyErr_NoMemory();
+                        goto done;
+                    }
+                    pairs = more;
+                    pairs_cap *= 2;
+                }
+                for (int l = 0; l < links; l++) {
+                    pairs[2 * npairs] = i;
+                    pairs[2 * npairs + 1] = joined[l];
+                    npairs++;
+                }
+            }
+        }
+    }
+    PyMem_Free(table);
+    table = NULL;
+
+    /* adjacency lists from the pairs, each sorted */
+    start = PyMem_Calloc((size_t)nm + 1, sizeof *start);
+    fill = PyMem_Calloc((size_t)nm + 1, sizeof *fill);
+    nbrs = PyMem_Malloc(2 * npairs * sizeof *nbrs + 1);
+    ints = PyMem_Calloc((size_t)nm + 1, sizeof *ints);
+    if (start == NULL || fill == NULL || nbrs == NULL || ints == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (size_t p = 0; p < 2 * npairs; p++)
+        start[pairs[p] + 1]++;
+    for (Py_ssize_t i = 0; i < nm; i++)
+        start[i + 1] += start[i];
+    for (size_t p = 0; p < npairs; p++) {
+        int32_t u = pairs[2 * p], v = pairs[2 * p + 1];
+        nbrs[start[u] + fill[u]++] = v;
+        nbrs[start[v] + fill[v]++] = u;
+    }
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        qsort(nbrs + start[i], (size_t)(start[i + 1] - start[i]), sizeof *nbrs, cmp_i32);
+        if ((ints[i] = PyLong_FromSsize_t(i)) == NULL)
+            goto done;
+    }
+
+    adjacency = PyTuple_New(nm);
+    switched_obj = PyTuple_New(nm);
+    if (adjacency == NULL || switched_obj == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        PyObject *row = PyTuple_New(start[i + 1] - start[i]);
+        PyObject *count = PyLong_FromLong(switched[i]);
+        if (row == NULL || count == NULL) {
+            Py_XDECREF(row);
+            Py_XDECREF(count);
+            goto done;
+        }
+        for (int32_t p = start[i]; p < start[i + 1]; p++) {
+            Py_INCREF(ints[nbrs[p]]);
+            PyTuple_SET_ITEM(row, p - start[i], ints[nbrs[p]]);
+        }
+        PyTuple_SET_ITEM(adjacency, i, row);
+        PyTuple_SET_ITEM(switched_obj, i, count);
+    }
+    result = PyTuple_Pack(2, adjacency, switched_obj);
+done:
+    Py_XDECREF(adjacency);
+    Py_XDECREF(switched_obj);
+    if (ints != NULL)
+        for (Py_ssize_t i = 0; i < nm; i++)
+            Py_XDECREF(ints[i]);
+    PyMem_Free(ints);
+    PyMem_Free(nbrs);
+    PyMem_Free(fill);
+    PyMem_Free(start);
+    PyMem_Free(pairs);
+    PyMem_Free(table);
+    PyMem_Free(hashes);
+    PyMem_Free(switched);
+    PyMem_Free(codes);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"forcing_numbers", forcing_numbers, METH_VARARGS,
+     "forcing_numbers(rows, full_mask, matchings) -> list of forcing numbers"},
+    {"switch_pass", switch_pass, METH_VARARGS,
+     "switch_pass(matchings) -> (sorted adjacency, switched-pair counts)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "native", NULL, -1, methods,
+};
+
+PyMODINIT_FUNC
+PyInit_native(void)
+{
+    return PyModule_Create(&module);
+}

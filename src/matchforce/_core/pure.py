@@ -6,7 +6,8 @@ of perfect matchings (capped at 2) per vertex subset, which is the inner
 primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
 matching.  ``forcing_numbers`` answers every perfect matching of the graph
-in one search over the partial matchings they share.
+in one search over the partial matchings they share.  ``switch_pass``
+builds the adjacency of the switch graph on a graph's perfect matchings.
 """
 
 from __future__ import annotations
@@ -214,3 +215,50 @@ def _assign(out: list, bits: int, value: int) -> None:
     while i >= 0:
         out[i] = value
         i = text.find("1", i + 1)
+
+
+def switch_pass(rows, matchings) -> tuple:
+    """Sorted adjacency and switched-pair counts of the switch graph whose
+    nodes are ``matchings``, perfect matchings of the graph with adjacency
+    ``rows`` as flat tuples (u0, v0, u1, v1, ...), u0 < u1 < ..., ui < vi.
+
+    A node's key has one bit per matching edge (u, v), u < v, bit r for the
+    edge of rank r in the graph.  Two matchings are adjacent iff they share
+    all but two edges, that is iff clearing two edges' bits from each key
+    leaves the same rest.  The rest covers all but four vertices, so at
+    most three matchings share it (the perfect matchings of those four),
+    pairwise adjacent: each node is joined to the first and the second
+    earlier node with each of its rests.  A rest that a second matching
+    shares is a switched pair of both, and of a third as it comes.
+    """
+    bit = [[0] * len(rows) for _ in rows]
+    r = 1
+    for u, row in enumerate(rows):
+        later = row >> u + 1 << u + 1
+        while later:
+            v_bit = later & -later
+            later ^= v_bit
+            bit[u][v_bit.bit_length() - 1] = r
+            r <<= 1
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    adjacency = [[] for _ in matchings]
+    switched = [0] * len(adjacency)
+    for i, flat in enumerate(matchings):
+        it = iter(flat)
+        bits = [bit[u][v] for u, v in zip(it, it)]
+        key = sum(bits)
+        for x, y in combinations(bits, 2):
+            rest = key ^ x ^ y
+            j = first.setdefault(rest, i)
+            if j != i:
+                switched[i] += 1
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+                k = second.setdefault(rest, i)
+                if k == i:
+                    switched[j] += 1
+                else:
+                    adjacency[i].append(k)
+                    adjacency[k].append(i)
+    return tuple(map(tuple, map(sorted, adjacency))), tuple(switched)

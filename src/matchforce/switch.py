@@ -14,12 +14,13 @@ objects are made only for a path or a reported violation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional
 
+from . import _core
 from .errors import PreconditionError
 from .forcing import SpectrumReport, forcing_profile
 from .graph import (
@@ -27,7 +28,6 @@ from .graph import (
     Edge,
     Graph,
     PerfectMatching,
-    iter_bits,
 )
 
 
@@ -97,50 +97,13 @@ def build_switch_graph(
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given.  A profile holds every perfect matching, since
     `forcing_profile` raises `MatchingOverflowError` past its cap.
-    A node's key has one bit per matching edge (u, v), u < v, bit r for the
-    edge of rank r in ``g``.  Two matchings are adjacent iff they share all
-    but two edges, that is iff clearing two edges' bits from each key
-    leaves the same rest.  The rest covers all but four vertices, so at
-    most three matchings share it (the perfect matchings of those four),
-    pairwise adjacent: each node is joined to the first and the second
-    earlier node with each of its rests.  A rest that a second matching
-    shares is a switched pair of both, and of a third as it comes.
+    The pass that finds the adjacency and switched pairs is
+    `_core.switch_pass`.
     """
     if profile is None:
         profile = forcing_profile(g)
-    bit = [[0] * g.order for _ in g.rows]
-    r = 1
-    for u, row in enumerate(g.rows):
-        for v in iter_bits(row >> u + 1 << u + 1):
-            bit[u][v] = r
-            r <<= 1
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    adjacency = [[] for _ in profile.matchings]
-    switched = [0] * len(adjacency)
-    for i, flat in enumerate(profile.matchings):
-        it = iter(flat)
-        bits = [bit[u][v] for u, v in zip(it, it)]
-        key = sum(bits)
-        for x, y in combinations(bits, 2):
-            rest = key ^ x ^ y
-            j = first.setdefault(rest, i)
-            if j != i:
-                switched[i] += 1
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-                k = second.setdefault(rest, i)
-                if k == i:
-                    switched[j] += 1
-                else:
-                    adjacency[i].append(k)
-                    adjacency[k].append(i)
-    return SwitchGraph(
-        profile.matchings,
-        profile.forcing,
-        tuple(map(tuple, map(sorted, adjacency))),
-        tuple(switched),
-    )
+    adjacency, switched = _core.switch_pass(g.rows, profile.matchings)
+    return SwitchGraph(profile.matchings, profile.forcing, adjacency, switched)
 
 
 def switch_path(
@@ -188,12 +151,13 @@ def verify_switch_bound(
 ) -> tuple[bool, Optional[tuple[PerfectMatching, PerfectMatching]]]:
     """Check that adjacent matchings have forcing numbers within 1.
 
-    The first violation, in ``sg.edges()`` order, is reported as its two
-    matchings; adjacency is symmetric, so the first one met has i < j."""
+    Each switch edge is read once, from its lower end i, over the sorted
+    neighbours j > i, so the first violation, in ``sg.edges()`` order, is
+    reported as its two matchings with i < j."""
     f = sg.forcing
     for i, nbrs in enumerate(sg.adjacency):
         fi = f[i]
-        for j in nbrs:
+        for j in nbrs[bisect_right(nbrs, i):]:
             if abs(fi - f[j]) > 1:
                 pair = sg.matchings[i], sg.matchings[j]
                 return False, tuple(map(PerfectMatching._unchecked, pair))

@@ -1,6 +1,9 @@
 """The matching kernel against the brute-force oracles."""
 
 import random
+import shlex
+import shutil
+import sysconfig
 from itertools import chain, combinations, product
 from math import comb
 
@@ -12,8 +15,9 @@ from matchforce import (
     Graph,
     PerfectMatching,
     gen_random,
+    kernel_backend,
 )
-from matchforce._core import make_kernel, pure
+from matchforce._core import NativeKernel, make_kernel, pure
 from matchforce.errors import MatchingOverflowError
 
 from graphs import induced_subgraph
@@ -76,8 +80,19 @@ def test_forcing_scan_matches_oracle(seed, size):
     assert kern.forcing_scan(g.full_mask, edge_masks, size) == expected
 
 
+# the pure reference and the kernel the package makes, which is the
+# native one wherever the native build works; each forcing-number test
+# holds both to the same answers
+KERNELS = (pure.Kernel, make_kernel)
+
+
 def _forcing_numbers(g: Graph, matchings) -> list[int]:
-    return pure.Kernel(g.rows).forcing_numbers(g.full_mask, matchings)
+    """The forcing numbers that every kernel gives ``matchings``."""
+    reference, made = (
+        kernel(g.rows).forcing_numbers(g.full_mask, matchings) for kernel in KERNELS
+    )
+    assert made == reference
+    return reference
 
 
 def test_forcing_optimum_matches_oracle():
@@ -112,8 +127,8 @@ def test_forcing_numbers_of_any_subset(seed, p):
 
 
 def test_forcing_optimum_empty_matching():
-    assert pure.Kernel(()).forcing_numbers(0, [()]) == [0]
-    assert pure.Kernel(()).forcing_numbers(0, []) == []
+    assert _forcing_numbers(Graph(0, ()), [()]) == [0]
+    assert _forcing_numbers(Graph(0, ()), []) == []
 
 
 def test_forcing_optimum_unique_matching_is_zero():
@@ -130,19 +145,24 @@ def test_forcing_optimum_path_with_chord_stays_small():
     kern = pure.Kernel(g.rows)
     flats = kern.enumerate_pms(g.full_mask, 10**6)
     assert len(flats) == 2
-    assert kern.forcing_numbers(g.full_mask, flats) == [1, 1]
+    assert _forcing_numbers(g, flats) == [1, 1]
     for flat in flats:
         assert kern.forcing_numbers(g.full_mask, [flat]) == [1]
+        assert _forcing_numbers(g, [flat]) == [1]
     assert len(kern._count_cache) < 10_000
 
 
+def _compiler_on_path() -> bool:
+    return shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0]) is not None
+
+
 def test_make_kernel_is_pure():
+    # a pure.Kernel, and its native subclass exactly when the build works
     kern = make_kernel((0b10, 0b01))
     assert isinstance(kern, pure.Kernel)
+    assert isinstance(kern, NativeKernel) == _compiler_on_path()
     assert kern.count2(0b11) == 1
 
 
 def test_backend_reported():
-    from matchforce import kernel_backend
-
-    assert kernel_backend() == "pure"
+    assert kernel_backend() == ("compiled" if _compiler_on_path() else "pure")

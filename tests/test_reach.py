@@ -6,7 +6,10 @@ code object it enters: the README's Python example, every `generate`
 family piped to `analyze`, `analyze --csv`, `verify` on families-10 and on
 a graph6 file of those families (with one worker and with two), a usage
 error and a graph6 parse error.  The hook sees only this process, so the
-two-worker run reaches the pool path, not the workers.
+two-worker run reaches the pool path, not the workers.  The commands run
+twice: as the package loads, on its native stages wherever they build,
+and then with `_core` forced to the pure path by a failing build, which
+is what a machine without a C compiler runs.
 
 The rule covers every module-level function and every method, property,
 classmethod, staticmethod and cached_property of a class whose code lives
@@ -26,6 +29,7 @@ from functools import cached_property
 from pathlib import Path
 
 import matchforce
+from matchforce import kernel_backend
 from matchforce.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -116,19 +120,32 @@ def _defined_under_src() -> dict:
     return names
 
 
-def test_every_function_and_method_is_reached(tmp_path):
+def _entered(tmp_path) -> set:
+    """Code objects that the commands enter."""
     entered = set()
 
     def hook(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
 
+    tmp_path.mkdir()
     saved = sys.getprofile()
     sys.setprofile(hook)
     try:
         _every_command(tmp_path)
     finally:
         sys.setprofile(saved)
+    return entered
+
+
+def test_every_function_and_method_is_reached(request, tmp_path):
+    expected = set(UNREACHED_BY_DESIGN)
+    if kernel_backend() == "pure":  # no C compiler: no native stage can run
+        expected.add("matchforce._core.NativeKernel.forcing_numbers")
+    entered = _entered(tmp_path / "loaded")
+    request.getfixturevalue("pure_core")  # from here on, the pure path
+    entered |= _entered(tmp_path / "pure")
+    assert kernel_backend() == "pure"
     defined = _defined_under_src()
     unreached = {name for code, name in defined.items() if code not in entered}
-    assert unreached == UNREACHED_BY_DESIGN
+    assert unreached == expected

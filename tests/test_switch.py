@@ -194,6 +194,19 @@ class TestBoundAndContinuity:
     def test_k4_bound(self, k4):
         assert verify_switch_bound(build_switch_graph(k4))[0]
 
+    @pytest.mark.parametrize(
+        "forcing, first",
+        [((0, 1, 3), (0, 2)), ((3, 1, 0), (0, 1)), ((1, 3, 1), (0, 1)), ((1, 1, 3), (0, 2))],
+    )
+    def test_first_planted_violation(self, k4, forcing, first):
+        # K4's three matchings are pairwise adjacent; the violation reported
+        # is the first in sg.edges() order, lower end first
+        sg = replace(build_switch_graph(k4), forcing=forcing)
+        violations = [(i, j) for i, j in sg.edges() if abs(forcing[i] - forcing[j]) > 1]
+        assert violations[0] == first
+        i, j = first
+        assert verify_switch_bound(sg) == (False, (sg.nodes[i], sg.nodes[j]))
+
     def test_bound_everywhere_small(self):
         for seed in range(40):
             g = gen_random(8, "1/2", seed)
