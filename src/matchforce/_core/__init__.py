@@ -1,21 +1,23 @@
 """Matching kernels.
 
-The kernels (matching counts, matching enumeration, forcing-set scans, the
-forcing numbers of a graph's matchings and the switch-graph pass) live in
-:mod:`.pure`.  Two of them have a twin in ``native.c``, over the same flat
-data: ``Kernel.forcing_numbers`` and ``switch_pass``.  On first import
-this module compiles that file with the running interpreter's C compiler
-(sysconfig's ``CC``) and header directory into ``build/``, under a name
-that carries a CRC-32 of the source and the interpreter's extension suffix,
-and later imports load that file.  A graph of order above 64 takes the
-pure code, and so does every graph when the build or the load fails; the
-pure code is also the reference the tests hold the native code to.
-``kernel_backend()`` names the path a graph of order <= 64 takes.  Time
-them with
+Each graph gets one kernel object from `make_kernel`, which is the only
+place that picks native or pure code.  `pure.Kernel` holds the matching
+counts and the whole-graph methods ``enumerate_pms``, ``forcing_numbers``
+and ``switch_pass``; `NativeKernel` takes the last two from ``native.c``,
+over the same flat data.  On first import this module compiles that file
+with the running interpreter's C compiler (sysconfig's ``CC``) and header
+directory into ``build/``, under a name that carries a CRC-32 of the
+source and the interpreter's extension suffix, and later imports load
+that file; a new build removes those of older sources.  A graph of order
+above 64 gets a `pure.Kernel`, and so does every graph when the build or
+the load fails; the pure code is also the reference the tests hold the
+native code to.  ``kernel_backend()`` names the path a graph of order
+<= 64 takes.  Time them with
 ``python3 perfbench/run.py --workload all --seed N --seconds 30 --trace 0|1``.
 """
 
 import binascii
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -62,23 +64,33 @@ def _native():
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     try:
         path = _BUILD / f"native-{binascii.crc32(_SOURCE.read_bytes()):08x}{suffix}"
-        if not path.exists() and not _build(path):
+        built = not path.exists()
+        if built and not _build(path):
             return None
         spec = importlib.util.spec_from_file_location(f"{__name__}.native", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     except (OSError, ImportError):  # no source, compiler or write access
         return None
+    if built:  # nothing loads a build of an older source again
+        for stale in _BUILD.glob(f"native-????????{suffix}"):
+            if stale != path:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     return module
 
 
 class NativeKernel(pure.Kernel):
-    """`pure.Kernel` whose forcing numbers come from native.c."""
+    """`pure.Kernel` whose forcing numbers and switch pass come from
+    native.c."""
 
     __slots__ = ()
 
-    def forcing_numbers(self, full_mask: int, matchings) -> list:
-        return _native().forcing_numbers(self.rows, full_mask, matchings)
+    def forcing_numbers(self, matchings) -> list:
+        return _native().forcing_numbers(self.rows, matchings)
+
+    def switch_pass(self, matchings) -> tuple:
+        return _native().switch_pass(matchings)
 
 
 def kernel_backend() -> str:
@@ -87,19 +99,11 @@ def kernel_backend() -> str:
 
 
 def make_kernel(rows):
-    """Kernel instance for the given adjacency rows."""
+    """Kernel for the graph with the given adjacency rows: native where
+    the order allows and the build works, pure otherwise."""
     if len(rows) <= MAX_NATIVE_ORDER and _native() is not None:
         return NativeKernel(rows)
     return pure.Kernel(rows)
-
-
-def switch_pass(rows, matchings) -> tuple:
-    """Sorted adjacency and switched-pair counts of the switch graph on
-    ``matchings``, perfect matchings of the graph with adjacency ``rows``
-    (see `pure.switch_pass`)."""
-    if len(rows) <= MAX_NATIVE_ORDER and _native() is not None:
-        return _native().switch_pass(matchings)
-    return pure.switch_pass(rows, matchings)
 
 
 _native()  # build now, so that no command pays for it mid-run
@@ -111,5 +115,4 @@ __all__ = [
     "kernel_backend",
     "make_kernel",
     "pure",
-    "switch_pass",
 ]

@@ -1,11 +1,13 @@
-/* Native twins of two pure-Python stages, for graphs of order <= 64.
+/* Native twins of two whole-graph methods of the pure-Python kernel
+   object, for graphs of order <= 64.
 
-   forcing_numbers(rows, full_mask, matchings) runs the two-ended search of
+   forcing_numbers(rows, matchings) runs the two-ended search of
    pure.Kernel.forcing_numbers, with its own count2 memo, and
-   switch_pass(matchings) the loop of pure.switch_pass; their docstrings
-   say what is computed.  A vertex set is one 64-bit mask; a set of the
-   given matchings is a bitset of `words` 64-bit words.  The package
-   builds this file on first import (see __init__.py).  */
+   switch_pass(matchings) the loop of pure.Kernel.switch_pass; their
+   docstrings say what is computed.  A vertex set is one 64-bit mask; a set
+   of the given matchings is a bitset of `words` 64-bit words.  The package
+   builds this file on first import and serves it through NativeKernel
+   (see __init__.py).  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -508,20 +510,13 @@ done:
 static PyObject *
 forcing_numbers(PyObject *self, PyObject *args)
 {
-    PyObject *rows_obj, *full_obj, *matchings_obj;
-    if (!PyArg_ParseTuple(args, "OOO", &rows_obj, &full_obj, &matchings_obj))
+    PyObject *rows_obj, *matchings_obj;
+    if (!PyArg_ParseTuple(args, "OO", &rows_obj, &matchings_obj))
         return NULL;
     u64 rows[MAX_ORDER];
     int order;
     if (parse_rows(rows_obj, rows, &order) < 0)
         return NULL;
-    u64 full = PyLong_AsUnsignedLongLong(full_obj);
-    if (full == (u64)-1 && PyErr_Occurred())
-        return NULL;
-    if (order < 64 && full >> order) {
-        PyErr_SetString(PyExc_ValueError, "full_mask has a vertex past the rows");
-        return NULL;
-    }
     Py_ssize_t nm;
     int k;
     uint16_t *codes = parse_matchings(matchings_obj, order, &nm, &k);
@@ -530,7 +525,7 @@ forcing_numbers(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     long *out = PyMem_Calloc((size_t)nm + 1, sizeof *out);
     Search s = {0};
-    s.full = full;
+    s.full = order == 64 ? ~0ULL : (1ULL << order) - 1;
     if (out == NULL || memo_init(&s.memo, rows) < 0) {
         PyErr_NoMemory();
         goto done;
@@ -763,7 +758,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"forcing_numbers", forcing_numbers, METH_VARARGS,
-     "forcing_numbers(rows, full_mask, matchings) -> list of forcing numbers"},
+     "forcing_numbers(rows, matchings) -> list of forcing numbers"},
     {"switch_pass", switch_pass, METH_VARARGS,
      "switch_pass(matchings) -> (sorted adjacency, switched-pair counts)"},
     {NULL, NULL, 0, NULL},

@@ -5,9 +5,10 @@ masks (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).  It memoizes the number
 of perfect matchings (capped at 2) per vertex subset, which is the inner
 primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
-matching.  ``forcing_numbers`` answers every perfect matching of the graph
-in one search over the partial matchings they share.  ``switch_pass``
-builds the adjacency of the switch graph on a graph's perfect matchings.
+matching.  The whole-graph methods take no mask: ``enumerate_pms`` lists
+the graph's perfect matchings, ``forcing_numbers`` answers any of them in
+one search over the partial matchings they share, and ``switch_pass``
+builds the adjacency of the switch graph on them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from ..errors import MatchingOverflowError
 
 
 class Kernel:
-    """Per-graph matching-count, forcing-scan and forcing-number primitives."""
+    """Per-graph matching counts, matchings, forcing numbers and switch pass."""
 
     __slots__ = ("rows", "order", "_count_cache")
 
@@ -52,15 +53,15 @@ class Kernel:
         cache[mask] = total
         return total
 
-    def enumerate_pms(self, mask: int, cap: int) -> list:
-        """All perfect matchings of the induced subgraph, lexicographically.
+    def enumerate_pms(self, cap: int) -> list:
+        """All perfect matchings of the graph, lexicographically.
 
         Each matching is a flat tuple (u0, v0, u1, v1, ...) with u0 < u1 < ...
         and ui < vi, which is exactly the canonical edge order.  The lowest
         uncovered vertex is always matched next, neighbours in ascending
         order, so output order is lexicographic on that tuple.
         """
-        if mask.bit_count() & 1:
+        if self.order & 1:
             return []
         out: list = []
         rows = self.rows
@@ -87,36 +88,18 @@ class Kernel:
                 stack.pop()
                 stack.pop()
 
-        rec(mask)
+        rec((1 << self.order) - 1)
         return out
 
-    def forcing_scan(self, full_mask: int, edge_masks, size: int):
-        """First forcing subset of ``size`` matching edges, by index order.
-
-        ``edge_masks[i]`` is the two-vertex mask of matching edge ``i``, so
-        the masks are distinct and pairwise disjoint.  Candidate subsets are
-        scanned in lexicographic order of their sorted index tuples.  Returns
-        ``(indices | None, tested)`` where ``tested`` counts the candidate
-        sets whose forcing check ran.
-        """
-        if size > len(edge_masks):
-            return None, 0
-        count2 = self._count2
-        tested = 0
-        for tested, subset in enumerate(combinations(edge_masks, size), 1):
-            if count2(full_mask ^ sum(subset)) <= 1:
-                return tuple(edge_masks.index(m) for m in subset), tested
-        return None, tested
-
-    def forcing_numbers(self, full_mask: int, matchings) -> list:
-        """Forcing number of each given perfect matching of ``full_mask``.
+    def forcing_numbers(self, matchings) -> list:
+        """Forcing number of each given perfect matching of the graph.
 
         ``matchings`` are flat tuples (u0, v0, u1, v1, ...); any subset of
         the perfect matchings may be given, and each gets the same number
         as when given alone.  With k edges per matching, f(M) = k - |K| for
         the largest K in M whose vertices induce a uniquely matchable
         subgraph, and a removed set S in M forces every matching that holds
-        it iff ``count2(full_mask ^ V(S)) <= 1``.  Uniquely matchable kept
+        it iff ``count2(V(G) ^ V(S)) <= 1``.  Uniquely matchable kept
         sets are closed downward and forcing removed sets upward, so the
         search works from both ends over partial matchings shared by all
         the given ones: it grows uniquely matchable kept sets one level at
@@ -132,6 +115,7 @@ class Kernel:
         growth on a tie.
         """
         out = [0] * len(matchings)
+        full_mask = (1 << self.order) - 1
         if not matchings or self._count2(full_mask) <= 1:
             return out
         holders_of: dict = {}
@@ -207,6 +191,54 @@ class Kernel:
         _assign(out, unresolved, s + 1)
         return out
 
+    def switch_pass(self, matchings) -> tuple:
+        """Sorted adjacency and switched-pair counts of the switch graph
+        whose nodes are ``matchings``, perfect matchings of the graph as
+        flat tuples (u0, v0, u1, v1, ...), u0 < u1 < ..., ui < vi.
+
+        A node's key has one bit per matching edge (u, v), u < v, bit r for
+        the edge of rank r in the graph.  Two matchings are adjacent iff
+        they share all but two edges, that is iff clearing two edges' bits
+        from each key leaves the same rest.  The rest covers all but four
+        vertices, so at most three matchings share it (the perfect matchings
+        of those four), pairwise adjacent: each node is joined to the first
+        and the second earlier node with each of its rests.  A rest that a
+        second matching shares is a switched pair of both, and of a third as
+        it comes.
+        """
+        rows = self.rows
+        bit = [[0] * len(rows) for _ in rows]
+        r = 1
+        for u, row in enumerate(rows):
+            later = row >> u + 1 << u + 1
+            while later:
+                v_bit = later & -later
+                later ^= v_bit
+                bit[u][v_bit.bit_length() - 1] = r
+                r <<= 1
+        first: dict[int, int] = {}
+        second: dict[int, int] = {}
+        adjacency = [[] for _ in matchings]
+        switched = [0] * len(adjacency)
+        for i, flat in enumerate(matchings):
+            it = iter(flat)
+            bits = [bit[u][v] for u, v in zip(it, it)]
+            key = sum(bits)
+            for x, y in combinations(bits, 2):
+                rest = key ^ x ^ y
+                j = first.setdefault(rest, i)
+                if j != i:
+                    switched[i] += 1
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
+                    k = second.setdefault(rest, i)
+                    if k == i:
+                        switched[j] += 1
+                    else:
+                        adjacency[i].append(k)
+                        adjacency[k].append(i)
+        return tuple(map(tuple, map(sorted, adjacency))), tuple(switched)
+
 
 def _assign(out: list, bits: int, value: int) -> None:
     """Set ``out[i] = value`` for every set bit i of ``bits``."""
@@ -215,50 +247,3 @@ def _assign(out: list, bits: int, value: int) -> None:
     while i >= 0:
         out[i] = value
         i = text.find("1", i + 1)
-
-
-def switch_pass(rows, matchings) -> tuple:
-    """Sorted adjacency and switched-pair counts of the switch graph whose
-    nodes are ``matchings``, perfect matchings of the graph with adjacency
-    ``rows`` as flat tuples (u0, v0, u1, v1, ...), u0 < u1 < ..., ui < vi.
-
-    A node's key has one bit per matching edge (u, v), u < v, bit r for the
-    edge of rank r in the graph.  Two matchings are adjacent iff they share
-    all but two edges, that is iff clearing two edges' bits from each key
-    leaves the same rest.  The rest covers all but four vertices, so at
-    most three matchings share it (the perfect matchings of those four),
-    pairwise adjacent: each node is joined to the first and the second
-    earlier node with each of its rests.  A rest that a second matching
-    shares is a switched pair of both, and of a third as it comes.
-    """
-    bit = [[0] * len(rows) for _ in rows]
-    r = 1
-    for u, row in enumerate(rows):
-        later = row >> u + 1 << u + 1
-        while later:
-            v_bit = later & -later
-            later ^= v_bit
-            bit[u][v_bit.bit_length() - 1] = r
-            r <<= 1
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    adjacency = [[] for _ in matchings]
-    switched = [0] * len(adjacency)
-    for i, flat in enumerate(matchings):
-        it = iter(flat)
-        bits = [bit[u][v] for u, v in zip(it, it)]
-        key = sum(bits)
-        for x, y in combinations(bits, 2):
-            rest = key ^ x ^ y
-            j = first.setdefault(rest, i)
-            if j != i:
-                switched[i] += 1
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-                k = second.setdefault(rest, i)
-                if k == i:
-                    switched[j] += 1
-                else:
-                    adjacency[i].append(k)
-                    adjacency[k].append(i)
-    return tuple(map(tuple, map(sorted, adjacency))), tuple(switched)

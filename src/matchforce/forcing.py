@@ -15,6 +15,7 @@ the first forcing set of the optimal size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from ._core.cycles import alternating_cycles
@@ -114,11 +115,12 @@ def forcing_number(g: Graph, m: PerfectMatching) -> ForcingCertificate:
     """
     check_perfect_matching(g, m)
     kern = _kernel(g)
-    flat = tuple(x for e in m.edges for x in e)
-    (optimum,) = kern.forcing_numbers(g.full_mask, [flat])
-    edge_masks = [e.mask for e in m.edges]
-    found, _ = kern.forcing_scan(g.full_mask, edge_masks, optimum)
-    witness = tuple(m.edges[i] for i in found)
+    (optimum,) = kern.forcing_numbers([tuple(x for e in m.edges for x in e)])
+    witness = next(
+        s
+        for s in combinations(m.edges, optimum)
+        if kern.count2(g.full_mask ^ sum(e.mask for e in s)) <= 1
+    )
     return ForcingCertificate(m, optimum, witness)
 
 
@@ -127,13 +129,16 @@ def forcing_profile(g: Graph, matching_cap: int | None = None) -> SpectrumReport
 
     One kernel search gives all the numbers.  Past ``matching_cap``
     matchings it raises `MatchingOverflowError`, so a profile holds every
-    perfect matching.  The matchings stay the kernel's flat tuples; see
-    `SpectrumReport`."""
+    perfect matching.  The search itself has no memory bound: its
+    frontiers of partial matchings can outgrow the machine on a sparse
+    graph with few matchings (a 64-cycle with eight chords, 257
+    matchings, was killed out of memory).  The matchings stay the
+    kernel's flat tuples; see `SpectrumReport`."""
     kern = _kernel(g)
     if matching_cap is None:
         matching_cap = DEFAULT_MATCHING_CAP
-    matchings = tuple(kern.enumerate_pms(g.full_mask, matching_cap))
+    matchings = tuple(kern.enumerate_pms(matching_cap))
     if not matchings:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    forcing = kern.forcing_numbers(g.full_mask, matchings)
+    forcing = kern.forcing_numbers(matchings)
     return SpectrumReport(g.order, matchings, tuple(forcing))

@@ -232,7 +232,7 @@ def enumerate_perfect_matchings(
     """
     if cap is None:
         cap = DEFAULT_MATCHING_CAP
-    flat = _kernel(g).enumerate_pms(g.full_mask, cap)
+    flat = _kernel(g).enumerate_pms(cap)
     return tuple(map(PerfectMatching._unchecked, flat))
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from . import _core
 from .errors import PreconditionError
 from .forcing import SpectrumReport, forcing_profile
 from .graph import (
@@ -28,6 +27,7 @@ from .graph import (
     Edge,
     Graph,
     PerfectMatching,
+    _kernel,
 )
 
 
@@ -97,12 +97,12 @@ def build_switch_graph(
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given.  A profile holds every perfect matching, since
     `forcing_profile` raises `MatchingOverflowError` past its cap.
-    The pass that finds the adjacency and switched pairs is
-    `_core.switch_pass`.
+    The pass that finds the adjacency and switched pairs is the graph
+    kernel's ``switch_pass``.
     """
     if profile is None:
         profile = forcing_profile(g)
-    adjacency, switched = _core.switch_pass(g.rows, profile.matchings)
+    adjacency, switched = _kernel(g).switch_pass(profile.matchings)
     return SwitchGraph(profile.matchings, profile.forcing, adjacency, switched)
 
 

@@ -5,7 +5,6 @@ import shlex
 import shutil
 import sysconfig
 from itertools import chain, combinations, product
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from matchforce import (
     Graph,
     PerfectMatching,
+    forcing_number,
     gen_random,
     kernel_backend,
 )
@@ -49,35 +49,32 @@ def test_count2_matches_oracle(seed, mask_seed):
 def test_enumeration_matches_oracle(seed):
     g = gen_random(8, "2/3", seed)
     expected = sorted(_flat(pm) for pm in oracle_perfect_matchings(g))
-    assert pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6) == expected
+    assert pure.Kernel(g.rows).enumerate_pms(10**6) == expected
 
 
 def test_enumeration_overflow():
     g = gen_random(8, 1, 0)  # complete graph, 105 matchings
     kern = pure.Kernel(g.rows)
-    assert len(kern.enumerate_pms(g.full_mask, 105)) == 105
+    assert len(kern.enumerate_pms(105)) == 105
     with pytest.raises(MatchingOverflowError):
-        kern.enumerate_pms(g.full_mask, 104)
+        kern.enumerate_pms(104)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.integers(0, 4))
-def test_forcing_scan_matches_oracle(seed, size):
+@given(st.integers(min_value=0, max_value=10**9))
+def test_forcing_witness_matches_oracle(seed):
+    # the witness is the first set the oracle calls forcing, by size and
+    # then in combinations order
     g = gen_random(8, "1/2", seed)
-    kern = pure.Kernel(g.rows)
-    pms = kern.enumerate_pms(g.full_mask, 10**6)
-    if not pms:
-        return
-    flat = pms[0]
-    pairs = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-    m = PerfectMatching.from_pairs(pairs)
-    edge_masks = [(1 << u) | (1 << v) for u, v in pairs]
-    expected = (None, comb(len(pairs), size))
-    for rank, idx in enumerate(combinations(range(len(pairs)), size), 1):
-        if oracle_is_forcing(g, m, [pairs[i] for i in idx]):
-            expected = (idx, rank)
-            break
-    assert kern.forcing_scan(g.full_mask, edge_masks, size) == expected
+    for pm in oracle_perfect_matchings(g):
+        m = PerfectMatching.from_pairs(pm)
+        expected = next(
+            s
+            for size in range(len(m.edges) + 1)
+            for s in combinations(m.edges, size)
+            if oracle_is_forcing(g, m, s)
+        )
+        assert forcing_number(g, m).witness_set == expected
 
 
 # the pure reference and the kernel the package makes, which is the
@@ -89,7 +86,7 @@ KERNELS = (pure.Kernel, make_kernel)
 def _forcing_numbers(g: Graph, matchings) -> list[int]:
     """The forcing numbers that every kernel gives ``matchings``."""
     reference, made = (
-        kernel(g.rows).forcing_numbers(g.full_mask, matchings) for kernel in KERNELS
+        kernel(g.rows).forcing_numbers(matchings) for kernel in KERNELS
     )
     assert made == reference
     return reference
@@ -118,7 +115,7 @@ def test_forcing_numbers_of_any_subset(seed, p):
     # a matching gets the same number alone, within a seeded half of the
     # matchings, and within all of them
     g = gen_random(8, p, seed)
-    flats = pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6)
+    flats = pure.Kernel(g.rows).enumerate_pms(10**6)
     whole = _forcing_numbers(g, flats)
     for flat, f in zip(flats, whole):
         assert _forcing_numbers(g, [flat]) == [f]
@@ -134,7 +131,7 @@ def test_forcing_optimum_empty_matching():
 def test_forcing_optimum_unique_matching_is_zero():
     # a path on 8 vertices has exactly one perfect matching
     g = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
-    (flat,) = pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6)
+    (flat,) = pure.Kernel(g.rows).enumerate_pms(10**6)
     assert _forcing_numbers(g, [flat]) == [0]
 
 
@@ -143,11 +140,11 @@ def test_forcing_optimum_path_with_chord_stays_small():
     # only grew kept sets would test about 2**28 of them
     g = Graph.from_edges(60, [(i, i + 1) for i in range(59)] + [(0, 3)])
     kern = pure.Kernel(g.rows)
-    flats = kern.enumerate_pms(g.full_mask, 10**6)
+    flats = kern.enumerate_pms(10**6)
     assert len(flats) == 2
     assert _forcing_numbers(g, flats) == [1, 1]
     for flat in flats:
-        assert kern.forcing_numbers(g.full_mask, [flat]) == [1]
+        assert kern.forcing_numbers([flat]) == [1]
         assert _forcing_numbers(g, [flat]) == [1]
     assert len(kern._count_cache) < 10_000
 
@@ -156,7 +153,7 @@ def _compiler_on_path() -> bool:
     return shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0]) is not None
 
 
-def test_make_kernel_is_pure():
+def test_make_kernel_picks_native_where_it_builds():
     # a pure.Kernel, and its native subclass exactly when the build works
     kern = make_kernel((0b10, 0b01))
     assert isinstance(kern, pure.Kernel)

@@ -1,21 +1,24 @@
 """The native stages against their pure twins, and the build that makes them.
 
 `_core` compiles ``native.c`` on first import and serves graphs of order
-<= 64 from it: ``Kernel.forcing_numbers`` and ``switch_pass`` must give
-what `pure` gives on every graph.  The build must never load a file made
-from other source, and a failed build leaves the pure path and no file.
+<= 64 from it through `NativeKernel`: its ``forcing_numbers`` and
+``switch_pass`` must give what `pure.Kernel` gives on every graph.  The
+build must never load a file made from other source, a failed build leaves
+the pure path and no file, and a new build leaves no older one.
 """
 
 import io
 import shlex
 import shutil
+import subprocess
 import sysconfig
 from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import pytest
 
 from matchforce import Graph, builtin_corpus, gen_random, to_graph6
-from matchforce import _core
+from matchforce import _core, build_switch_graph
 from matchforce._core import pure
 from matchforce.cli import main
 
@@ -24,13 +27,12 @@ from graphs import complete_graph, cycle_graph
 
 def _both(g: Graph):
     """(pure, package) forcing numbers and switch pass of g's matchings."""
-    flats = pure.Kernel(g.rows).enumerate_pms(g.full_mask, 10**6)
+    reference = pure.Kernel(g.rows)
     made = _core.make_kernel(g.rows)
-    return (
-        (pure.Kernel(g.rows).forcing_numbers(g.full_mask, flats),
-         pure.switch_pass(g.rows, flats)),
-        (made.forcing_numbers(g.full_mask, flats),
-         _core.switch_pass(g.rows, flats)),
+    flats = reference.enumerate_pms(10**6)
+    return tuple(
+        (kern.forcing_numbers(flats), kern.switch_pass(flats))
+        for kern in (reference, made)
     )
 
 
@@ -42,6 +44,19 @@ def _assert_same(graphs) -> int:
             assert made == reference, to_graph6(g)
             checked += 1
     return checked
+
+
+def _switch_passes(monkeypatch, g) -> list:
+    """The classes whose ``switch_pass`` `build_switch_graph` runs on g."""
+    ran = []
+    for cls in (pure.Kernel, _core.NativeKernel):
+        def counted(self, matchings, cls=cls, original=cls.__dict__["switch_pass"]):
+            ran.append(cls)
+            return original(self, matchings)
+
+        monkeypatch.setattr(cls, "switch_pass", counted)
+    build_switch_graph(g)
+    return ran
 
 
 def test_same_on_exhaustive_6():
@@ -57,7 +72,7 @@ def test_same_on_random_order_14(seed):
     assert _assert_same([gen_random(14, "2/3", seed)]) == 1
 
 
-def test_order_64_takes_the_native_path():
+def test_order_64_takes_the_native_path(monkeypatch):
     # a 64-cycle with four chords: 17 matchings, and vertex 63 is matched
     pairs = [(i, (i + 1) % 64) for i in range(64)]
     g = Graph.from_edges(64, pairs + [(0, 3), (16, 19), (32, 35), (48, 51)])
@@ -66,6 +81,9 @@ def test_order_64_takes_the_native_path():
     reference, made = _both(g)
     assert made == reference
     assert sorted(reference[0]) == [1] + [4] * 16
+    assert _switch_passes(monkeypatch, g) == [
+        _core.NativeKernel if native else pure.Kernel
+    ]
 
 
 def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
@@ -86,6 +104,7 @@ def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1", "1"]
     assert searched == [pure.Kernel]
     assert type(_core.make_kernel(cycle_graph(66).rows)) is pure.Kernel
+    assert _switch_passes(monkeypatch, cycle_graph(66)) == [pure.Kernel]
 
 
 def test_switch_edge_past_edge_rank_63():
@@ -106,7 +125,7 @@ def test_native_rejects_what_it_cannot_hold():
     if native is None:
         return  # no compiler: nothing native to check
     with pytest.raises(ValueError):
-        native.forcing_numbers((0,) * 65, 0, [()])
+        native.forcing_numbers((0,) * 65, [()])
     with pytest.raises(ValueError):
         native.switch_pass([(0, 1), (0, 1, 2, 3)])
     with pytest.raises(ValueError):
@@ -115,6 +134,10 @@ def test_native_rejects_what_it_cannot_hold():
 
 def _built(build_dir):
     return sorted(p.name for p in build_dir.iterdir()) if build_dir.exists() else []
+
+
+def _cc() -> list[str]:
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
 def test_failing_compiler_leaves_pure_and_no_file(pure_core):
@@ -139,8 +162,7 @@ def test_build_of_other_source_is_never_loaded(build_dir, failing_compiler, monk
 
 def test_build_names_the_file_by_source_and_interpreter(build_dir):
     # an empty build directory: the first use compiles native.c into it
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if not shutil.which(cc):
+    if not shutil.which(_cc()[0]):
         assert _core._native() is None
         return
     module = _core._native()
@@ -149,5 +171,42 @@ def test_build_names_the_file_by_source_and_interpreter(build_dir):
     assert name.startswith("native-") and name.endswith(EXTENSION_SUFFIXES[0])
     assert module.__file__ == str(build_dir / name)
     g = complete_graph(6)
-    flats = pure.Kernel(g.rows).enumerate_pms(g.full_mask, 100)
-    assert module.forcing_numbers(g.rows, g.full_mask, flats) == [2] * 15
+    flats = pure.Kernel(g.rows).enumerate_pms(100)
+    assert module.forcing_numbers(g.rows, flats) == [2] * 15
+
+
+def test_new_build_removes_older_builds(build_dir, monkeypatch, tmp_path):
+    # the build directory holds the current build; a changed source is
+    # built beside it, and only the new build is left
+    build_dir.mkdir()
+    for built in _core._SOURCE.with_name("build").glob("native-*"):
+        shutil.copy(built, build_dir)
+    before = _built(build_dir)
+    source = tmp_path / "native.c"
+    source.write_bytes(_core._SOURCE.read_bytes() + b"/* changed */\n")
+    monkeypatch.setattr(_core, "_SOURCE", source)
+    if not shutil.which(_cc()[0]):
+        assert _core._native() is None
+        assert _built(build_dir) == before
+        return
+    module = _core._native()
+    assert module is not None
+    assert _built(build_dir) == [Path(module.__file__).name]
+    assert module.__file__ not in {str(build_dir / name) for name in before}
+
+
+def test_source_builds_without_warnings(build_dir, tmp_path):
+    # sysconfig's compiler with -Wall -Werror; with no compiler on PATH the
+    # package takes the pure path
+    cc = _cc()
+    if not shutil.which(cc[0]):
+        assert _core._native() is None
+        return
+    include = sysconfig.get_paths()["include"]
+    done = subprocess.run(
+        [*cc, "-shared", "-fPIC", "-O2", "-Wall", "-Werror", "-I", include,
+         "-o", str(tmp_path / f"native{EXTENSION_SUFFIXES[0]}"), str(_core._SOURCE)],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -141,7 +141,10 @@ def _entered(tmp_path) -> set:
 def test_every_function_and_method_is_reached(request, tmp_path):
     expected = set(UNREACHED_BY_DESIGN)
     if kernel_backend() == "pure":  # no C compiler: no native stage can run
-        expected.add("matchforce._core.NativeKernel.forcing_numbers")
+        expected |= {
+            "matchforce._core.NativeKernel.forcing_numbers",
+            "matchforce._core.NativeKernel.switch_pass",
+        }
     entered = _entered(tmp_path / "loaded")
     request.getfixturevalue("pure_core")  # from here on, the pure path
     entered |= _entered(tmp_path / "pure")

@@ -122,7 +122,7 @@ def test_verify_matching_and_switch_counts(
 )
 def test_forcing_optimum_lookups(g, matchings, optima, lookups):
     kern = _counting_kernel(g.rows)
-    found = kern.enumerate_pms(g.full_mask, 10**6)
+    found = kern.enumerate_pms(10**6)
     assert len(found) == matchings
-    assert sum(kern.forcing_numbers(g.full_mask, found)) == optima
+    assert sum(kern.forcing_numbers(found)) == optima
     assert kern._count_cache.lookups == lookups
