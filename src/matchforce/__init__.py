@@ -71,12 +71,11 @@ from .generate import (
     splitmix64,
 )
 from .switch import (
-    ContinuityReport,
     SwitchGraph,
     SwitchPath,
     build_switch_graph,
+    reaches_top,
     switch_path,
-    verify_spectrum_continuity,
     verify_switch_bound,
 )
 from .harness import (

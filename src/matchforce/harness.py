@@ -44,7 +44,7 @@ from .structure import (
     is_knn_plus,
     max_independent_set_size,
 )
-from .switch import build_switch_graph, verify_spectrum_continuity, verify_switch_bound
+from .switch import build_switch_graph, reaches_top, verify_switch_bound
 
 _MAX_COUNTEREXAMPLES = 32
 
@@ -92,7 +92,7 @@ class _GraphContext:
 
     @cached_property
     def knn_plus(self):
-        return is_knn_plus(self.g) if self.g.order % 2 == 0 else None
+        return is_knn_plus(self.g)
 
     @cached_property
     def minimal_max_forcing(self) -> bool:
@@ -134,7 +134,7 @@ def _block_lemma22(ctx: _GraphContext):
 def _block_lemma23(ctx: _GraphContext):
     if not ctx.max_is_top or ctx.n < 2:
         return 0, True
-    if has_fixed_double_bond(ctx.g) is not None:
+    if has_fixed_double_bond(ctx.profile) is not None:
         return 1, False
     if vertex_connectivity(ctx.g) < ctx.n:
         return 1, False
@@ -191,10 +191,7 @@ def _block_lemma56(ctx: _GraphContext):
 def _block_thm57(ctx: _GraphContext):
     if not ctx.max_is_top:
         return 0, True
-    cont = verify_spectrum_continuity(
-        ctx.g, profile=ctx.profile, sg=ctx.switch_graph
-    )
-    return 1, cont.spectrum_continuous and cont.reach_max
+    return 1, ctx.profile.continuous and reaches_top(ctx.switch_graph)
 
 
 def _block_lemma22min(ctx: _GraphContext):
@@ -356,8 +353,8 @@ def _partitions(total: int, max_part: int):
             yield (first,) + rest
 
 
-def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
-    """Deterministic catalogue of generator-family graphs up to max_order.
+def family_corpus() -> list[tuple[str, Graph]]:
+    """Deterministic catalogue of generator-family graphs up to order 10.
 
     Covers every complete multipartite graph with a perfect matching, a
     spread of one-sided-extras graphs, the full ladder family, all pair
@@ -365,11 +362,11 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
     constructions, and seeded random graphs.
     """
     out: list[tuple[str, Graph]] = []
-    for total in range(2, max_order + 1, 2):
+    for total in range(2, 11, 2):
         for sizes in _partitions(total, total // 2):
             name = ",".join(map(str, sizes))
             out.append((f"multipartite:{name}", gen_complete_multipartite(sizes)))
-    for n in range(1, max_order // 2 + 1):
+    for n in range(1, 6):
         out.append((f"knnplus:{n}:", gen_knn_plus(n)))
         b_pairs = [
             (n + i, n + j) for i in range(n) for j in range(i + 1, n)
@@ -378,56 +375,48 @@ def family_corpus(max_order: int = 10) -> list[tuple[str, Graph]]:
             out.append((f"knnplus:{n}:{bi}-{bj}", gen_knn_plus(n, [(bi, bj)])))
         if len(b_pairs) > 1:
             out.append((f"knnplus:{n}:full", gen_knn_plus(n, b_pairs)))
-    for n in range(1, max_order // 2 + 1):
+    for n in range(1, 6):
         for k in range((n - 1) // 2 + 1):
             out.append((f"hk:{n},{k}", gen_h_k(n, k).graph))
-    for n in range(2, min(4, max_order // 2) + 1):
+    for n in range(2, 5):
         pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for mask in range(1 << len(pair_list)):
             parallel = [p for b, p in enumerate(pair_list) if mask >> b & 1]
             g = gen_minimal_from_signature(n, parallel).graph
             out.append((f"sig:{n}:{mask}", g))
-    if max_order >= 10:
-        stream = splitmix64(5)
-        pair_list = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        seen = set()
-        while len(seen) < 16:
-            mask = next(stream) % (1 << len(pair_list))
-            if mask in seen:
-                continue
-            seen.add(mask)
-            parallel = [p for b, p in enumerate(pair_list) if mask >> b & 1]
-            g = gen_minimal_from_signature(5, parallel).graph
-            out.append((f"sig:5:{mask}", g))
-    if max_order >= 8:
-        out.append(("non2ext:i:4", gen_non_2_extendable("i", 4).graph))
-        out.append(
-            (
-                "non2ext:i:4:chain",
-                gen_non_2_extendable(
-                    "i", 4, u_edges=((0, 1), (1, 2), (2, 3))
-                ).graph,
-            )
-        )
-    for n in range(3, max_order // 2 + 1):
-        out.append((f"non2ext:ii:{n}", gen_non_2_extendable("ii", n).graph))
-    if max_order >= 6:
-        out.append(
-            (
-                "non2ext:ii:3:triangle",
-                gen_non_2_extendable(
-                    "ii",
-                    3,
-                    parallel_index=None,
-                    extra_v_edges=((0, 2),),
-                    u_edges=((0, 1),),
-                ).graph,
-            )
-        )
-    random_batches = [(6, 10), (8, 20), (10, 10)]
-    for order, count in random_batches:
-        if order > max_order:
+    stream = splitmix64(5)
+    pair_list = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    seen = set()
+    while len(seen) < 16:
+        mask = next(stream) % (1 << len(pair_list))
+        if mask in seen:
             continue
+        seen.add(mask)
+        parallel = [p for b, p in enumerate(pair_list) if mask >> b & 1]
+        g = gen_minimal_from_signature(5, parallel).graph
+        out.append((f"sig:5:{mask}", g))
+    out.append(("non2ext:i:4", gen_non_2_extendable("i", 4).graph))
+    out.append(
+        (
+            "non2ext:i:4:chain",
+            gen_non_2_extendable("i", 4, u_edges=((0, 1), (1, 2), (2, 3))).graph,
+        )
+    )
+    for n in range(3, 6):
+        out.append((f"non2ext:ii:{n}", gen_non_2_extendable("ii", n).graph))
+    out.append(
+        (
+            "non2ext:ii:3:triangle",
+            gen_non_2_extendable(
+                "ii",
+                3,
+                parallel_index=None,
+                extra_v_edges=((0, 2),),
+                u_edges=((0, 1),),
+            ).graph,
+        )
+    )
+    for order, count in ((6, 10), (8, 20), (10, 10)):
         for seed in range(1, count + 1):
             out.append((f"random:{order}:{seed}", gen_random(order, 0.5, seed)))
     return out
@@ -447,5 +436,5 @@ def builtin_corpus(name: str) -> Iterator[Graph]:
             raise ValueError("exhaustive corpora exist for orders 1..6")
         return enumerate_labeled_graphs(order)
     if name == "families-10":
-        return (g for _name, g in family_corpus(10))
+        return (g for _name, g in family_corpus())
     raise ValueError(f"unknown builtin corpus {name!r}")

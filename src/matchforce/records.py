@@ -84,7 +84,11 @@ def deficiency_payload(witness) -> dict:
     }
 
 
-def switch_payload(sg, continuity) -> dict:
+def switch_payload(sg, profile, reach_max: bool) -> dict:
+    """The switch graph, with Theorem 5.7's facts: whether the maximum
+    forcing number is n - 1 (``applicable``), whether the spectrum is an
+    interval, and whether every node reaches a top node."""
+    n = profile.order // 2
     edges = sg.edges()
     return {
         "nodes": [matching_payload(m) for m in sg.matchings],
@@ -93,9 +97,9 @@ def switch_payload(sg, continuity) -> dict:
         # adjacent matchings differ by exactly one 4-cycle, their symmetric
         # difference, so every edge is realized once
         "cycle_multiplicity": {f"{i}-{j}": 1 for i, j in edges},
-        "applicable": continuity.applicable,
-        "spectrum_continuous": continuity.spectrum_continuous,
-        "reach_max": continuity.reach_max,
+        "applicable": n >= 1 and profile.max_forcing == n - 1,
+        "spectrum_continuous": profile.continuous,
+        "reach_max": reach_max,
     }
 
 

@@ -15,7 +15,8 @@ from enum import Enum
 from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
-from .graph import Edge, Graph, _kernel, has_perfect_matching, iter_bits
+from .forcing import SpectrumReport
+from .graph import Edge, Graph, has_perfect_matching, iter_bits
 
 
 class ClassTag(Enum):
@@ -133,22 +134,18 @@ def max_independent_set_size(g: Graph) -> int:
     return best
 
 
-def has_fixed_double_bond(g: Graph) -> Optional[Edge]:
+def has_fixed_double_bond(profile: SpectrumReport) -> Optional[Edge]:
     """Lowest edge contained in every perfect matching, or None.
 
-    Edge (u, v) lies in every perfect matching iff no perfect matching
-    pairs u with another neighbour w, that is iff deleting u and w leaves
-    no perfect matching for each such w.  All counts run on g's kernel.
+    The profile holds every perfect matching of its graph, and at least
+    one, as flat tuples; their common pairs are intersected matching by
+    matching until none is left.
     """
-    if not has_perfect_matching(g):
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    kern = _kernel(g)
-    full = g.full_mask
-    for e in g.edges():
-        u_gone = full ^ (1 << e.u)
-        if all(
-            kern.count2(u_gone ^ (1 << w)) == 0
-            for w in iter_bits(g.rows[e.u] ^ (1 << e.v))
-        ):
-            return e
-    return None
+    common = None
+    for m in profile.matchings:
+        it = iter(m)
+        pairs = zip(it, it)
+        common = set(pairs) if common is None else common.intersection(pairs)
+        if not common:
+            return None
+    return Edge(*min(common))

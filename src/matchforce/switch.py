@@ -75,20 +75,6 @@ class SwitchPath:
             raise ValueError("path needs one more matching than cycles")
 
 
-@dataclass(frozen=True, slots=True)
-class ContinuityReport:
-    """Spectrum continuity facts for one graph.
-
-    ``applicable`` marks graphs whose maximum forcing number is maximal;
-    ``reach_max`` states that every matching can be switched into one of
-    maximal forcing number, which is the mechanism behind continuity.
-    """
-
-    applicable: bool
-    spectrum_continuous: bool
-    reach_max: bool
-
-
 def build_switch_graph(
     g: Graph, profile: SpectrumReport | None = None
 ) -> SwitchGraph:
@@ -164,28 +150,17 @@ def verify_switch_bound(
     return True, None
 
 
-def verify_spectrum_continuity(
-    g: Graph,
-    profile: SpectrumReport | None = None,
-    sg: SwitchGraph | None = None,
-) -> ContinuityReport:
-    """Continuity facts: spectrum interval-ness and reachability of a
-    maximal-forcing matching from every matching.  ``profile`` and ``sg``
-    default to ``forcing_profile(g)`` and the switch graph built from it;
-    a profile already made, with any matching cap, goes in through
-    ``profile``."""
-    if profile is None:
-        profile = forcing_profile(g)
-    if sg is None:
-        sg = build_switch_graph(g, profile=profile)
-    n = g.order // 2
-    applicable = n >= 1 and profile.max_forcing == n - 1
-    # one search from every top matching at once marks what reaches the top
-    seen = [f == n - 1 for f in sg.forcing]
-    stack = [i for i, top in enumerate(seen) if top]
+def reaches_top(sg: SwitchGraph) -> bool:
+    """Whether every node switches, in some number of steps, into a node
+    of forcing number n - 1, for n = the number of edges per matching:
+    the reach half of spectrum continuity (Theorem 5.7).  One search from
+    every top node at once marks what reaches them."""
+    top = len(sg.matchings[0]) // 2 - 1
+    seen = [f == top for f in sg.forcing]
+    stack = [i for i, is_top in enumerate(seen) if is_top]
     while stack:
         for j in sg.adjacency[stack.pop()]:
             if not seen[j]:
                 seen[j] = True
                 stack.append(j)
-    return ContinuityReport(applicable, profile.continuous, all(seen))
+    return all(seen)

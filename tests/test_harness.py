@@ -52,7 +52,7 @@ class TestCorpora:
         assert sum(1 for _ in builtin_corpus("exhaustive-6")) == 32768
 
     def test_builtin_corpora_are_one_pass_graph_iterators(self):
-        for name, size in (("exhaustive-3", 8), ("families-10", len(family_corpus(10)))):
+        for name, size in (("exhaustive-3", 8), ("families-10", len(family_corpus()))):
             corpus = builtin_corpus(name)
             graphs = list(corpus)
             assert len(graphs) == size
@@ -66,15 +66,14 @@ class TestCorpora:
             builtin_corpus("nope")
 
     def test_family_corpus_ids_unique(self):
-        fam = family_corpus(10)
+        fam = family_corpus()
         names = [name for name, _ in fam]
         assert len(names) == len(set(names))
         kinds = {name.split(":")[0] for name in names}
         assert kinds == {"multipartite", "knnplus", "hk", "sig", "non2ext", "random"}
 
     def test_family_corpus_orders_bounded(self):
-        assert all(g.order <= 10 for _, g in family_corpus(10))
-        assert all(g.order <= 6 for _, g in family_corpus(6))
+        assert all(g.order <= 10 for _, g in family_corpus())
 
 
 class TestBlocks:
@@ -254,6 +253,16 @@ def _same_matchings(sg, g):
     return frozenset(sg.nodes) == frozenset(enumerate_perfect_matchings(g))
 
 
+def _same_profile(profile, g):
+    return profile.matchings == forcing_profile(g).matchings
+
+
+def _node_zero_forcing_zero(profile):
+    """The profile with node 0's forcing number 0, which leaves a gap
+    below a spectrum that starts at 2."""
+    return replace(profile, forcing=(0, *profile.forcing[1:]))
+
+
 def _one_pair_fewer(sg):
     """The switch graph with one switched pair fewer at node 0."""
     first, *rest = sg.switched_pairs
@@ -284,13 +293,8 @@ _FAILING_READINGS = [
     ("thm41", _non2ext, "_case_labelling", lambda r: None, None),
     ("cor52", _k33, "forcing_profile", _profile_min_zero, None),
     ("lemma56", _k33, "verify_switch_bound", lambda r: (False, None), _same_matchings),
-    (
-        "thm57",
-        _k33,
-        "verify_spectrum_continuity",
-        lambda r: SimpleNamespace(spectrum_continuous=False, reach_max=True),
-        None,
-    ),
+    # K3,3's spectrum {2} becomes {0, 2}, still with max forcing n - 1
+    ("thm57", _k33, "forcing_profile", _node_zero_forcing_zero, None),
 ]
 
 # readings one step past the boundary of a block's comparison, which a
@@ -337,7 +341,7 @@ _BOUNDARY_READINGS = [
     # pair switches" alone lets it pass
     ("lemma22", _k33, "build_switch_graph", _node_zero_one_lower, None),
     # a fixed double bond on a graph that passes every other clause
-    ("lemma23", _k33, "has_fixed_double_bond", lambda r: Edge(0, 3), None),
+    ("lemma23", _k33, "has_fixed_double_bond", lambda r: Edge(0, 3), _same_profile),
     # predicted where f = 1 < n - 1: "f = n - 1 => predicted" alone lets
     # it pass
     (
@@ -357,13 +361,7 @@ _BOUNDARY_READINGS = [
         None,
     ),
     # a continuous spectrum whose top is not reached from every matching
-    (
-        "thm57",
-        _k33,
-        "verify_spectrum_continuity",
-        lambda r: SimpleNamespace(spectrum_continuous=True, reach_max=False),
-        None,
-    ),
+    ("thm57", _k33, "reaches_top", lambda r: False, _same_matchings),
 ]
 
 
@@ -521,7 +519,7 @@ class TestSharedMatchings:
 
     def test_profile_tops_give_the_structure(self):
         searched = 0
-        for name, g in family_corpus(10):
+        for name, g in family_corpus():
             if g.order < 6 or not has_perfect_matching(g):
                 continue
             ctx = harness._GraphContext(g)

@@ -4,13 +4,18 @@
 <= 64 from it through `NativeKernel`: its ``forcing_numbers`` and
 ``switch_pass`` must give what `pure.Kernel` gives on every graph.  The
 build must never load a file made from other source, a failed build leaves
-the pure path and no file, and a new build leaves no older one.
+the pure path and no file, and a new build leaves no older one of the
+running interpreter's.  A build under AddressSanitizer and UBSan gives the
+same answers with no sanitizer report.
 """
 
 import io
+import json
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -140,6 +145,16 @@ def _cc() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
+def _copy_own_builds(build_dir):
+    """Copy the package's builds for the running interpreter into
+    build_dir; another interpreter's builds are not this one's to load or
+    remove."""
+    build_dir.mkdir()
+    own = _core._SOURCE.with_name("build").glob(f"native-*{EXTENSION_SUFFIXES[0]}")
+    for built in own:
+        shutil.copy(built, build_dir)
+
+
 def test_failing_compiler_leaves_pure_and_no_file(pure_core):
     assert _core.kernel_backend() == "pure"
     assert type(_core.make_kernel((0b10, 0b01))) is pure.Kernel
@@ -149,9 +164,7 @@ def test_failing_compiler_leaves_pure_and_no_file(pure_core):
 def test_build_of_other_source_is_never_loaded(build_dir, failing_compiler, monkeypatch, tmp_path):
     # every build of the package's native.c sits in the build directory,
     # but the source has changed and its own build fails
-    build_dir.mkdir()
-    for built in _core._SOURCE.with_name("build").glob("native-*"):
-        shutil.copy(built, build_dir)
+    _copy_own_builds(build_dir)
     before = _built(build_dir)
     source = tmp_path / "native.c"
     source.write_bytes(_core._SOURCE.read_bytes() + b"/* changed */\n")
@@ -178,9 +191,7 @@ def test_build_names_the_file_by_source_and_interpreter(build_dir):
 def test_new_build_removes_older_builds(build_dir, monkeypatch, tmp_path):
     # the build directory holds the current build; a changed source is
     # built beside it, and only the new build is left
-    build_dir.mkdir()
-    for built in _core._SOURCE.with_name("build").glob("native-*"):
-        shutil.copy(built, build_dir)
+    _copy_own_builds(build_dir)
     before = _built(build_dir)
     source = tmp_path / "native.c"
     source.write_bytes(_core._SOURCE.read_bytes() + b"/* changed */\n")
@@ -210,3 +221,86 @@ def test_source_builds_without_warnings(build_dir, tmp_path):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+# loads the build named by argv[1] alone, without the package, and writes
+# its answers on the inputs in the JSON file argv[2]
+_RUN_BUILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("native", sys.argv[1])
+native = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(native)
+with open(sys.argv[2]) as f:
+    cases = json.load(f)
+json.dump(
+    [(native.forcing_numbers(rows, flats), native.switch_pass(flats))
+     for rows, flats in cases],
+    sys.stdout,
+)
+"""
+
+
+def _sanitizer_runtimes(cc) -> list[str] | None:
+    """The compiler's ASan and UBSan runtimes, or None when it has none:
+    for a library it cannot find, ``-print-file-name`` prints the bare name."""
+    found = [
+        subprocess.run(
+            [*cc, f"-print-file-name={lib}"], capture_output=True, text=True
+        ).stdout.strip()
+        for lib in ("libasan.so", "libubsan.so")
+    ]
+    return found if all(Path(p).is_absolute() for p in found) else None
+
+
+def test_native_under_sanitizers(tmp_path):
+    # native.c built with AddressSanitizer and UBSan gives the pure
+    # kernel's forcing numbers and switch pass, computed here, on
+    # families-10 and random graphs of order 12-16 (233 graphs, 36,109
+    # matchings), and the run ends with no sanitizer report.  PYTHONMALLOC
+    # sends the PyMem blocks through ASan's allocator.  With no compiler
+    # the package takes the pure path; with no sanitizer runtimes the same
+    # inputs run through a plain build.
+    cc = _cc()
+    if not shutil.which(cc[0]):
+        assert _core.kernel_backend() == "pure"
+        return
+    runtimes = _sanitizer_runtimes(cc)
+    if runtimes is None:
+        flags, env = ["-O2"], {}
+    else:
+        flags = ["-O1", "-g", "-fsanitize=address,undefined",
+                 "-fno-sanitize-recover=undefined"]
+        env = {"LD_PRELOAD": " ".join(runtimes),
+               "ASAN_OPTIONS": "detect_leaks=0", "PYTHONMALLOC": "malloc"}
+    build = tmp_path / f"native{EXTENSION_SUFFIXES[0]}"
+    include = sysconfig.get_paths()["include"]
+    done = subprocess.run(
+        [*cc, "-shared", "-fPIC", *flags, "-I", include,
+         "-o", str(build), str(_core._SOURCE)],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    graphs = [
+        *builtin_corpus("families-10"),
+        *(gen_random(n, "1/2", seed) for n in (12, 14, 16) for seed in range(3)),
+    ]
+    cases, expected = [], []
+    for g in graphs:
+        kern = pure.Kernel(g.rows)
+        flats = kern.enumerate_pms(10**6)
+        if flats:
+            cases.append((g.rows, flats))
+            expected.append((kern.forcing_numbers(flats), kern.switch_pass(flats)))
+    assert (len(cases), sum(len(flats) for _, flats in cases)) == (233, 36109)
+    inputs = tmp_path / "cases.json"
+    inputs.write_text(json.dumps(cases))
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_BUILD, str(build), str(inputs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert "Sanitizer" not in run.stderr, run.stderr[-4000:]
+    assert json.loads(run.stdout) == json.loads(json.dumps(expected))

@@ -15,8 +15,8 @@ from matchforce import (
     gen_h_k,
     gen_knn_plus,
     gen_non_2_extendable,
+    reaches_top,
     to_graph6,
-    verify_spectrum_continuity,
 )
 from matchforce import records
 from matchforce.cli import main
@@ -60,9 +60,9 @@ def test_deficiency_payload():
 
 
 def test_switch_payloads(k33):
-    sg = build_switch_graph(k33)
-    cont = verify_spectrum_continuity(k33, sg=sg)
-    payload = roundtrips(records.switch_payload(sg, cont))
+    profile = forcing_profile(k33)
+    sg = build_switch_graph(k33, profile=profile)
+    payload = roundtrips(records.switch_payload(sg, profile, reaches_top(sg)))
     assert len(payload["nodes"]) == 6
     assert payload["reach_max"] is True
     assert all(mult == 1 for mult in payload["cycle_multiplicity"].values())

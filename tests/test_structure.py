@@ -29,6 +29,7 @@ from matchforce import (
     is_forcing_set,
     is_knn_plus,
     max_independent_set_size,
+    parse_graph6,
     to_graph6,
 )
 from matchforce._core.cycles import alternating_cycles
@@ -256,7 +257,7 @@ class TestMinimality:
     def test_count_matches_definition_on_families(self):
         graphs = [
             (name, g)
-            for name, g in family_corpus(10)
+            for name, g in family_corpus()
             if name.startswith(("sig:", "hk:"))
         ]
         assert len(graphs) == 99
@@ -331,10 +332,24 @@ class TestIndependentSet:
 
 class TestFixedDoubleBond:
     def test_p4_lowest(self, p4):
-        assert has_fixed_double_bond(p4) == Edge(0, 1)
+        assert has_fixed_double_bond(forcing_profile(p4)) == Edge(0, 1)
 
     def test_c6_none(self, c6):
-        assert has_fixed_double_bond(c6) is None
+        assert has_fixed_double_bond(forcing_profile(c6)) is None
+
+    def test_first_matchings_share_an_edge_that_a_later_one_lacks(self):
+        # EFj?: edges 0-3, 0-4, 0-5, 1-3, 1-5, 2-3, 2-4 and three matchings;
+        # the first two share an edge, all three share none, so the scan
+        # must read past the second
+        g = parse_graph6("EFj?")
+        assert sorted(g.edges()) == [
+            (0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)
+        ]
+        profile = forcing_profile(g)
+        sets = [set(zip(m[::2], m[1::2])) for m in profile.matchings]
+        assert len(sets) == 3
+        assert sets[0] & sets[1] and not sets[0] & sets[1] & sets[2]
+        assert has_fixed_double_bond(profile) is None
 
     def test_max_forcing_graphs_have_none(self):
         for seed in range(40):
@@ -342,12 +357,14 @@ class TestFixedDoubleBond:
             pms = enumerate_perfect_matchings(g)
             if not pms or g.order < 4:
                 continue
-            if forcing_profile(g).max_forcing == g.order // 2 - 1:
-                assert has_fixed_double_bond(g) is None
+            profile = forcing_profile(g)
+            if profile.max_forcing == g.order // 2 - 1:
+                assert has_fixed_double_bond(profile) is None
 
     def test_no_pm_rejected(self):
+        # a graph without a perfect matching has no profile to read
         with pytest.raises(NoPerfectMatchingError):
-            has_fixed_double_bond(path_graph(3))
+            has_fixed_double_bond(forcing_profile(path_graph(3)))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -356,7 +373,7 @@ class TestFixedDoubleBond:
         pms = oracle_perfect_matchings(g)
         if not pms:
             with pytest.raises(NoPerfectMatchingError):
-                has_fixed_double_bond(g)
+                forcing_profile(g)
             return
         common = frozenset.intersection(*pms)
-        assert has_fixed_double_bond(g) == min(common, default=None)
+        assert has_fixed_double_bond(forcing_profile(g)) == min(common, default=None)

@@ -15,10 +15,11 @@ from matchforce import (
     gen_h_k,
     gen_minimal_from_signature,
     gen_random,
+    reaches_top,
     switch_path,
-    verify_spectrum_continuity,
     verify_switch_bound,
 )
+from matchforce.records import switch_payload
 
 from oracles import (
     oracle_alternating_cycles,
@@ -215,19 +216,23 @@ class TestBoundAndContinuity:
             ok, violation = verify_switch_bound(build_switch_graph(g))
             assert ok, violation
 
+    @staticmethod
+    def continuity(g):
+        """The continuity keys of g's switch record."""
+        profile = forcing_profile(g)
+        sg = build_switch_graph(g, profile=profile)
+        rec = switch_payload(sg, profile, reaches_top(sg))
+        return rec["applicable"], rec["spectrum_continuous"], rec["reach_max"]
+
     def test_h41_reaches_max(self):
-        rep = verify_spectrum_continuity(gen_h_k(4, 1).graph)
-        assert rep.applicable and rep.spectrum_continuous and rep.reach_max
+        assert self.continuity(gen_h_k(4, 1).graph) == (True, True, True)
 
     def test_k33_applicable(self, k33):
-        rep = verify_spectrum_continuity(k33)
-        assert rep.applicable and rep.spectrum_continuous
+        assert self.continuity(k33) == (True, True, True)
 
     def test_c6_not_applicable(self, c6):
-        rep = verify_spectrum_continuity(c6)
-        assert not rep.applicable
-        assert rep.spectrum_continuous
-        assert not rep.reach_max
+        # C6's two matchings both have f = 1 < n - 1 = 2: none is top
+        assert self.continuity(c6) == (False, True, False)
 
     @pytest.mark.parametrize("g", ORACLE_GRAPHS + [gen_h_k(4, 1).graph])
     def test_reach_max_matches_components(self, g):
@@ -238,7 +243,7 @@ class TestBoundAndContinuity:
         n = g.order // 2
         top = sum(1 << i for i, f in enumerate(sg.forcing) if f == n - 1)
         expected = all(c & top for c in oracle_component_masks(sg.adjacency))
-        assert verify_spectrum_continuity(g, sg=sg).reach_max == expected
+        assert reaches_top(sg) == expected
 
     @pytest.mark.parametrize(
         "adjacency, reach", [(((), ()), False), (((1,), (0,)), True)]
@@ -248,4 +253,4 @@ class TestBoundAndContinuity:
         # reaches the top only through a switch edge
         sg = build_switch_graph(c6)
         sg = replace(sg, forcing=(2, 1), adjacency=adjacency)
-        assert verify_spectrum_continuity(c6, sg=sg).reach_max is reach
+        assert reaches_top(sg) is reach
