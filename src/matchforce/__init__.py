@@ -46,7 +46,6 @@ from .structure import (
     ClassificationResult,
     ClassTag,
     classify_min_forcing,
-    has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
     max_independent_set_size,
@@ -76,7 +75,6 @@ from .switch import (
     build_switch_graph,
     reaches_top,
     switch_path,
-    verify_switch_bound,
 )
 from .harness import (
     BlockResult,

@@ -2,9 +2,9 @@
 
 Each graph gets one kernel object from `make_kernel`, which is the only
 place that picks native or pure code.  `pure.Kernel` holds the matching
-counts and the whole-graph methods ``enumerate_pms``, ``forcing_numbers``
-and ``switch_pass``; `NativeKernel` takes the last two from ``native.c``,
-over the same flat data.  On first import this module compiles that file
+counts and the whole-graph methods ``enumerate_pms``, ``forcing_numbers``,
+``switch_pass`` and ``matching_facts``; `NativeKernel` takes the last three
+from ``native.c``, over the same flat data.  On first import this module compiles that file
 with the running interpreter's C compiler (sysconfig's ``CC``) and header
 directory into ``build/``, under a name that carries a CRC-32 of the
 source and the interpreter's extension suffix, and later imports load
@@ -81,8 +81,8 @@ def _native():
 
 
 class NativeKernel(pure.Kernel):
-    """`pure.Kernel` whose forcing numbers and switch pass come from
-    native.c."""
+    """`pure.Kernel` whose forcing numbers, switch pass and matching facts
+    come from native.c."""
 
     __slots__ = ()
 
@@ -91,6 +91,9 @@ class NativeKernel(pure.Kernel):
 
     def switch_pass(self, matchings) -> tuple:
         return _native().switch_pass(matchings)
+
+    def matching_facts(self, matchings, forcing) -> tuple:
+        return _native().matching_facts(self.rows, matchings, forcing)
 
 
 def kernel_backend() -> str:

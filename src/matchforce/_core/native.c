@@ -1,11 +1,13 @@
-/* Native twins of two whole-graph methods of the pure-Python kernel
+/* Native twins of three whole-graph methods of the pure-Python kernel
    object, for graphs of order <= 64.
 
    forcing_numbers(rows, matchings) runs the two-ended search of
    pure.Kernel.forcing_numbers, with its own count2 memo, and
-   switch_pass(matchings) the loop of pure.Kernel.switch_pass; their
-   docstrings say what is computed.  A vertex set is one 64-bit mask; a set
-   of the given matchings is a bitset of `words` 64-bit words.  The package
+   switch_pass(matchings) and matching_facts(rows, matchings, forcing) the
+   methods of those names, which share one loop over the matchings' edge
+   pairs, that of pure.Kernel._switch_pairs; the pure docstrings say what
+   is computed.  A vertex set is one 64-bit mask; a set of the given
+   matchings is a bitset of `words` 64-bit words.  The package
    builds this file on first import and serves it through NativeKernel
    (see __init__.py).  */
 
@@ -553,7 +555,7 @@ done:
 }
 
 /* ---------------------------------------------------------------------
-   switch pass */
+   switch pass and matching facts */
 
 /* A matching minus two of its edges, its "rest": the first matching seen
    with it and which two of its edges are out, and the second matching. */
@@ -562,6 +564,12 @@ typedef struct {
     int32_t first, second;  /* -1: none yet */
     uint8_t a, b;
 } Rest;
+
+/* The switch edges found: pair p joins ij[2p] and the earlier ij[2p + 1]. */
+typedef struct {
+    int32_t *ij;
+    size_t count, cap;
+} Pairs;
 
 static u64
 edge_hash(uint16_t code)
@@ -592,46 +600,31 @@ same_rest(const uint16_t *codes, int k, int32_t i, int a, int b,
     }
 }
 
+/* The loop of pure.Kernel._switch_pairs over nm matchings of k edges: the
+   switch edges into `pairs` and the switched-pair counts into `switched`
+   (nm zeroed entries).  A rest is keyed by an XOR of per-edge hashes, and
+   a hash hit counts only when the two rests are equal.  -1 with an
+   exception set on failure. */
 static int
-cmp_i32(const void *a, const void *b)
+switch_pairs(const uint16_t *codes, Py_ssize_t nm, int k, Pairs *pairs,
+             long *switched)
 {
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
-
-static PyObject *
-switch_pass(PyObject *self, PyObject *args)
-{
-    PyObject *matchings_obj;
-    if (!PyArg_ParseTuple(args, "O", &matchings_obj))
-        return NULL;
-    Py_ssize_t nm;
-    int k;
-    uint16_t *codes = parse_matchings(matchings_obj, MAX_ORDER, &nm, &k);
-    if (codes == NULL)
-        return NULL;
     if (nm > INT32_MAX / 2) {
-        PyMem_Free(codes);
         PyErr_SetString(PyExc_ValueError, "too many matchings");
-        return NULL;
+        return -1;
     }
-
-    PyObject *result = NULL, *adjacency = NULL, *switched_obj = NULL;
-    PyObject **ints = NULL;
-    Rest *table = NULL;
-    int32_t *pairs = NULL, *start = NULL, *fill = NULL, *nbrs = NULL;
-    long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
+    int result = -1;
     u64 *hashes = PyMem_Malloc((size_t)k * sizeof *hashes + 1);
     size_t rests = (size_t)nm * (size_t)(k * (k - 1) / 2);
     size_t cap = 16;
     while (cap < 2 * rests)
         cap *= 2;
     int shift = 64 - __builtin_ctzll(cap);
-    table = PyMem_Malloc(cap * sizeof *table);
-    /* every switch edge is found once, from its later node */
-    size_t npairs = 0, pairs_cap = 1024;
-    pairs = PyMem_Malloc(pairs_cap * 2 * sizeof *pairs);
-    if (switched == NULL || hashes == NULL || table == NULL || pairs == NULL) {
+    Rest *table = PyMem_Malloc(cap * sizeof *table);
+    pairs->count = 0;
+    pairs->cap = 1024;
+    pairs->ij = PyMem_Malloc(pairs->cap * 2 * sizeof *pairs->ij);
+    if (hashes == NULL || table == NULL || pairs->ij == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -649,7 +642,6 @@ switch_pass(PyObject *self, PyObject *args)
             for (int b = a + 1; b < k; b++) {
                 u64 h = key ^ hashes[a] ^ hashes[b];
                 size_t s = (size_t)((h * GOLDEN) >> shift);
-                /* a hash hit counts only when the two rests are equal */
                 while (table[s].first >= 0
                        && !(table[s].hash == h
                             && same_rest(codes, k, table[s].first, table[s].a,
@@ -674,41 +666,77 @@ switch_pass(PyObject *self, PyObject *args)
                     switched[r->first]++;
                     r->second = i;
                 }
-                if (npairs + 2 > pairs_cap) {
-                    int32_t *more = PyMem_Realloc(pairs, pairs_cap * 4 * sizeof *pairs);
+                if (pairs->count + 2 > pairs->cap) {
+                    int32_t *more = PyMem_Realloc(
+                        pairs->ij, pairs->cap * 4 * sizeof *pairs->ij);
                     if (more == NULL) {
                         PyErr_NoMemory();
                         goto done;
                     }
-                    pairs = more;
-                    pairs_cap *= 2;
+                    pairs->ij = more;
+                    pairs->cap *= 2;
                 }
                 for (int l = 0; l < links; l++) {
-                    pairs[2 * npairs] = i;
-                    pairs[2 * npairs + 1] = joined[l];
-                    npairs++;
+                    pairs->ij[2 * pairs->count] = i;
+                    pairs->ij[2 * pairs->count + 1] = joined[l];
+                    pairs->count++;
                 }
             }
         }
     }
+    result = 0;
+done:
     PyMem_Free(table);
-    table = NULL;
+    PyMem_Free(hashes);
+    return result;
+}
+
+static int
+cmp_i32(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+static PyObject *
+switch_pass(PyObject *self, PyObject *args)
+{
+    PyObject *matchings_obj;
+    if (!PyArg_ParseTuple(args, "O", &matchings_obj))
+        return NULL;
+    Py_ssize_t nm;
+    int k;
+    uint16_t *codes = parse_matchings(matchings_obj, MAX_ORDER, &nm, &k);
+    if (codes == NULL)
+        return NULL;
+
+    PyObject *adjacency = NULL;
+    PyObject **ints = NULL;
+    Pairs pairs = {0};
+    int32_t *start = NULL, *fill = NULL, *nbrs = NULL;
+    long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
+    if (switched == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (switch_pairs(codes, nm, k, &pairs, switched) < 0)
+        goto done;
 
     /* adjacency lists from the pairs, each sorted */
     start = PyMem_Calloc((size_t)nm + 1, sizeof *start);
     fill = PyMem_Calloc((size_t)nm + 1, sizeof *fill);
-    nbrs = PyMem_Malloc(2 * npairs * sizeof *nbrs + 1);
+    nbrs = PyMem_Malloc(2 * pairs.count * sizeof *nbrs + 1);
     ints = PyMem_Calloc((size_t)nm + 1, sizeof *ints);
     if (start == NULL || fill == NULL || nbrs == NULL || ints == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (size_t p = 0; p < 2 * npairs; p++)
-        start[pairs[p] + 1]++;
+    for (size_t p = 0; p < 2 * pairs.count; p++)
+        start[pairs.ij[p] + 1]++;
     for (Py_ssize_t i = 0; i < nm; i++)
         start[i + 1] += start[i];
-    for (size_t p = 0; p < npairs; p++) {
-        int32_t u = pairs[2 * p], v = pairs[2 * p + 1];
+    for (size_t p = 0; p < pairs.count; p++) {
+        int32_t u = pairs.ij[2 * p], v = pairs.ij[2 * p + 1];
         nbrs[start[u] + fill[u]++] = v;
         nbrs[start[v] + fill[v]++] = u;
     }
@@ -719,15 +747,12 @@ switch_pass(PyObject *self, PyObject *args)
     }
 
     adjacency = PyTuple_New(nm);
-    switched_obj = PyTuple_New(nm);
-    if (adjacency == NULL || switched_obj == NULL)
+    if (adjacency == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < nm; i++) {
         PyObject *row = PyTuple_New(start[i + 1] - start[i]);
-        PyObject *count = PyLong_FromLong(switched[i]);
-        if (row == NULL || count == NULL) {
-            Py_XDECREF(row);
-            Py_XDECREF(count);
+        if (row == NULL) {
+            Py_CLEAR(adjacency);
             goto done;
         }
         for (int32_t p = start[i]; p < start[i + 1]; p++) {
@@ -735,12 +760,8 @@ switch_pass(PyObject *self, PyObject *args)
             PyTuple_SET_ITEM(row, p - start[i], ints[nbrs[p]]);
         }
         PyTuple_SET_ITEM(adjacency, i, row);
-        PyTuple_SET_ITEM(switched_obj, i, count);
     }
-    result = PyTuple_Pack(2, adjacency, switched_obj);
 done:
-    Py_XDECREF(adjacency);
-    Py_XDECREF(switched_obj);
     if (ints != NULL)
         for (Py_ssize_t i = 0; i < nm; i++)
             Py_XDECREF(ints[i]);
@@ -748,10 +769,193 @@ done:
     PyMem_Free(nbrs);
     PyMem_Free(fill);
     PyMem_Free(start);
-    PyMem_Free(pairs);
-    PyMem_Free(table);
-    PyMem_Free(hashes);
+    PyMem_Free(pairs.ij);
     PyMem_Free(switched);
+    PyMem_Free(codes);
+    return adjacency;
+}
+
+/* forcing numbers, one per matching; -1 with an exception set */
+static int
+parse_forcing(PyObject *obj, Py_ssize_t nm, long *forcing)
+{
+    PyObject *seq = PySequence_Fast(obj, "forcing must be a sequence");
+    if (seq == NULL)
+        return -1;
+    int result = -1;
+    if (PySequence_Fast_GET_SIZE(seq) != nm) {
+        PyErr_SetString(PyExc_ValueError, "one forcing number per matching");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        forcing[i] = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+        if (forcing[i] == -1 && PyErr_Occurred())
+            goto done;
+    }
+    result = 0;
+done:
+    Py_DECREF(seq);
+    return result;
+}
+
+static int32_t
+root(int32_t *parent, int32_t i)
+{
+    while (parent[i] != i)
+        i = parent[i] = parent[parent[i]];
+    return i;
+}
+
+/* pure.Kernel.matching_facts, whose docstring says what is computed.  The
+   graph's edges are ranked in (u, v) order; a set of them is a bitset of
+   `words` 64-bit words. */
+static PyObject *
+matching_facts(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj, *matchings_obj, *forcing_obj;
+    if (!PyArg_ParseTuple(args, "OOO", &rows_obj, &matchings_obj, &forcing_obj))
+        return NULL;
+    u64 rows[MAX_ORDER];
+    int order;
+    if (parse_rows(rows_obj, rows, &order) < 0)
+        return NULL;
+    Py_ssize_t nm;
+    int k;
+    uint16_t *codes = parse_matchings(matchings_obj, order, &nm, &k);
+    if (codes == NULL)
+        return NULL;
+
+    PyObject *result = NULL;
+    Pairs pairs = {0};
+    int16_t rank[64 * 64];
+    uint16_t edges[64 * 63 / 2];
+    int count = 0;
+    memset(rank, 0xff, sizeof rank);
+    for (int u = 0; u < order; u++)
+        for (u64 later = rows[u] >> u >> 1; later; later &= later - 1) {
+            int v = u + 1 + ctz(later);
+            rank[u * 64 + v] = (int16_t)count;
+            edges[count++] = (uint16_t)(u * 64 + v);
+        }
+    size_t words = ((size_t)count + 63) / 64;
+    long *forcing = PyMem_Malloc(((size_t)nm + 1) * sizeof *forcing);
+    long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
+    int32_t *parent = PyMem_Malloc(((size_t)nm + 1) * sizeof *parent);
+    uint8_t *top_root = PyMem_Calloc((size_t)nm + 1, 1);
+    /* per edge, the edges of the matchings that hold it; per vertex, the
+       edges at it; the edges common to all matchings; one matching's */
+    u64 *holders = PyMem_Calloc((size_t)count * words + 1, sizeof *holders);
+    u64 *touching = PyMem_Calloc((size_t)order * words + 1, sizeof *touching);
+    u64 *common = PyMem_Malloc((words + 1) * sizeof *common);
+    u64 *key = PyMem_Malloc((words + 1) * sizeof *key);
+    if (forcing == NULL || switched == NULL || parent == NULL || top_root == NULL
+        || holders == NULL || touching == NULL || common == NULL || key == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (parse_forcing(forcing_obj, nm, forcing) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < nm * k; i++) {
+        if (rank[codes[i]] < 0) {
+            PyErr_SetString(PyExc_ValueError, "matching edge not in the graph");
+            goto done;
+        }
+    }
+    if (switch_pairs(codes, nm, k, &pairs, switched) < 0)
+        goto done;
+
+    /* the first switch edge, as (lower, higher), that jumps more than 1 */
+    int32_t jump_lo = -1, jump_hi = -1;
+    for (size_t p = 0; p < pairs.count; p++) {
+        int32_t hi = pairs.ij[2 * p], lo = pairs.ij[2 * p + 1];
+        unsigned long fh = (unsigned long)forcing[hi], fl = (unsigned long)forcing[lo];
+        if ((forcing[hi] > forcing[lo] ? fh - fl : fl - fh) > 1
+            && (jump_lo < 0 || lo < jump_lo || (lo == jump_lo && hi < jump_hi))) {
+            jump_lo = lo;
+            jump_hi = hi;
+        }
+    }
+
+    /* switch components by union-find, and which hold a top matching */
+    for (Py_ssize_t i = 0; i < nm; i++)
+        parent[i] = (int32_t)i;
+    for (size_t p = 0; p < pairs.count; p++)
+        parent[root(parent, pairs.ij[2 * p])] = root(parent, pairs.ij[2 * p + 1]);
+    for (Py_ssize_t i = 0; i < nm; i++)
+        if (forcing[i] == k - 1)
+            top_root[root(parent, (int32_t)i)] = 1;
+    int reach = 1;
+    for (Py_ssize_t i = 0; i < nm && reach; i++)
+        reach = top_root[root(parent, (int32_t)i)];
+
+    /* pair cover and fixed bond */
+    for (size_t w = 0; w < words; w++)
+        common[w] = nm > 0 ? ~0ULL : 0;
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        const uint16_t *own = codes + (size_t)i * k;
+        memset(key, 0, words * sizeof *key);
+        for (int e = 0; e < k; e++)
+            key[rank[own[e]] / 64] |= 1ULL << (rank[own[e]] % 64);
+        for (size_t w = 0; w < words; w++)
+            common[w] &= key[w];
+        for (int e = 0; e < k; e++) {
+            u64 *h = holders + (size_t)rank[own[e]] * words;
+            for (size_t w = 0; w < words; w++)
+                h[w] |= key[w];
+        }
+    }
+    for (int r = 0; r < count; r++) {
+        int u = edges[r] >> 6, v = edges[r] & 63;
+        touching[(size_t)u * words + r / 64] |= 1ULL << (r % 64);
+        touching[(size_t)v * words + r / 64] |= 1ULL << (r % 64);
+    }
+    int covered = 1;
+    for (int r = 0; r < count && covered; r++) {
+        const u64 *h = holders + (size_t)r * words;
+        const u64 *tu = touching + (size_t)(edges[r] >> 6) * words;
+        const u64 *tv = touching + (size_t)(edges[r] & 63) * words;
+        for (size_t w = 0; w < words && covered; w++) {
+            u64 every = w + 1 < words || count % 64 == 0
+                            ? ~0ULL : (1ULL << (count % 64)) - 1;
+            covered = !(every & ~(tu[w] | tv[w] | h[w]));
+        }
+    }
+    int bond = -1;
+    for (size_t w = 0; w < words && bond < 0; w++)
+        if (common[w])
+            bond = (int)(w * 64) + ctz(common[w]);
+
+    PyObject *counts = PyTuple_New(nm);
+    if (counts == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < nm; i++) {
+        PyObject *c = PyLong_FromLong(switched[i]);
+        if (c == NULL) {
+            Py_DECREF(counts);
+            goto done;
+        }
+        PyTuple_SET_ITEM(counts, i, c);
+    }
+    PyObject *bond_obj = bond < 0 ? Py_NewRef(Py_None)
+                                  : Py_BuildValue("(ii)", edges[bond] >> 6, edges[bond] & 63);
+    PyObject *jump_obj = jump_lo < 0 ? Py_NewRef(Py_None)
+                                     : Py_BuildValue("(ii)", (int)jump_lo, (int)jump_hi);
+    if (bond_obj != NULL && jump_obj != NULL)
+        result = Py_BuildValue("(OOOOO)", counts, covered ? Py_True : Py_False,
+                               bond_obj, jump_obj, reach ? Py_True : Py_False);
+    Py_DECREF(counts);
+    Py_XDECREF(bond_obj);
+    Py_XDECREF(jump_obj);
+done:
+    PyMem_Free(key);
+    PyMem_Free(common);
+    PyMem_Free(touching);
+    PyMem_Free(holders);
+    PyMem_Free(top_root);
+    PyMem_Free(parent);
+    PyMem_Free(switched);
+    PyMem_Free(forcing);
+    PyMem_Free(pairs.ij);
     PyMem_Free(codes);
     return result;
 }
@@ -760,7 +964,10 @@ static PyMethodDef methods[] = {
     {"forcing_numbers", forcing_numbers, METH_VARARGS,
      "forcing_numbers(rows, matchings) -> list of forcing numbers"},
     {"switch_pass", switch_pass, METH_VARARGS,
-     "switch_pass(matchings) -> (sorted adjacency, switched-pair counts)"},
+     "switch_pass(matchings) -> sorted adjacency"},
+    {"matching_facts", matching_facts, METH_VARARGS,
+     "matching_facts(rows, matchings, forcing) -> "
+     "(switched, covered, bond, jump, reach)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -7,8 +7,10 @@ primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
 matching.  The whole-graph methods take no mask: ``enumerate_pms`` lists
 the graph's perfect matchings, ``forcing_numbers`` answers any of them in
-one search over the partial matchings they share, and ``switch_pass``
-builds the adjacency of the switch graph on them.
+one search over the partial matchings they share, ``switch_pass``
+builds the adjacency of the switch graph on them, and ``matching_facts``
+reads what verify asks of them from the same pass over their edge pairs,
+without that adjacency.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from ..errors import MatchingOverflowError
 
 
 class Kernel:
-    """Per-graph matching counts, matchings, forcing numbers and switch pass."""
+    """Per-graph matching counts, matchings, forcing numbers, switch pass
+    and matching facts."""
 
     __slots__ = ("rows", "order", "_count_cache")
 
@@ -192,52 +195,135 @@ class Kernel:
         return out
 
     def switch_pass(self, matchings) -> tuple:
-        """Sorted adjacency and switched-pair counts of the switch graph
-        whose nodes are ``matchings``, perfect matchings of the graph as
-        flat tuples (u0, v0, u1, v1, ...), u0 < u1 < ..., ui < vi.
+        """Sorted adjacency of the switch graph whose nodes are
+        ``matchings``, perfect matchings of the graph as flat tuples
+        (u0, v0, u1, v1, ...), u0 < u1 < ..., ui < vi: two matchings are
+        adjacent iff they share all but two edges (see `_switch_pairs`)."""
+        adjacency = [[] for _ in matchings]
+        bits_of = _edge_bits(matchings, self._edge_ranks()[0])
+        for i, j in self._switch_pairs(bits_of)[0]:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        return tuple(map(tuple, map(sorted, adjacency)))
 
-        A node's key has one bit per matching edge (u, v), u < v, bit r for
-        the edge of rank r in the graph.  Two matchings are adjacent iff
-        they share all but two edges, that is iff clearing two edges' bits
-        from each key leaves the same rest.  The rest covers all but four
-        vertices, so at most three matchings share it (the perfect matchings
-        of those four), pairwise adjacent: each node is joined to the first
-        and the second earlier node with each of its rests.  A rest that a
-        second matching shares is a switched pair of both, and of a third as
-        it comes.
+    def matching_facts(self, matchings, forcing) -> tuple:
+        """What the given perfect matchings of the graph, with their
+        forcing numbers, answer without building the switch graph's
+        adjacency, as ``(switched, covered, bond, jump, reach)``:
+
+        - ``switched``: per matching, the pairs of its edges that span an
+          alternating 4-cycle (see `_switch_pairs`);
+        - ``covered``: whether every pair of disjoint edges of the graph
+          lies in a common matching.  An edge of the graph in no matching
+          leaves its pairs uncovered;
+        - ``bond``: the lowest edge (u, v) common to all the matchings, or
+          None (also for no matchings);
+        - ``jump``: the first switch edge (i, j), i < j, in sorted order,
+          whose forcing numbers differ by more than 1, or None;
+        - ``reach``: whether every matching's switch component holds a
+          matching of forcing number k - 1, for k edges per matching; the
+          components come from a union-find over the switch edges.
+
+        With ``matchings`` all the perfect matchings of a connected graph
+        of order >= 6, ``covered`` says whether it is 2-extendable.
         """
+        bit, edges = self._edge_ranks()
+        bits_of = _edge_bits(matchings, bit)
+        pairs, switched = self._switch_pairs(bits_of)
+        holders_of = {}  # per edge bit: the edges of the matchings holding it
+        common = -1 if matchings else 0
+        for bits in bits_of:
+            key = sum(bits)
+            common &= key
+            for b in bits:
+                holders_of[b] = holders_of.get(b, 0) | key
+        touching = [0] * self.order
+        for r, (u, v) in enumerate(edges):
+            touching[u] |= 1 << r
+            touching[v] |= 1 << r
+        every = (1 << len(edges)) - 1
+        covered = all(
+            not every & ~(touching[u] | touching[v] | holders_of.get(1 << r, 0))
+            for r, (u, v) in enumerate(edges)
+        )
+        bond = edges[(common & -common).bit_length() - 1] if common else None
+        jump = min(
+            ((j, i) for i, j in pairs if abs(forcing[i] - forcing[j]) > 1),
+            default=None,
+        )
+        parent = list(range(len(matchings)))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for i, j in pairs:
+            parent[root(i)] = root(j)
+        top = len(matchings[0]) // 2 - 1 if matchings else 0
+        tops = {root(i) for i, f in enumerate(forcing) if f == top}
+        reach = all(root(i) in tops for i in range(len(matchings)))
+        return tuple(switched), covered, bond, jump, reach
+
+    def _edge_ranks(self) -> tuple:
+        """``bit[u][v]``, u < v, is 1 << r for the edge (u, v) of rank r in
+        the graph, and ``edges[r]`` is that edge."""
         rows = self.rows
         bit = [[0] * len(rows) for _ in rows]
-        r = 1
+        edges = []
         for u, row in enumerate(rows):
             later = row >> u + 1 << u + 1
             while later:
                 v_bit = later & -later
                 later ^= v_bit
-                bit[u][v_bit.bit_length() - 1] = r
-                r <<= 1
+                v = v_bit.bit_length() - 1
+                bit[u][v] = 1 << len(edges)
+                edges.append((u, v))
+        return bit, edges
+
+    @staticmethod
+    def _switch_pairs(bits_of) -> tuple:
+        """The switch edges (i, j), j < i, and the switched-pair counts of
+        the matchings whose edge bits are ``bits_of``.
+
+        A matching's key is the sum of its edge bits.  Two matchings are
+        adjacent iff they share all but two edges, that is iff clearing two
+        edges' bits from each key leaves the same rest.  The rest covers all
+        but four vertices, so at most three matchings share it (the perfect
+        matchings of those four), pairwise adjacent: each matching is joined
+        to the first and the second earlier matching with each of its
+        rests, so every switch edge is found once.  A rest that a second
+        matching shares is a switched pair of both, and of a third as it
+        comes: a pair of a matching's edges is switched iff it spans an
+        alternating 4-cycle.
+        """
         first: dict[int, int] = {}
         second: dict[int, int] = {}
-        adjacency = [[] for _ in matchings]
-        switched = [0] * len(adjacency)
-        for i, flat in enumerate(matchings):
-            it = iter(flat)
-            bits = [bit[u][v] for u, v in zip(it, it)]
+        pairs = []
+        switched = [0] * len(bits_of)
+        for i, bits in enumerate(bits_of):
             key = sum(bits)
             for x, y in combinations(bits, 2):
                 rest = key ^ x ^ y
                 j = first.setdefault(rest, i)
                 if j != i:
                     switched[i] += 1
-                    adjacency[i].append(j)
-                    adjacency[j].append(i)
+                    pairs.append((i, j))
                     k = second.setdefault(rest, i)
                     if k == i:
                         switched[j] += 1
                     else:
-                        adjacency[i].append(k)
-                        adjacency[k].append(i)
-        return tuple(map(tuple, map(sorted, adjacency))), tuple(switched)
+                        pairs.append((i, k))
+        return pairs, switched
+
+
+def _edge_bits(matchings, bit) -> list:
+    """Each flat matching's edges as their bits ``bit[u][v]``."""
+    out = []
+    for flat in matchings:
+        it = iter(flat)
+        out.append([bit[u][v] for u, v in zip(it, it)])
+    return out
 
 
 def _assign(out: list, bits: int, value: int) -> None:

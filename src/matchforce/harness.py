@@ -18,7 +18,8 @@ from functools import cached_property, partial
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .extend import _case_labelling, is_brick, is_l_extendable
+from .errors import PreconditionError
+from .extend import _case_labelling, is_brick
 from .forcing import forcing_profile
 from .generate import (
     enumerate_labeled_graphs,
@@ -34,17 +35,17 @@ from .graph import (
     Graph,
     has_perfect_matching,
     is_bipartite,
+    is_connected,
     vertex_connectivity,
 )
 from .graphio import _G6_MAX_ORDER, to_graph6
 from .structure import (
     classify_min_forcing,
-    has_fixed_double_bond,
     is_complete_multipartite,
     is_knn_plus,
     max_independent_set_size,
 )
-from .switch import build_switch_graph, reaches_top, verify_switch_bound
+from .switch import build_switch_graph
 
 _MAX_COUNTEREXAMPLES = 32
 
@@ -104,8 +105,10 @@ class _GraphContext:
         return self.max_is_top and self.g.edge_count() == self.n * self.n
 
     @cached_property
-    def switch_graph(self):
-        return build_switch_graph(self.g, profile=self.profile)
+    def facts(self):
+        """The switch graph's facts (see `MatchingFacts`): one kernel pass
+        over the profile's matchings, with no adjacency built."""
+        return build_switch_graph(self.g, profile=self.profile).facts
 
 
 def _block_thm13(ctx: _GraphContext):
@@ -123,18 +126,17 @@ def _block_lemma22(ctx: _GraphContext):
     4-cycle, that is iff every pair is a switched pair of M's node."""
     if ctx.n < 1:
         return 0, True
-    sg = ctx.switch_graph
     pairs = comb(ctx.n, 2)
     return 1, all(
         (s == pairs) == (f == ctx.n - 1)
-        for s, f in zip(sg.switched_pairs, sg.forcing)
+        for s, f in zip(ctx.facts.switched_pairs, ctx.profile.forcing)
     )
 
 
 def _block_lemma23(ctx: _GraphContext):
     if not ctx.max_is_top or ctx.n < 2:
         return 0, True
-    if has_fixed_double_bond(ctx.profile) is not None:
+    if ctx.facts.fixed_bond is not None:
         return 1, False
     if vertex_connectivity(ctx.g) < ctx.n:
         return 1, False
@@ -167,10 +169,14 @@ def _block_thm33(ctx: _GraphContext):
 def _block_thm41(ctx: _GraphContext):
     """One direction of Theorem 4.1: a graph that is not 2-extendable has a
     case i or case ii labelling of a top matching, searched over the
-    profile's flat matchings of forcing number n - 1."""
+    profile's flat matchings of forcing number n - 1.  A connected graph of
+    order >= 6 is 2-extendable iff every pair of its disjoint edges lies in
+    a common perfect matching."""
     if not ctx.max_is_top or ctx.n < 3 or ctx.knn_plus is not None:
         return 0, True
-    if is_l_extendable(ctx.g, 2):
+    if not is_connected(ctx.g):
+        raise PreconditionError("extendability is defined for connected graphs")
+    if ctx.facts.pair_cover:
         return 1, True
     profile = ctx.profile
     tops = (m for m, f in zip(profile.matchings, profile.forcing) if f == ctx.n - 1)
@@ -184,14 +190,13 @@ def _block_cor52(ctx: _GraphContext):
 
 
 def _block_lemma56(ctx: _GraphContext):
-    ok, _ = verify_switch_bound(ctx.switch_graph)
-    return 1, ok
+    return 1, ctx.facts.first_jump is None
 
 
 def _block_thm57(ctx: _GraphContext):
     if not ctx.max_is_top:
         return 0, True
-    return 1, ctx.profile.continuous and reaches_top(ctx.switch_graph)
+    return 1, ctx.profile.continuous and ctx.facts.reaches_top
 
 
 def _block_lemma22min(ctx: _GraphContext):
@@ -201,10 +206,11 @@ def _block_lemma22min(ctx: _GraphContext):
     fails; differing graphs are counted."""
     if not ctx.max_is_top:
         return 0, True
-    sg = ctx.switch_graph
     pairs = comb(ctx.n, 2)
     every = ctx.g.edge_count() == ctx.n * ctx.n and all(
-        s == pairs for s, f in zip(sg.switched_pairs, sg.forcing) if f == ctx.n - 1
+        s == pairs
+        for s, f in zip(ctx.facts.switched_pairs, ctx.profile.forcing)
+        if f == ctx.n - 1
     )
     return 1, True, {"readings_differ": int(ctx.minimal_max_forcing != every)}
 

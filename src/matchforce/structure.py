@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Optional
 
 from .errors import NoPerfectMatchingError, PreconditionError
-from .forcing import SpectrumReport
 from .graph import Edge, Graph, has_perfect_matching, iter_bits
 
 
@@ -132,20 +131,3 @@ def max_independent_set_size(g: Graph) -> int:
 
     rec(g.full_mask, 0)
     return best
-
-
-def has_fixed_double_bond(profile: SpectrumReport) -> Optional[Edge]:
-    """Lowest edge contained in every perfect matching, or None.
-
-    The profile holds every perfect matching of its graph, and at least
-    one, as flat tuples; their common pairs are intersected matching by
-    matching until none is left.
-    """
-    common = None
-    for m in profile.matchings:
-        it = iter(m)
-        pairs = zip(it, it)
-        common = set(pairs) if common is None else common.intersection(pairs)
-        if not common:
-            return None
-    return Edge(*min(common))

@@ -4,17 +4,18 @@ Nodes of the switch graph are the perfect matchings of a host graph;
 two matchings are adjacent when they differ by one alternating 4-cycle,
 that is when they share all but two edges.  The symmetric difference of
 adjacent matchings is that cycle's edge set, so each switch edge is
-realized by exactly one cycle.  The build works on the profile's flat
-matchings alone and keeps adjacency and each node's switched pairs,
-which answer Lemma 2.2 (see `SwitchGraph`); ``switch_path`` derives the
-cycle of each hop it takes from the hop's two matchings, so verifying or
-reporting a switch graph never builds a cycle, and `PerfectMatching`
-objects are made only for a path or a reported violation.
+realized by exactly one cycle.  A `SwitchGraph` holds the profile's flat
+matchings, and the host graph's kernel reads the rest from them on first
+use: the adjacency (``switch_pass``), which ``analyze`` reports and
+``switch_path`` searches, or the facts that ``verify`` reads
+(``matching_facts``, see `MatchingFacts`), which need no adjacency.
+``switch_path`` derives the cycle of each hop it takes from the hop's two
+matchings, so verifying or reporting a switch graph never builds a cycle,
+and `PerfectMatching` objects are made only for a path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,22 +32,58 @@ from .graph import (
 )
 
 
+@dataclass(frozen=True, slots=True)
+class MatchingFacts:
+    """What verify reads off a graph's perfect matchings, from the kernel's
+    ``matching_facts`` pass.
+
+    - ``switched_pairs``: per node, the pairs of its edges that span an
+      alternating 4-cycle, so Lemma 2.2 reads node i as maximal iff all
+      C(n, 2) pairs switch;
+    - ``pair_cover``: whether every pair of disjoint edges of the host graph
+      lies in a common perfect matching, which for a connected graph of
+      order >= 6 is 2-extendability (Theorem 4.1);
+    - ``fixed_bond``: the lowest edge (u, v) of every perfect matching, or
+      None (Lemma 2.3);
+    - ``first_jump``: the first switch edge (i, j) in ``SwitchGraph.edges()``
+      order whose forcing numbers differ by more than 1, or None (Lemma
+      5.6);
+    - ``reaches_top``: whether every node switches, in some number of steps,
+      into a node of forcing number n - 1 (Theorem 5.7).
+    """
+
+    switched_pairs: tuple[int, ...]
+    pair_cover: bool
+    fixed_bond: Optional[tuple[int, int]]
+    first_jump: Optional[tuple[int, int]]
+    reaches_top: bool
+
+
 @dataclass(frozen=True)
 class SwitchGraph:
     """Transition graph over all perfect matchings of one host graph.
 
-    ``matchings`` holds the nodes as flat tuples (u0, v0, u1, v1, ...),
-    ``forcing`` their forcing numbers and ``adjacency`` their sorted
-    neighbour indices.  ``switched_pairs`` counts, per node, the pairs of
-    its edges that span an alternating 4-cycle, so Lemma 2.2 reads node i
-    as maximal iff all C(n, 2) pairs switch.  ``nodes`` holds the same
-    matchings as `PerfectMatching` objects; it is built on first use.
+    ``matchings`` holds the nodes as flat tuples (u0, v0, u1, v1, ...) and
+    ``forcing`` their forcing numbers.  The host's kernel reads the rest on
+    first use, each in one pass over the nodes' edge pairs: ``adjacency``,
+    the sorted neighbour indices, and ``facts`` (see `MatchingFacts`),
+    which builds no adjacency.  ``nodes`` holds the same matchings as
+    `PerfectMatching` objects; it is built on first use.
     """
 
     matchings: tuple[tuple[int, ...], ...]
     forcing: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    switched_pairs: tuple[int, ...]
+    host: Graph
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _kernel(self.host).switch_pass(self.matchings)
+
+    @cached_property
+    def facts(self) -> MatchingFacts:
+        return MatchingFacts(
+            *_kernel(self.host).matching_facts(self.matchings, self.forcing)
+        )
 
     @cached_property
     def nodes(self) -> tuple[PerfectMatching, ...]:
@@ -78,18 +115,16 @@ class SwitchPath:
 def build_switch_graph(
     g: Graph, profile: SpectrumReport | None = None
 ) -> SwitchGraph:
-    """Full switch graph with forcing numbers and switched pairs per node.
+    """Full switch graph with a forcing number per node.
 
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given.  A profile holds every perfect matching, since
-    `forcing_profile` raises `MatchingOverflowError` past its cap.
-    The pass that finds the adjacency and switched pairs is the graph
-    kernel's ``switch_pass``.
+    `forcing_profile` raises `MatchingOverflowError` past its cap.  The
+    adjacency and the facts are left to the first read of each.
     """
     if profile is None:
         profile = forcing_profile(g)
-    adjacency, switched = _kernel(g).switch_pass(profile.matchings)
-    return SwitchGraph(profile.matchings, profile.forcing, adjacency, switched)
+    return SwitchGraph(profile.matchings, profile.forcing, g)
 
 
 def switch_path(
@@ -130,24 +165,6 @@ def switch_path(
         y, w = (c, d) if Edge(a, c) in kept else (d, c)
         cycles.append(AlternatingCycle.canonical((a, b, w, y)))
     return SwitchPath(matchings, tuple(cycles))
-
-
-def verify_switch_bound(
-    sg: SwitchGraph,
-) -> tuple[bool, Optional[tuple[PerfectMatching, PerfectMatching]]]:
-    """Check that adjacent matchings have forcing numbers within 1.
-
-    Each switch edge is read once, from its lower end i, over the sorted
-    neighbours j > i, so the first violation, in ``sg.edges()`` order, is
-    reported as its two matchings with i < j."""
-    f = sg.forcing
-    for i, nbrs in enumerate(sg.adjacency):
-        fi = f[i]
-        for j in nbrs[bisect_right(nbrs, i):]:
-            if abs(fi - f[j]) > 1:
-                pair = sg.matchings[i], sg.matchings[j]
-                return False, tuple(map(PerfectMatching._unchecked, pair))
-    return True, None
 
 
 def reaches_top(sg: SwitchGraph) -> bool:

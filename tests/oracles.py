@@ -11,7 +11,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
-from matchforce import Graph, PerfectMatching
+from matchforce import Edge, Graph, PerfectMatching
 from matchforce.graph import iter_bits
 
 
@@ -284,3 +284,37 @@ def oracle_is_l_extendable(g: Graph, l: int) -> bool:
         if not any(set(combo) <= pm for pm in pms):
             return False
     return True
+
+
+def oracle_switch_bound(sg):
+    """Check that adjacent matchings of the switch graph ``sg`` have forcing
+    numbers within 1: (True, None), or False with the first violation, in
+    ``sg.edges()`` order, as its two matchings with i < j."""
+    f = sg.forcing
+    for i, nbrs in enumerate(sg.adjacency):
+        for j in nbrs:
+            if i < j and abs(f[i] - f[j]) > 1:
+                pair = sg.matchings[i], sg.matchings[j]
+                return False, tuple(map(PerfectMatching._unchecked, pair))
+    return True, None
+
+
+def oracle_fixed_double_bond(profile):
+    """Lowest edge contained in every matching of a forcing profile, or
+    None: the flat tuples' pairs intersected matching by matching."""
+    common = None
+    for m in profile.matchings:
+        it = iter(m)
+        pairs = zip(it, it)
+        common = set(pairs) if common is None else common.intersection(pairs)
+        if not common:
+            return None
+    return Edge(*min(common))
+
+
+def oracle_switched_pairs(g: Graph, flat) -> int:
+    """The pairs of a flat matching's edges that span an alternating
+    4-cycle."""
+    it = iter(flat)
+    pairs = combinations(list(zip(it, it)), 2)
+    return sum(oracle_spans_four_cycle(g, e, f) for e, f in pairs)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from matchforce import (
     THEOREM_IDS,
-    Edge,
     Graph,
     builtin_corpus,
     classify_min_forcing,
@@ -217,7 +216,12 @@ class TestVerify:
         assert [b.theorem for b in rep.blocks if b.checked] == ["lemma56"]
 
     def test_counterexamples_stop_at_the_cap_in_corpus_order(self, monkeypatch):
-        monkeypatch.setattr(harness, "verify_switch_bound", lambda sg: (False, None))
+        real = harness.build_switch_graph
+        monkeypatch.setattr(
+            harness,
+            "build_switch_graph",
+            lambda g, **kwargs: _with_facts(first_jump=(0, 0))(real(g, **kwargs)),
+        )
         with_pm = (g for g in builtin_corpus("exhaustive-4") if has_perfect_matching(g))
         corpus = list(islice(with_pm, 33))
         assert len(corpus) == 33 == harness._MAX_COUNTEREXAMPLES + 1
@@ -249,30 +253,29 @@ def _profile_min_zero(profile):
     return SimpleNamespace(max_forcing=profile.max_forcing, min_forcing=0)
 
 
-def _same_matchings(sg, g):
-    return frozenset(sg.nodes) == frozenset(enumerate_perfect_matchings(g))
-
-
-def _same_profile(profile, g):
-    return profile.matchings == forcing_profile(g).matchings
-
-
 def _node_zero_forcing_zero(profile):
     """The profile with node 0's forcing number 0, which leaves a gap
     below a spectrum that starts at 2."""
     return replace(profile, forcing=(0, *profile.forcing[1:]))
 
 
+def _with_facts(**changes):
+    """A reading of the switch graph whose facts differ by ``changes``; the
+    blocks read nothing else of it."""
+    return lambda sg: SimpleNamespace(facts=replace(sg.facts, **changes))
+
+
 def _one_pair_fewer(sg):
     """The switch graph with one switched pair fewer at node 0."""
-    first, *rest = sg.switched_pairs
-    return replace(sg, switched_pairs=(first - 1, *rest))
+    first, *rest = sg.facts.switched_pairs
+    return _with_facts(switched_pairs=(first - 1, *rest))(sg)
 
 
-def _node_zero_one_lower(sg):
-    """The switch graph with node 0's forcing number one lower."""
-    first, *rest = sg.forcing
-    return replace(sg, forcing=(first - 1, *rest))
+def _node_zero_one_lower(switch_graph_or_profile):
+    """The switch graph or the profile with node 0's forcing number one
+    lower; the switch graph's facts are read anew from it."""
+    first, *rest = switch_graph_or_profile.forcing
+    return replace(switch_graph_or_profile, forcing=(first - 1, *rest))
 
 
 # block, target graph, harness name the block reads, the reading that
@@ -292,7 +295,7 @@ _FAILING_READINGS = [
     ),
     ("thm41", _non2ext, "_case_labelling", lambda r: None, None),
     ("cor52", _k33, "forcing_profile", _profile_min_zero, None),
-    ("lemma56", _k33, "verify_switch_bound", lambda r: (False, None), _same_matchings),
+    ("lemma56", _k33, "build_switch_graph", _with_facts(first_jump=(0, 1)), None),
     # K3,3's spectrum {2} becomes {0, 2}, still with max forcing n - 1
     ("thm57", _k33, "forcing_profile", _node_zero_forcing_zero, None),
 ]
@@ -320,7 +323,7 @@ _BOUNDARY_READINGS = [
         None,
     ),
     # on H(3,1) node 0 (f = 1) is a leaf of node 1 (f = 2): one adjacent
-    # pair at |f - f'| = 2
+    # pair at |f - f'| = 2, which the kernel's fact pass must report
     (
         "lemma56",
         lambda: gen_h_k(3, 1).graph,
@@ -339,9 +342,18 @@ _BOUNDARY_READINGS = [
     ),
     # a node with every pair switched and f = n - 2: "f = n - 1 => every
     # pair switches" alone lets it pass
-    ("lemma22", _k33, "build_switch_graph", _node_zero_one_lower, None),
+    ("lemma22", _k33, "forcing_profile", _node_zero_one_lower, None),
     # a fixed double bond on a graph that passes every other clause
-    ("lemma23", _k33, "has_fixed_double_bond", lambda r: Edge(0, 3), _same_profile),
+    ("lemma23", _k33, "build_switch_graph", _with_facts(fixed_bond=(0, 3)), None),
+    # a top graph with no case i/ii labelling read as not 2-extendable:
+    # reading every graph as 2-extendable lets it pass
+    (
+        "thm41",
+        lambda: gen_complete_multipartite([2, 2, 2, 2]),
+        "build_switch_graph",
+        _with_facts(pair_cover=False),
+        None,
+    ),
     # predicted where f = 1 < n - 1: "f = n - 1 => predicted" alone lets
     # it pass
     (
@@ -361,7 +373,7 @@ _BOUNDARY_READINGS = [
         None,
     ),
     # a continuous spectrum whose top is not reached from every matching
-    ("thm57", _k33, "reaches_top", lambda r: False, _same_matchings),
+    ("thm57", _k33, "build_switch_graph", _with_facts(reaches_top=False), None),
 ]
 
 
@@ -425,6 +437,18 @@ class TestBlocksCanFail:
         (result,) = verify_graphs("patched", corpus, theorems=["lemma23"]).blocks
         assert result.checked == 2
         assert result.counterexamples == (to_graph6(target),)
+
+    def test_thm41_disconnected_graph_is_an_error(self, monkeypatch):
+        # no disconnected graph has F = n - 1, but read as one it lies
+        # outside 2-extendability's definition: an error, not a verdict
+        two_k4 = Graph.from_edges(8, [(u + s, v + s) for s in (0, 4)
+                                      for u in range(4) for v in range(u + 1, 4)])
+        monkeypatch.setattr(harness._GraphContext, "max_is_top", True)
+        res = check_graph(two_k4, ("thm41",))
+        assert res["blocks"]["thm41"][:2] == (1, 0)
+        assert res["blocks"]["thm41"][3] == {
+            "error": "PreconditionError: extendability is defined for connected graphs"
+        }
 
     def test_lemma22min_never_fails(self, monkeypatch):
         real = harness.build_switch_graph

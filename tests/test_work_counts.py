@@ -10,7 +10,7 @@ new values in CHANGES.md.
 import pytest
 
 from matchforce import Graph, builtin_corpus, verify_graphs
-from matchforce import _core, graph, harness
+from matchforce import _core, graph
 from matchforce._core import pure
 
 from graphs import cycle_graph, grid_graph, half_graph
@@ -60,7 +60,7 @@ def kernels(monkeypatch):
     [
         ("exhaustive-4", 64, 226, 289),
         ("exhaustive-5", 1024, 1024, 0),
-        ("families-10", 229, 33341, 122714),
+        ("families-10", 229, 29630, 104342),
     ],
 )
 def test_verify_work_counts(kernels, corpus, made, entries, lookups):
@@ -73,7 +73,8 @@ def test_verify_work_counts(kernels, corpus, made, entries, lookups):
 
 # corpus, matchings enumerated, switch edges, switched pairs; the last
 # is the number of pairs of a node's edges that span an alternating
-# 4-cycle, summed over every switch graph node
+# 4-cycle, summed over every switch graph node.  Verify finds both in the
+# kernel's fact pass, one per graph with a perfect matching.
 @pytest.mark.parametrize(
     "corpus, matchings, switch_edges, switched_pairs",
     [
@@ -85,25 +86,26 @@ def test_verify_matching_and_switch_counts(
     kernels, monkeypatch, corpus, matchings, switch_edges, switched_pairs
 ):
     enumerated = []
-    built = []
+    found = []
     enumerate_pms = pure.Kernel.enumerate_pms
-    build = harness.build_switch_graph
+    switch_pairs = pure.Kernel._switch_pairs
 
     def counted_enumerate(self, *args):
         enumerated.append(enumerate_pms(self, *args))
         return enumerated[-1]
 
-    def counted_build(g, **kwargs):
-        built.append(build(g, **kwargs))
-        return built[-1]
+    def counted_pairs(bits_of):
+        found.append(switch_pairs(bits_of))
+        return found[-1]
 
     monkeypatch.setattr(pure.Kernel, "enumerate_pms", counted_enumerate)
-    monkeypatch.setattr(harness, "build_switch_graph", counted_build)
+    monkeypatch.setattr(pure.Kernel, "_switch_pairs", staticmethod(counted_pairs))
     report = verify_graphs(corpus, builtin_corpus(corpus))
     assert report.all_passed
+    assert len(found) == report.graphs_with_pm
     assert sum(map(len, enumerated)) == matchings
-    assert sum(len(sg.edges()) for sg in built) == switch_edges
-    assert sum(sum(sg.switched_pairs) for sg in built) == switched_pairs
+    assert sum(len(pairs) for pairs, _ in found) == switch_edges
+    assert sum(sum(switched) for _, switched in found) == switched_pairs
 
 
 # the two ends of the side-choice rule: f = 0, where growing kept sets
