@@ -2,17 +2,17 @@
 
 Each graph gets one kernel object from `make_kernel`, which is the only
 place that picks native or pure code.  `pure.Kernel` holds the matching
-counts and the whole-graph methods ``enumerate_pms``, ``forcing_numbers``,
-``switch_pass`` and ``matching_facts``; `NativeKernel` takes the last three
-from ``native.c``, over the same flat data.  On first import this module compiles that file
-with the running interpreter's C compiler (sysconfig's ``CC``) and header
-directory into ``build/``, under a name that carries a CRC-32 of the
-source and the interpreter's extension suffix, and later imports load
-that file; a new build removes those of older sources.  A graph of order
-above 64 gets a `pure.Kernel`, and so does every graph when the build or
-the load fails; the pure code is also the reference the tests hold the
-native code to.  ``kernel_backend()`` names the path a graph of order
-<= 64 takes.  Time them with
+counts and the four whole-graph methods ``enumerate_pms``,
+``forcing_numbers``, ``switch_pass`` and ``matching_facts``; `NativeKernel`
+takes all four from ``native.c``, over the same flat data.  On first import
+this module compiles that file with the running interpreter's C compiler
+(sysconfig's ``CC``) and header directory into ``build/``, under a name
+that carries a CRC-32 of the source and the interpreter's extension
+suffix, and later imports load that file; a new build removes those of
+older sources.  A graph of order above 64 gets a `pure.Kernel`, and so
+does every graph when the build or the load fails; the pure code is also
+the reference the tests hold the native code to.  ``kernel_backend()``
+names the path a graph of order <= 64 takes.  Time them with
 ``python3 perfbench/run.py --workload all --seed N --seconds 30 --trace 0|1``.
 """
 
@@ -24,6 +24,7 @@ import importlib.util
 import os
 from pathlib import Path
 
+from ..errors import MatchingOverflowError
 from . import cycles, pure
 
 MAX_NATIVE_ORDER = 64
@@ -81,10 +82,16 @@ def _native():
 
 
 class NativeKernel(pure.Kernel):
-    """`pure.Kernel` whose forcing numbers, switch pass and matching facts
-    come from native.c."""
+    """`pure.Kernel` whose matchings, forcing numbers, switch pass and
+    matching facts come from native.c."""
 
     __slots__ = ()
+
+    def enumerate_pms(self, cap: int) -> list:
+        found = _native().enumerate_pms(self.rows, cap)
+        if found is None:
+            raise MatchingOverflowError(f"more than {cap} perfect matchings")
+        return found
 
     def forcing_numbers(self, matchings) -> list:
         return _native().forcing_numbers(self.rows, matchings)

@@ -1,6 +1,8 @@
-/* Native twins of three whole-graph methods of the pure-Python kernel
+/* Native twins of the four whole-graph methods of the pure-Python kernel
    object, for graphs of order <= 64.
 
+   enumerate_pms(rows, cap) lists the perfect matchings as
+   pure.Kernel.enumerate_pms does, returning None where that raises;
    forcing_numbers(rows, matchings) runs the two-ended search of
    pure.Kernel.forcing_numbers, with its own count2 memo, and
    switch_pass(matchings) and matching_facts(rows, matchings, forcing) the
@@ -57,7 +59,8 @@ parse_rows(PyObject *obj, u64 *rows, int *order)
 }
 
 /* Matchings as edge codes u * 64 + v, u < v, each matching's codes in
-   ascending order; `*edges` per matching, the same for all of them.
+   ascending order; `*edges` per matching, the same for all of them.  An
+   edge may come as (v, u); a vertex may not come twice in one matching.
    Returns a malloc'd array of count * edges codes, or NULL with an
    exception set.  `*count` is 0 for no matchings (and the result is a
    non-NULL empty array). */
@@ -96,6 +99,7 @@ parse_matchings(PyObject *obj, int order, Py_ssize_t *count, int *edges)
             goto fail;
         }
         uint16_t *own = codes + i * width;
+        u64 covered = 0;
         for (Py_ssize_t e = 0; e < width; e++) {
             long u = PyLong_AsLong(PySequence_Fast_GET_ITEM(flat, 2 * e));
             long v = u == -1 && PyErr_Occurred()
@@ -109,6 +113,13 @@ parse_matchings(PyObject *obj, int order, Py_ssize_t *count, int *edges)
                 PyErr_SetString(PyExc_ValueError, "vertex out of range");
                 goto fail;
             }
+            u64 ends = (1ULL << u) | (1ULL << v);
+            if (covered & ends) {
+                Py_DECREF(flat);
+                PyErr_SetString(PyExc_ValueError, "vertex repeated in a matching");
+                goto fail;
+            }
+            covered |= ends;
             uint16_t code = u < v ? (uint16_t)(u * 64 + v) : (uint16_t)(v * 64 + u);
             Py_ssize_t p = e;  /* insertion sort: matchings are short */
             while (p > 0 && own[p - 1] > code) {
@@ -137,6 +148,96 @@ static u64
 code_mask(uint16_t code)
 {
     return (1ULL << (code >> 6)) | (1ULL << (code & 63));
+}
+
+/* ---------------------------------------------------------------------
+   perfect matchings of the whole graph, listed */
+
+/* The flat tuple (u0, v0, u1, v1, ...) of `2 * k` vertices. */
+static PyObject *
+flat_tuple(const uint8_t *flat, int k)
+{
+    PyObject *t = PyTuple_New(2 * k);
+    if (t == NULL)
+        return NULL;
+    for (int i = 0; i < 2 * k; i++) {
+        PyObject *v = PyLong_FromLong(flat[i]);
+        if (v == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, v);
+    }
+    return t;
+}
+
+/* The graph's perfect matchings in the order of pure.Kernel.enumerate_pms,
+   or None past `cap` of them.  Depth d matches the lowest vertex of
+   left[d], the vertices still uncovered, to each of its neighbours in
+   todo[d] in ascending order; every 2^16 steps pending signals are run,
+   so that Ctrl-C stops a long search. */
+static PyObject *
+enumerate_pms(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj, *cap_obj;
+    if (!PyArg_ParseTuple(args, "OO", &rows_obj, &cap_obj))
+        return NULL;
+    u64 rows[MAX_ORDER];
+    int order;
+    if (parse_rows(rows_obj, rows, &order) < 0)
+        return NULL;
+    int overflow;
+    long long cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
+    if (cap == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        cap = overflow > 0 ? LLONG_MAX : -1;
+    PyObject *out = PyList_New(0);
+    if (out == NULL || order & 1)
+        return out;
+    int k = order / 2, d = 0, entered = 1;  /* entered: depth d is new */
+    u64 left[MAX_ORDER / 2 + 1], todo[MAX_ORDER / 2];
+    uint8_t flat[MAX_ORDER];
+    left[0] = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    unsigned long steps = 0;
+    while (d >= 0) {
+        if (++steps % 65536 == 0 && PyErr_CheckSignals() < 0)
+            goto fail;
+        if (entered && d == k) {  /* every vertex is matched */
+            if (PyList_GET_SIZE(out) >= cap) {
+                Py_DECREF(out);
+                Py_RETURN_NONE;
+            }
+            PyObject *t = flat_tuple(flat, k);
+            if (t == NULL || PyList_Append(out, t) < 0) {
+                Py_XDECREF(t);
+                goto fail;
+            }
+            Py_DECREF(t);
+            d--;
+            entered = 0;
+            continue;
+        }
+        if (entered) {
+            flat[2 * d] = (uint8_t)ctz(left[d]);
+            todo[d] = rows[flat[2 * d]] & left[d] & ~(1ULL << flat[2 * d]);
+        }
+        if (todo[d] == 0) {
+            d--;
+            entered = 0;
+            continue;
+        }
+        u64 v_bit = todo[d] & -todo[d];
+        todo[d] ^= v_bit;
+        flat[2 * d + 1] = (uint8_t)ctz(v_bit);
+        left[d + 1] = left[d] ^ (1ULL << flat[2 * d]) ^ v_bit;
+        d++;
+        entered = 1;
+    }
+    return out;
+fail:
+    Py_DECREF(out);
+    return NULL;
 }
 
 /* ---------------------------------------------------------------------
@@ -961,6 +1062,8 @@ done:
 }
 
 static PyMethodDef methods[] = {
+    {"enumerate_pms", enumerate_pms, METH_VARARGS,
+     "enumerate_pms(rows, cap) -> list of flat matchings, or None past cap"},
     {"forcing_numbers", forcing_numbers, METH_VARARGS,
      "forcing_numbers(rows, matchings) -> list of forcing numbers"},
     {"switch_pass", switch_pass, METH_VARARGS,

@@ -5,12 +5,13 @@ masks (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).  It memoizes the number
 of perfect matchings (capped at 2) per vertex subset, which is the inner
 primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
-matching.  The whole-graph methods take no mask: ``enumerate_pms`` lists
-the graph's perfect matchings, ``forcing_numbers`` answers any of them in
-one search over the partial matchings they share, ``switch_pass``
+matching.  The four whole-graph methods take no mask: ``enumerate_pms``
+lists the graph's perfect matchings, ``forcing_numbers`` answers any of
+them in one search over the partial matchings they share, ``switch_pass``
 builds the adjacency of the switch graph on them, and ``matching_facts``
 reads what verify asks of them from the same pass over their edge pairs,
-without that adjacency.
+without that adjacency.  ``native.c`` has a twin of each; these are the
+reference it is held to and the fallback where it cannot run.
 """
 
 from __future__ import annotations

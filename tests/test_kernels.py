@@ -28,6 +28,11 @@ from oracles import (
 )
 
 
+# the kernel classes the package can make here: the native one needs the
+# compiler
+KERNELS = [pure.Kernel] + ([NativeKernel] if kernel_backend() == "compiled" else [])
+
+
 def _flat(pm) -> tuple[int, ...]:
     """Oracle matching as the kernel's flat (u0, v0, u1, v1, ...) tuple."""
     return tuple(x for e in sorted(pm) for x in e)
@@ -49,15 +54,17 @@ def test_count2_matches_oracle(seed, mask_seed):
 def test_enumeration_matches_oracle(seed):
     g = gen_random(8, "2/3", seed)
     expected = sorted(_flat(pm) for pm in oracle_perfect_matchings(g))
-    assert pure.Kernel(g.rows).enumerate_pms(10**6) == expected
+    for cls in KERNELS:
+        assert cls(g.rows).enumerate_pms(10**6) == expected
 
 
 def test_enumeration_overflow():
     g = gen_random(8, 1, 0)  # complete graph, 105 matchings
-    kern = pure.Kernel(g.rows)
-    assert len(kern.enumerate_pms(105)) == 105
-    with pytest.raises(MatchingOverflowError):
-        kern.enumerate_pms(104)
+    for cls in KERNELS:
+        kern = cls(g.rows)
+        assert len(kern.enumerate_pms(105)) == 105
+        with pytest.raises(MatchingOverflowError, match="more than 104 perfect matchings"):
+            kern.enumerate_pms(104)
 
 
 @settings(max_examples=80, deadline=None)

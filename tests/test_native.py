@@ -1,9 +1,9 @@
 """The native stages against their pure twins, and the build that makes them.
 
 `_core` compiles ``native.c`` on first import and serves graphs of order
-<= 64 from it through `NativeKernel`: its ``forcing_numbers``,
-``switch_pass`` and ``matching_facts`` must give what `pure.Kernel` gives
-on every graph.  The
+<= 64 from it through `NativeKernel`: its ``enumerate_pms``,
+``forcing_numbers``, ``switch_pass`` and ``matching_facts`` must give what
+`pure.Kernel` gives on every graph, in the same order.  The
 build must never load a file made from other source, a failed build leaves
 the pure path and no file, and a new build leaves no older one of the
 running interpreter's.  A build under AddressSanitizer and UBSan gives the
@@ -27,19 +27,21 @@ from matchforce import Graph, builtin_corpus, gen_random, to_graph6
 from matchforce import _core, build_switch_graph
 from matchforce._core import pure
 from matchforce.cli import main
+from matchforce.errors import MatchingOverflowError
 
 from graphs import complete_graph, cycle_graph
 
 
 def _both(g: Graph):
-    """(pure, package) forcing numbers, switch pass and matching facts of
-    g's matchings."""
+    """(pure, package) matchings of g, and the forcing numbers, switch pass
+    and matching facts of the pure kernel's matchings."""
     reference = pure.Kernel(g.rows)
     made = _core.make_kernel(g.rows)
     flats = reference.enumerate_pms(10**6)
     forcing = reference.forcing_numbers(flats)
     return tuple(
         (
+            kern.enumerate_pms(10**6),
             kern.forcing_numbers(flats),
             kern.switch_pass(flats),
             kern.matching_facts(flats, forcing),
@@ -49,13 +51,29 @@ def _both(g: Graph):
 
 
 def _assert_same(graphs) -> int:
+    """Hold every graph's kernels to each other; the number of graphs
+    with a perfect matching."""
     checked = 0
     for g in graphs:
-        if pure.Kernel(g.rows).count2(g.full_mask):
-            reference, made = _both(g)
-            assert made == reference, to_graph6(g)
-            checked += 1
+        reference, made = _both(g)
+        assert made == reference, to_graph6(g)
+        checked += bool(reference[0])
     return checked
+
+
+def _enumerations(rows, cap) -> list:
+    """The matchings up to ``cap``, or the overflow message, from each
+    kernel class the package can make."""
+    classes = [pure.Kernel]
+    if _core.kernel_backend() == "compiled":
+        classes.append(_core.NativeKernel)
+    out = []
+    for cls in classes:
+        try:
+            out.append(cls(rows).enumerate_pms(cap))
+        except MatchingOverflowError as err:
+            out.append(str(err))
+    return out
 
 
 def _switch_passes(monkeypatch, g) -> list:
@@ -95,7 +113,9 @@ def test_order_64_takes_the_native_path(monkeypatch):
     assert isinstance(_core.make_kernel(g.rows), _core.NativeKernel) == native
     reference, made = _both(g)
     assert made == reference
-    assert sorted(reference[0]) == [1] + [4] * 16
+    assert len(reference[0]) == 17
+    assert all(63 in flat for flat in reference[0])
+    assert sorted(reference[1]) == [1] + [4] * 16
     cls = _core.NativeKernel if native else pure.Kernel
     assert _switch_passes(monkeypatch, g) == [
         (cls, "switch_pass"), (cls, "matching_facts")
@@ -136,9 +156,66 @@ def test_switch_edge_past_edge_rank_63():
     assert g.edge_count() == 79
     reference, made = _both(g)
     assert made == reference
-    assert reference[1] == ((1,), (0,))
-    switched, covered, bond, jump, reach = reference[2]
+    assert reference[2] == ((1,), (0,))
+    switched, covered, bond, jump, reach = reference[3]
     assert (switched, bond, jump) == ((1, 1), (2, 14), None)
+
+
+@pytest.mark.parametrize(
+    "rows, cap, expected",
+    [
+        ((), 1, [()]),
+        ((), 0, "more than 0 perfect matchings"),
+        (complete_graph(5).rows, 0, []),
+        (complete_graph(6).rows, 15, 15),
+        (complete_graph(6).rows, 14, "more than 14 perfect matchings"),
+        (complete_graph(6).rows, 0, "more than 0 perfect matchings"),
+    ],
+    ids=["order-0", "order-0-cap-0", "odd-order", "k6-cap-count",
+         "k6-cap-count-less-1", "k6-cap-0"],
+)
+def test_enumeration_edges(rows, cap, expected):
+    # both classes give the same list, or overflow with the same message,
+    # at the same count
+    first, *rest = _enumerations(rows, cap)
+    assert all(other == first for other in rest)
+    assert (len(first) if isinstance(expected, int) else first) == expected
+
+
+# a search for the perfect matchings of K_{31,33}, which has none but
+# leaves about 33!/2 dead ends to walk, stopped by a timer's signal
+_INTERRUPTED = """
+import signal
+from matchforce import _core
+from matchforce.graph import Graph
+
+class Stop(Exception):
+    pass
+
+def stop(*_):
+    raise Stop
+
+g = Graph.from_edges(64, [(u, v) for u in range(31) for v in range(31, 64)])
+signal.signal(signal.SIGALRM, stop)
+signal.setitimer(signal.ITIMER_REAL, 0.2)
+try:
+    _core.make_kernel(g.rows).enumerate_pms(1)
+except Stop:
+    print(type(_core.make_kernel(g.rows)).__name__)
+"""
+
+
+def test_enumeration_stops_on_a_signal():
+    run = subprocess.run(
+        [sys.executable, "-c", _INTERRUPTED],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(_core.__file__).parents[2])},
+    )
+    assert run.returncode == 0, run.stderr[-4000:]
+    native = _core.kernel_backend() == "compiled"
+    assert run.stdout == ("NativeKernel\n" if native else "Kernel\n")
 
 
 def test_native_rejects_what_it_cannot_hold():
@@ -162,6 +239,26 @@ def test_native_rejects_what_it_cannot_hold():
         native.matching_facts((0,) * 64, [(0, 64)], [0])
     with pytest.raises(ValueError, match="not in the graph"):
         native.matching_facts((0b10, 0b01, 0, 0), [(0, 1, 2, 3)], [0])
+    with pytest.raises(ValueError, match="vertex repeated"):
+        native.switch_pass([(0, 1, 0, 2)])
+    with pytest.raises(ValueError, match="vertex repeated"):
+        native.forcing_numbers(k4, [(0, 1, 2, 3), (0, 2, 1, 2)])
+    with pytest.raises(ValueError, match="order above 64"):
+        native.enumerate_pms((0,) * 65, 1)
+
+
+def test_native_takes_reversed_pairs():
+    # an edge given as (v, u) is read as (u, v), and the edges of a
+    # matching in any order
+    native = _core._native()
+    if native is None:
+        return  # no compiler: nothing native to check
+    k4 = complete_graph(4).rows
+    flats = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
+    turned = [(3, 2, 1, 0), (2, 0, 3, 1), (1, 2, 0, 3)]
+    assert native.forcing_numbers(k4, turned) == native.forcing_numbers(k4, flats)
+    assert native.switch_pass(turned) == native.switch_pass(flats)
+    assert native.matching_facts(k4, [(1, 0, 3, 2)], [0])[2] == (0, 1)
 
 
 def _built(build_dir):
@@ -262,7 +359,9 @@ with open(sys.argv[2]) as f:
 out = []
 for rows, flats in cases:
     forcing = native.forcing_numbers(rows, flats)
-    out.append((forcing, native.switch_pass(flats),
+    out.append((native.enumerate_pms(rows, len(flats)),
+                native.enumerate_pms(rows, len(flats) - 1), forcing,
+                native.switch_pass(flats),
                 native.matching_facts(rows, flats, forcing)))
 json.dump(out, sys.stdout)
 """
@@ -282,8 +381,8 @@ def _sanitizer_runtimes(cc) -> list[str] | None:
 
 def test_native_under_sanitizers(tmp_path):
     # native.c built with AddressSanitizer and UBSan gives the pure
-    # kernel's forcing numbers, switch pass and matching facts, computed
-    # here, on
+    # kernel's matchings (and None with a cap one short of them), forcing
+    # numbers, switch pass and matching facts, computed here, on
     # families-10 and random graphs of order 12-16 (233 graphs, 36,109
     # matchings), and the run ends with no sanitizer report.  PYTHONMALLOC
     # sends the PyMem blocks through ASan's allocator.  With no compiler
@@ -321,9 +420,10 @@ def test_native_under_sanitizers(tmp_path):
         if flats:
             cases.append((g.rows, flats))
             forcing = kern.forcing_numbers(flats)
-            expected.append(
-                (forcing, kern.switch_pass(flats), kern.matching_facts(flats, forcing))
-            )
+            expected.append((
+                flats, None, forcing,
+                kern.switch_pass(flats), kern.matching_facts(flats, forcing),
+            ))
     assert (len(cases), sum(len(flats) for _, flats in cases)) == (233, 36109)
     inputs = tmp_path / "cases.json"
     inputs.write_text(json.dumps(cases))

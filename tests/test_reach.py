@@ -142,6 +142,7 @@ def test_every_function_and_method_is_reached(request, tmp_path):
     expected = set(UNREACHED_BY_DESIGN)
     if kernel_backend() == "pure":  # no C compiler: no native stage can run
         expected |= {
+            "matchforce._core.NativeKernel.enumerate_pms",
             "matchforce._core.NativeKernel.forcing_numbers",
             "matchforce._core.NativeKernel.switch_pass",
             "matchforce._core.NativeKernel.matching_facts",
