@@ -2,9 +2,10 @@
 
 Each graph gets one kernel object from `make_kernel`, which is the only
 place that picks native or pure code.  `pure.Kernel` holds the matching
-counts and the four whole-graph methods ``enumerate_pms``,
-``forcing_numbers``, ``switch_pass`` and ``matching_facts``; `NativeKernel`
-takes all four from ``native.c``, over the same flat data.  On first import
+counts and the six whole-graph methods ``enumerate_pms``,
+``forcing_numbers``, ``switch_pass``, ``matching_facts``,
+``vertex_connectivity`` and ``bicritical``; `NativeKernel` takes all six
+from ``native.c``, over the same flat data.  On first import
 this module compiles that file with the running interpreter's C compiler
 (sysconfig's ``CC``) and header directory into ``build/``, under a name
 that carries a CRC-32 of the source and the interpreter's extension
@@ -82,8 +83,9 @@ def _native():
 
 
 class NativeKernel(pure.Kernel):
-    """`pure.Kernel` whose matchings, forcing numbers, switch pass and
-    matching facts come from native.c."""
+    """`pure.Kernel` whose matchings, forcing numbers, switch pass,
+    matching facts, vertex connectivity and bicriticality come from
+    native.c."""
 
     __slots__ = ()
 
@@ -101,6 +103,12 @@ class NativeKernel(pure.Kernel):
 
     def matching_facts(self, matchings, forcing) -> tuple:
         return _native().matching_facts(self.rows, matchings, forcing)
+
+    def vertex_connectivity(self) -> int:
+        return _native().vertex_connectivity(self.rows)
+
+    def bicritical(self) -> bool:
+        return _native().bicritical(self.rows)
 
 
 def kernel_backend() -> str:

@@ -1,4 +1,4 @@
-/* Native twins of the four whole-graph methods of the pure-Python kernel
+/* Native twins of the six whole-graph methods of the pure-Python kernel
    object, for graphs of order <= 64.
 
    enumerate_pms(rows, cap) lists the perfect matchings as
@@ -7,11 +7,15 @@
    pure.Kernel.forcing_numbers, with its own count2 memo, and
    switch_pass(matchings) and matching_facts(rows, matchings, forcing) the
    methods of those names, which share one loop over the matchings' edge
-   pairs, that of pure.Kernel._switch_pairs; the pure docstrings say what
-   is computed.  A vertex set is one 64-bit mask; a set of the given
-   matchings is a bitset of `words` 64-bit words.  The package
-   builds this file on first import and serves it through NativeKernel
-   (see __init__.py).  */
+   pairs, that of pure.Kernel._switch_pairs; vertex_connectivity(rows)
+   runs the unit flows of pure.Kernel.vertex_connectivity on the split
+   network, and bicritical(rows) the two-vertex deletion probes of
+   pure.Kernel.bicritical through a count2 memo of its own.  The pure
+   docstrings say what is computed.  A vertex set is one 64-bit mask, a
+   set of split-network nodes one 128-bit mask; a set of the given
+   matchings is a bitset of `words` 64-bit words.  The package builds this
+   file on first import and serves it through NativeKernel (see
+   __init__.py).  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -50,6 +54,11 @@ parse_rows(PyObject *obj, u64 *rows, int *order)
         rows[i] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, i));
         if (rows[i] == (u64)-1 && PyErr_Occurred()) {
             Py_DECREF(seq);
+            return -1;
+        }
+        if (n < MAX_ORDER && rows[i] >> n) {
+            Py_DECREF(seq);
+            PyErr_SetString(PyExc_ValueError, "row bit at or above the order");
             return -1;
         }
     }
@@ -1061,6 +1070,110 @@ done:
     return result;
 }
 
+/* ---------------------------------------------------------------------
+   vertex connectivity and bicriticality */
+
+typedef unsigned __int128 u128;
+
+static int
+ctz128(u128 x)
+{
+    u64 low = (u64)x;
+    return low ? ctz(low) : 64 + ctz((u64)(x >> 64));
+}
+
+/* pure._disjoint_paths on the split network `net` of `nodes` nodes: unit
+   flow from source to sink in a copy of it, stopped at limit. */
+static int
+disjoint_paths(const u128 *net, int nodes, int source, int sink, int limit)
+{
+    u128 res[2 * MAX_ORDER], levels[2 * MAX_ORDER];
+    memcpy(res, net, (size_t)nodes * sizeof *res);
+    int flow = 0;
+    while (flow < limit) {
+        int depth = 0;
+        u128 seen = levels[0] = (u128)1 << source;
+        while (!(seen >> sink & 1)) {
+            u128 reach = 0;
+            for (u128 level = levels[depth]; level; level &= level - 1)
+                reach |= res[ctz128(level)];
+            u128 frontier = reach & ~seen;
+            if (!frontier)
+                return flow;
+            seen |= frontier;
+            levels[++depth] = frontier;
+        }
+        int y = sink;
+        for (int d = depth - 1; d >= 0; d--) {
+            u128 level = levels[d];
+            int x = ctz128(level);
+            while (!(res[x] >> y & 1)) {
+                level &= level - 1;
+                x = ctz128(level);
+            }
+            res[x] ^= (u128)1 << y;
+            res[y] |= (u128)1 << x;
+            y = x;
+        }
+        flow++;
+    }
+    return flow;
+}
+
+static PyObject *
+vertex_connectivity(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj;
+    if (!PyArg_ParseTuple(args, "O", &rows_obj))
+        return NULL;
+    u64 rows[MAX_ORDER];
+    int order;
+    if (parse_rows(rows_obj, rows, &order) < 0)
+        return NULL;
+    if (order <= 1)
+        return PyLong_FromLong(0);
+    u128 net[2 * MAX_ORDER];
+    for (int v = 0; v < order; v++) {
+        net[2 * v] = (u128)1 << (2 * v + 1);
+        net[2 * v + 1] = 0;
+        for (u64 row = rows[v]; row; row &= row - 1)
+            net[2 * v + 1] |= (u128)1 << (2 * ctz(row));
+    }
+    u64 full = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    int best = order - 1;
+    for (int s = 0; s < order && best > 0; s++)
+        for (u64 later = full & ~rows[s] & ~((2ULL << s) - 1); later && best > 0;
+             later &= later - 1)
+            best = disjoint_paths(net, 2 * order, 2 * s + 1, 2 * ctz(later), best);
+    return PyLong_FromLong(best);
+}
+
+static PyObject *
+bicritical(PyObject *self, PyObject *args)
+{
+    PyObject *rows_obj;
+    if (!PyArg_ParseTuple(args, "O", &rows_obj))
+        return NULL;
+    u64 rows[MAX_ORDER];
+    int order;
+    if (parse_rows(rows_obj, rows, &order) < 0)
+        return NULL;
+    Memo memo;
+    if (memo_init(&memo, rows) < 0) {
+        memo_free(&memo);
+        return PyErr_NoMemory();
+    }
+    u64 full = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    int every = 1;  /* an odd set has no perfect matching, as in count2 */
+    for (int u = 0; u < order && every > 0; u++)
+        for (int v = u + 1; v < order && every > 0; v++)
+            every = order & 1 ? 0 : count2(&memo, full ^ (1ULL << u) ^ (1ULL << v));
+    memo_free(&memo);
+    if (every < 0)
+        return PyErr_NoMemory();
+    return PyBool_FromLong(every > 0);
+}
+
 static PyMethodDef methods[] = {
     {"enumerate_pms", enumerate_pms, METH_VARARGS,
      "enumerate_pms(rows, cap) -> list of flat matchings, or None past cap"},
@@ -1071,6 +1184,11 @@ static PyMethodDef methods[] = {
     {"matching_facts", matching_facts, METH_VARARGS,
      "matching_facts(rows, matchings, forcing) -> "
      "(switched, covered, bond, jump, reach)"},
+    {"vertex_connectivity", vertex_connectivity, METH_VARARGS,
+     "vertex_connectivity(rows) -> vertex connectivity"},
+    {"bicritical", bicritical, METH_VARARGS,
+     "bicritical(rows) -> whether every two-vertex deletion leaves a "
+     "perfect matching"},
     {NULL, NULL, 0, NULL},
 };
 

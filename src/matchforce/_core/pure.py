@@ -5,12 +5,14 @@ masks (bit ``v`` of ``rows[u]`` set iff ``u ~ v``).  It memoizes the number
 of perfect matchings (capped at 2) per vertex subset, which is the inner
 primitive of every forcing-set check: a set of matching edges forces iff
 the graph left after deleting their endpoints has exactly one perfect
-matching.  The four whole-graph methods take no mask: ``enumerate_pms``
+matching.  The six whole-graph methods take no mask: ``enumerate_pms``
 lists the graph's perfect matchings, ``forcing_numbers`` answers any of
 them in one search over the partial matchings they share, ``switch_pass``
-builds the adjacency of the switch graph on them, and ``matching_facts``
+builds the adjacency of the switch graph on them, ``matching_facts``
 reads what verify asks of them from the same pass over their edge pairs,
-without that adjacency.  ``native.c`` has a twin of each; these are the
+without that adjacency, ``vertex_connectivity`` runs unit flows on the
+graph's split network and ``bicritical`` probes every two-vertex deletion
+through ``count2``.  ``native.c`` has a twin of each; these are the
 reference it is held to and the fallback where it cannot run.
 """
 
@@ -21,8 +23,8 @@ from ..errors import MatchingOverflowError
 
 
 class Kernel:
-    """Per-graph matching counts, matchings, forcing numbers, switch pass
-    and matching facts."""
+    """Per-graph matching counts, matchings, forcing numbers, switch pass,
+    matching facts, vertex connectivity and bicriticality."""
 
     __slots__ = ("rows", "order", "_count_cache")
 
@@ -266,6 +268,45 @@ class Kernel:
         reach = all(root(i) in tops for i in range(len(matchings)))
         return tuple(switched), covered, bond, jump, reach
 
+    def vertex_connectivity(self) -> int:
+        """Exact vertex connectivity; order - 1 for a complete graph, 0 for
+        a disconnected one or order <= 1.  By Menger, the minimum over
+        non-adjacent pairs s < t of the most vertex-disjoint s-t paths,
+        each pair's flow stopped at the least found so far.
+
+        The split network as residual rows: vertex v is entry 2v and exit
+        2v + 1, with unit arcs entry -> exit and exit -> each neighbour's
+        entry.  No two arcs are antiparallel, so pushing a unit along
+        x -> y is one bit flip in each of res[x] and res[y]."""
+        rows = self.rows
+        n = self.order
+        if n <= 1:
+            return 0
+        net = []
+        for v, row in enumerate(rows):
+            net.append(1 << (2 * v + 1))
+            net.append(sum(1 << (2 * w) for w in range(n) if row >> w & 1))
+        best = n - 1
+        for s in range(n):
+            for t in range(s + 1, n):
+                if not rows[s] >> t & 1:
+                    best = _disjoint_paths(net, 2 * s + 1, 2 * t, best)
+                    if best == 0:
+                        return 0
+        return best
+
+    def bicritical(self) -> bool:
+        """Whether every two-vertex deletion leaves a perfect matching,
+        probed through ``count2`` for u < v in (u, v) order up to the
+        first that leaves none."""
+        full = (1 << self.order) - 1
+        count2 = self.count2
+        return all(
+            count2(full ^ (1 << u) ^ (1 << v)) > 0
+            for u in range(self.order)
+            for v in range(u + 1, self.order)
+        )
+
     def _edge_ranks(self) -> tuple:
         """``bit[u][v]``, u < v, is 1 << r for the edge (u, v) of rank r in
         the graph, and ``edges[r]`` is that edge."""
@@ -316,6 +357,40 @@ class Kernel:
                     else:
                         pairs.append((i, k))
         return pairs, switched
+
+
+def _disjoint_paths(net: list[int], source: int, sink: int, limit: int) -> int:
+    """Unit flow from source to sink in a copy of the split network, stopped
+    at limit.  Each round grows breadth-first levels of node masks until one
+    holds the sink, then walks back through the levels, taking the lowest
+    node with a residual arc to the next one, and reverses those arcs."""
+    res = list(net)
+    flow = 0
+    while flow < limit:
+        levels = [1 << source]
+        seen = levels[0]
+        while not (seen >> sink) & 1:
+            reach = 0
+            level = levels[-1]
+            while level:
+                reach |= res[(level & -level).bit_length() - 1]
+                level &= level - 1
+            frontier = reach & ~seen
+            if not frontier:
+                return flow
+            seen |= frontier
+            levels.append(frontier)
+        y = sink
+        for level in reversed(levels[:-1]):
+            x = (level & -level).bit_length() - 1
+            while not (res[x] >> y) & 1:
+                level &= level - 1
+                x = (level & -level).bit_length() - 1
+            res[x] ^= 1 << y
+            res[y] |= 1 << x
+            y = x
+        flow += 1
+    return flow
 
 
 def _edge_bits(matchings, bit) -> list:

@@ -1,8 +1,10 @@
 """Matching extendability predicates and deficiency witnesses.
 
 The induced-subgraph matching counts all run through the host graph's
-kernel, so deleting vertices never copies the graph: factor-critical,
-bicritical and extendability checks are all mask manipulations.
+kernel, so deleting vertices never copies the graph: factor-critical and
+extendability checks are mask manipulations here, and bicriticality is
+the kernel's own ``bicritical`` method, which ``native.c`` runs for
+graphs of order <= 64.
 """
 
 from __future__ import annotations
@@ -69,13 +71,7 @@ def is_bicritical(g: Graph) -> bool:
     perfect matching."""
     if g.edge_count() == 0 or g.order % 2:
         return False
-    kern = _kernel(g)
-    full = g.full_mask
-    return all(
-        kern.count2(full ^ (1 << u) ^ (1 << v)) > 0
-        for u in range(g.order)
-        for v in range(u + 1, g.order)
-    )
+    return _kernel(g).bicritical()
 
 
 def is_brick(g: Graph) -> bool:

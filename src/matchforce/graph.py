@@ -297,56 +297,4 @@ def vertex_connectivity(g: Graph) -> int:
 
 @lru_cache(maxsize=_GRAPH_MEMO_SIZE)
 def _connectivity_cached(rows: tuple[int, ...]) -> int:
-    # Split network as residual rows: vertex v is entry 2v and exit 2v + 1,
-    # with unit arcs entry -> exit and exit -> each neighbour's entry.  No
-    # two arcs are antiparallel, so pushing a unit along x -> y is one bit
-    # flip in each of res[x] and res[y].
-    n = len(rows)
-    if n <= 1:
-        return 0
-    net = []
-    for v, row in enumerate(rows):
-        net.append(1 << (2 * v + 1))
-        net.append(sum(1 << (2 * w) for w in iter_bits(row)))
-    full = (1 << n) - 1
-    best = n - 1
-    for s in range(n):
-        for t in iter_bits(full & ~rows[s] & ~((2 << s) - 1)):
-            best = _disjoint_paths(net, 2 * s + 1, 2 * t, best)
-            if best == 0:
-                return 0
-    return best
-
-
-def _disjoint_paths(net: list[int], source: int, sink: int, limit: int) -> int:
-    """Unit flow from source to sink in a copy of the split network, stopped
-    at limit.  Each round grows breadth-first levels of node masks until one
-    holds the sink, then walks back through the levels, taking the lowest
-    node with a residual arc to the next one, and reverses those arcs."""
-    res = list(net)
-    flow = 0
-    while flow < limit:
-        levels = [1 << source]
-        seen = levels[0]
-        while not (seen >> sink) & 1:
-            reach = 0
-            level = levels[-1]
-            while level:
-                reach |= res[(level & -level).bit_length() - 1]
-                level &= level - 1
-            frontier = reach & ~seen
-            if not frontier:
-                return flow
-            seen |= frontier
-            levels.append(frontier)
-        y = sink
-        for level in reversed(levels[:-1]):
-            x = (level & -level).bit_length() - 1
-            while not (res[x] >> y) & 1:
-                level &= level - 1
-                x = (level & -level).bit_length() - 1
-            res[x] ^= 1 << y
-            res[y] |= 1 << x
-            y = x
-        flow += 1
-    return flow
+    return _kernel_cached(rows).vertex_connectivity()

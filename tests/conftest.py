@@ -59,9 +59,11 @@ def build_dir(monkeypatch, tmp_path):
     monkeypatch.setattr(_core, "_BUILD", path)
     _core._native.cache_clear()
     graph._kernel_cached.cache_clear()
+    graph._connectivity_cached.cache_clear()
     yield path
     _core._native.cache_clear()
     graph._kernel_cached.cache_clear()
+    graph._connectivity_cached.cache_clear()
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """The native stages against their pure twins, and the build that makes them.
 
 `_core` compiles ``native.c`` on first import and serves graphs of order
-<= 64 from it through `NativeKernel`: its ``enumerate_pms``,
-``forcing_numbers``, ``switch_pass`` and ``matching_facts`` must give what
-`pure.Kernel` gives on every graph, in the same order.  The
+<= 64 from it through `NativeKernel`: its six whole-graph methods,
+``enumerate_pms``, ``forcing_numbers``, ``switch_pass``,
+``matching_facts``, ``vertex_connectivity`` and ``bicritical``, must give
+what `pure.Kernel` gives on every graph, in the same order.  The
 build must never load a file made from other source, a failed build leaves
 the pure path and no file, and a new build leaves no older one of the
 running interpreter's.  A build under AddressSanitizer and UBSan gives the
@@ -33,8 +34,9 @@ from graphs import complete_graph, cycle_graph
 
 
 def _both(g: Graph):
-    """(pure, package) matchings of g, and the forcing numbers, switch pass
-    and matching facts of the pure kernel's matchings."""
+    """(pure, package) matchings of g, the forcing numbers, switch pass
+    and matching facts of the pure kernel's matchings, and g's vertex
+    connectivity and bicriticality."""
     reference = pure.Kernel(g.rows)
     made = _core.make_kernel(g.rows)
     flats = reference.enumerate_pms(10**6)
@@ -45,6 +47,8 @@ def _both(g: Graph):
             kern.forcing_numbers(flats),
             kern.switch_pass(flats),
             kern.matching_facts(flats, forcing),
+            kern.vertex_connectivity(),
+            kern.bicritical(),
         )
         for kern in (reference, made)
     )
@@ -105,10 +109,15 @@ def test_same_on_random_order_14(seed):
     assert _assert_same([gen_random(14, "2/3", seed)]) == 1
 
 
+# a 64-cycle with four chords (8i, 8i + 3): bipartite, 2-connected, with
+# 17 matchings, and vertex 63 is matched
+_CYCLE_64_CHORDS = [(i, (i + 1) % 64) for i in range(64)] + [
+    (0, 3), (16, 19), (32, 35), (48, 51)
+]
+
+
 def test_order_64_takes_the_native_path(monkeypatch):
-    # a 64-cycle with four chords: 17 matchings, and vertex 63 is matched
-    pairs = [(i, (i + 1) % 64) for i in range(64)]
-    g = Graph.from_edges(64, pairs + [(0, 3), (16, 19), (32, 35), (48, 51)])
+    g = Graph.from_edges(64, _CYCLE_64_CHORDS)
     native = _core.kernel_backend() == "compiled"
     assert isinstance(_core.make_kernel(g.rows), _core.NativeKernel) == native
     reference, made = _both(g)
@@ -120,6 +129,35 @@ def test_order_64_takes_the_native_path(monkeypatch):
     assert _switch_passes(monkeypatch, g) == [
         (cls, "switch_pass"), (cls, "matching_facts")
     ]
+
+
+# graphs at the native kernel's top orders, their vertex connectivity and
+# whether they are bicritical: K64's split network uses node 127, its top
+# bit; K32,32's first deletion leaves K30,32, whose count2 search walks the
+# subsets of its larger side, so its bicriticality is not asked; vertex 0
+# alone beside a K63 is disconnected; K63 leaves odd sets, which have no
+# perfect matching and are not searched
+@pytest.mark.parametrize(
+    "order, pairs, kappa, bicritical",
+    [
+        (64, [(u, v) for u in range(64) for v in range(u + 1, 64)], 63, True),
+        (64, [(u, v) for u in range(32) for v in range(32, 64)], 32, None),
+        (64, _CYCLE_64_CHORDS, 2, False),
+        (64, [(u, v) for u in range(1, 64) for v in range(u + 1, 64)], 0, False),
+        (63, [(u, v) for u in range(63) for v in range(u + 1, 63)], 62, False),
+    ],
+    ids=["k64", "k32-32", "cycle-64-chords", "isolated-and-k63", "k63"],
+)
+def test_connectivity_and_bicriticality_at_top_orders(order, pairs, kappa, bicritical):
+    rows = Graph.from_edges(order, pairs).rows
+    classes = [pure.Kernel]
+    if _core.kernel_backend() == "compiled":
+        classes.append(_core.NativeKernel)
+        assert type(_core.make_kernel(rows)) is _core.NativeKernel
+    for cls in classes:
+        assert cls(rows).vertex_connectivity() == kappa, cls
+        if bicritical is not None:
+            assert cls(rows).bicritical() == bicritical, cls
 
 
 def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
@@ -140,6 +178,7 @@ def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1", "1"]
     assert searched == [pure.Kernel]
     assert type(_core.make_kernel(cycle_graph(66).rows)) is pure.Kernel
+    assert _core.make_kernel(cycle_graph(66).rows).vertex_connectivity() == 2
     assert _switch_passes(monkeypatch, cycle_graph(66)) == [
         (pure.Kernel, "switch_pass"), (pure.Kernel, "matching_facts")
     ]
@@ -245,6 +284,24 @@ def test_native_rejects_what_it_cannot_hold():
         native.forcing_numbers(k4, [(0, 1, 2, 3), (0, 2, 1, 2)])
     with pytest.raises(ValueError, match="order above 64"):
         native.enumerate_pms((0,) * 65, 1)
+    for name in ("vertex_connectivity", "bicritical"):
+        with pytest.raises(ValueError, match="order above 64"):
+            getattr(native, name)((0,) * 65)
+    # a row bit at or above the order names a vertex the graph does not
+    # have: at order 4, an edge (0, 40); at order 63, a bit 63
+    phantom = (0b10 | 1 << 40, 0b01, 0b1000, 0b0100)
+    top = (1 << 63,) + (0,) * 62
+    for call in (
+        lambda: native.enumerate_pms(phantom, 10),
+        lambda: native.forcing_numbers(phantom, [(0, 1, 2, 3)]),
+        lambda: native.matching_facts(phantom, [(0, 1, 2, 3)], [0]),
+        lambda: native.vertex_connectivity(phantom),
+        lambda: native.bicritical(phantom),
+        lambda: native.vertex_connectivity(top),
+        lambda: native.bicritical(top),
+    ):
+        with pytest.raises(ValueError, match="row bit at or above the order"):
+            call()
 
 
 def test_native_takes_reversed_pairs():
@@ -362,7 +419,8 @@ for rows, flats in cases:
     out.append((native.enumerate_pms(rows, len(flats)),
                 native.enumerate_pms(rows, len(flats) - 1), forcing,
                 native.switch_pass(flats),
-                native.matching_facts(rows, flats, forcing)))
+                native.matching_facts(rows, flats, forcing),
+                native.vertex_connectivity(rows), native.bicritical(rows)))
 json.dump(out, sys.stdout)
 """
 
@@ -382,7 +440,8 @@ def _sanitizer_runtimes(cc) -> list[str] | None:
 def test_native_under_sanitizers(tmp_path):
     # native.c built with AddressSanitizer and UBSan gives the pure
     # kernel's matchings (and None with a cap one short of them), forcing
-    # numbers, switch pass and matching facts, computed here, on
+    # numbers, switch pass, matching facts, vertex connectivity and
+    # bicriticality, computed here, on
     # families-10 and random graphs of order 12-16 (233 graphs, 36,109
     # matchings), and the run ends with no sanitizer report.  PYTHONMALLOC
     # sends the PyMem blocks through ASan's allocator.  With no compiler
@@ -423,6 +482,7 @@ def test_native_under_sanitizers(tmp_path):
             expected.append((
                 flats, None, forcing,
                 kern.switch_pass(flats), kern.matching_facts(flats, forcing),
+                kern.vertex_connectivity(), kern.bicritical(),
             ))
     assert (len(cases), sum(len(flats) for _, flats in cases)) == (233, 36109)
     inputs = tmp_path / "cases.json"

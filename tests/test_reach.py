@@ -146,6 +146,8 @@ def test_every_function_and_method_is_reached(request, tmp_path):
             "matchforce._core.NativeKernel.forcing_numbers",
             "matchforce._core.NativeKernel.switch_pass",
             "matchforce._core.NativeKernel.matching_facts",
+            "matchforce._core.NativeKernel.vertex_connectivity",
+            "matchforce._core.NativeKernel.bicritical",
         }
     entered = _entered(tmp_path / "loaded")
     request.getfixturevalue("pure_core")  # from here on, the pure path
