@@ -7,7 +7,8 @@
    pure.Kernel.forcing_numbers, with its own count2 memo, and
    switch_pass(matchings) and matching_facts(rows, matchings, forcing) the
    methods of those names, which share one loop over the matchings' edge
-   pairs, that of pure.Kernel._switch_pairs; vertex_connectivity(rows)
+   pairs, that of pure.Kernel._switch_pairs (switch_pass returns the
+   sorted switch edges and builds no adjacency); vertex_connectivity(rows)
    runs the unit flows of pure.Kernel.vertex_connectivity on the split
    network, and bicritical(rows) the two-vertex deletion probes of
    pure.Kernel.bicritical through a count2 memo of its own.  The pure
@@ -313,7 +314,9 @@ memo_grow(Memo *m)
     return 0;
 }
 
-/* -1 when out of memory */
+/* -1 when out of memory, or with the exception set when a signal handler
+   raises: pending signals are run every 2^16 new entries, so that Ctrl-C
+   stops a long search. */
 static int
 count2(Memo *m, u64 mask)
 {
@@ -342,7 +345,8 @@ count2(Memo *m, u64 mask)
     s = memo_slot(m, mask);
     m->keys[s] = mask;
     m->counts[s] = (uint8_t)total;
-    m->used++;
+    if (++m->used % 65536 == 0 && PyErr_CheckSignals() < 0)
+        return -1;
     return total;
 }
 
@@ -516,7 +520,7 @@ cmp_u64(const void *a, const void *b)
 }
 
 /* The search of pure.Kernel.forcing_numbers over nm matchings of k edges
-   each; -1 when out of memory. */
+   each; -1 when out of memory or interrupted, as in count2. */
 static int
 search(Search *s, const uint16_t *codes, Py_ssize_t nm, int k, long *out)
 {
@@ -643,7 +647,8 @@ forcing_numbers(PyObject *self, PyObject *args)
         goto done;
     }
     if (nm > 0 && search(&s, codes, nm, k, out) < 0) {
-        PyErr_NoMemory();
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
         goto done;
     }
     result = PyList_New(nm);
@@ -675,9 +680,10 @@ typedef struct {
     uint8_t a, b;
 } Rest;
 
-/* The switch edges found: pair p joins ij[2p] and the earlier ij[2p + 1]. */
+/* The switch edges found, each as the key j << 32 | i of its matchings
+   j < i, so that the keys sort as the edges (j, i) do. */
 typedef struct {
-    int32_t *ij;
+    u64 *keys;
     size_t count, cap;
 } Pairs;
 
@@ -733,8 +739,8 @@ switch_pairs(const uint16_t *codes, Py_ssize_t nm, int k, Pairs *pairs,
     Rest *table = PyMem_Malloc(cap * sizeof *table);
     pairs->count = 0;
     pairs->cap = 1024;
-    pairs->ij = PyMem_Malloc(pairs->cap * 2 * sizeof *pairs->ij);
-    if (hashes == NULL || table == NULL || pairs->ij == NULL) {
+    pairs->keys = PyMem_Malloc(pairs->cap * sizeof *pairs->keys);
+    if (hashes == NULL || table == NULL || pairs->keys == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -777,20 +783,17 @@ switch_pairs(const uint16_t *codes, Py_ssize_t nm, int k, Pairs *pairs,
                     r->second = i;
                 }
                 if (pairs->count + 2 > pairs->cap) {
-                    int32_t *more = PyMem_Realloc(
-                        pairs->ij, pairs->cap * 4 * sizeof *pairs->ij);
+                    u64 *more = PyMem_Realloc(
+                        pairs->keys, pairs->cap * 2 * sizeof *pairs->keys);
                     if (more == NULL) {
                         PyErr_NoMemory();
                         goto done;
                     }
-                    pairs->ij = more;
+                    pairs->keys = more;
                     pairs->cap *= 2;
                 }
-                for (int l = 0; l < links; l++) {
-                    pairs->ij[2 * pairs->count] = i;
-                    pairs->ij[2 * pairs->count + 1] = joined[l];
-                    pairs->count++;
-                }
+                for (int l = 0; l < links; l++)
+                    pairs->keys[pairs->count++] = (u64)joined[l] << 32 | (u64)i;
             }
         }
     }
@@ -801,13 +804,8 @@ done:
     return result;
 }
 
-static int
-cmp_i32(const void *a, const void *b)
-{
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
-
+/* The switch edges (j, i), j < i, sorted by their keys, as one list of
+   2-tuples that share one int object per index. */
 static PyObject *
 switch_pass(PyObject *self, PyObject *args)
 {
@@ -820,10 +818,9 @@ switch_pass(PyObject *self, PyObject *args)
     if (codes == NULL)
         return NULL;
 
-    PyObject *adjacency = NULL;
+    PyObject *edges = NULL;
     PyObject **ints = NULL;
     Pairs pairs = {0};
-    int32_t *start = NULL, *fill = NULL, *nbrs = NULL;
     long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
     if (switched == NULL) {
         PyErr_NoMemory();
@@ -831,58 +828,37 @@ switch_pass(PyObject *self, PyObject *args)
     }
     if (switch_pairs(codes, nm, k, &pairs, switched) < 0)
         goto done;
-
-    /* adjacency lists from the pairs, each sorted */
-    start = PyMem_Calloc((size_t)nm + 1, sizeof *start);
-    fill = PyMem_Calloc((size_t)nm + 1, sizeof *fill);
-    nbrs = PyMem_Malloc(2 * pairs.count * sizeof *nbrs + 1);
+    qsort(pairs.keys, pairs.count, sizeof *pairs.keys, cmp_u64);
     ints = PyMem_Calloc((size_t)nm + 1, sizeof *ints);
-    if (start == NULL || fill == NULL || nbrs == NULL || ints == NULL) {
+    if (ints == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (size_t p = 0; p < 2 * pairs.count; p++)
-        start[pairs.ij[p] + 1]++;
     for (Py_ssize_t i = 0; i < nm; i++)
-        start[i + 1] += start[i];
-    for (size_t p = 0; p < pairs.count; p++) {
-        int32_t u = pairs.ij[2 * p], v = pairs.ij[2 * p + 1];
-        nbrs[start[u] + fill[u]++] = v;
-        nbrs[start[v] + fill[v]++] = u;
-    }
-    for (Py_ssize_t i = 0; i < nm; i++) {
-        qsort(nbrs + start[i], (size_t)(start[i + 1] - start[i]), sizeof *nbrs, cmp_i32);
         if ((ints[i] = PyLong_FromSsize_t(i)) == NULL)
             goto done;
-    }
 
-    adjacency = PyTuple_New(nm);
-    if (adjacency == NULL)
+    edges = PyList_New((Py_ssize_t)pairs.count);
+    if (edges == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < nm; i++) {
-        PyObject *row = PyTuple_New(start[i + 1] - start[i]);
-        if (row == NULL) {
-            Py_CLEAR(adjacency);
+    for (size_t p = 0; p < pairs.count; p++) {
+        u64 key = pairs.keys[p];
+        PyObject *edge = PyTuple_Pack(2, ints[key >> 32], ints[(uint32_t)key]);
+        if (edge == NULL) {
+            Py_CLEAR(edges);
             goto done;
         }
-        for (int32_t p = start[i]; p < start[i + 1]; p++) {
-            Py_INCREF(ints[nbrs[p]]);
-            PyTuple_SET_ITEM(row, p - start[i], ints[nbrs[p]]);
-        }
-        PyTuple_SET_ITEM(adjacency, i, row);
+        PyList_SET_ITEM(edges, (Py_ssize_t)p, edge);
     }
 done:
     if (ints != NULL)
         for (Py_ssize_t i = 0; i < nm; i++)
             Py_XDECREF(ints[i]);
     PyMem_Free(ints);
-    PyMem_Free(nbrs);
-    PyMem_Free(fill);
-    PyMem_Free(start);
-    PyMem_Free(pairs.ij);
+    PyMem_Free(pairs.keys);
     PyMem_Free(switched);
     PyMem_Free(codes);
-    return adjacency;
+    return edges;
 }
 
 /* forcing numbers, one per matching; -1 with an exception set */
@@ -974,23 +950,23 @@ matching_facts(PyObject *self, PyObject *args)
     if (switch_pairs(codes, nm, k, &pairs, switched) < 0)
         goto done;
 
-    /* the first switch edge, as (lower, higher), that jumps more than 1 */
-    int32_t jump_lo = -1, jump_hi = -1;
+    /* the first switch edge, in key order, that jumps more than 1 */
+    u64 jump = UINT64_MAX;
     for (size_t p = 0; p < pairs.count; p++) {
-        int32_t hi = pairs.ij[2 * p], lo = pairs.ij[2 * p + 1];
-        unsigned long fh = (unsigned long)forcing[hi], fl = (unsigned long)forcing[lo];
-        if ((forcing[hi] > forcing[lo] ? fh - fl : fl - fh) > 1
-            && (jump_lo < 0 || lo < jump_lo || (lo == jump_lo && hi < jump_hi))) {
-            jump_lo = lo;
-            jump_hi = hi;
-        }
+        u64 key = pairs.keys[p];
+        long fj = forcing[key >> 32], fi = forcing[(uint32_t)key];
+        unsigned long gap = fj > fi ? (unsigned long)fj - (unsigned long)fi
+                                    : (unsigned long)fi - (unsigned long)fj;
+        if (gap > 1 && key < jump)
+            jump = key;
     }
 
     /* switch components by union-find, and which hold a top matching */
     for (Py_ssize_t i = 0; i < nm; i++)
         parent[i] = (int32_t)i;
     for (size_t p = 0; p < pairs.count; p++)
-        parent[root(parent, pairs.ij[2 * p])] = root(parent, pairs.ij[2 * p + 1]);
+        parent[root(parent, (int32_t)(uint32_t)pairs.keys[p])] =
+            root(parent, (int32_t)(pairs.keys[p] >> 32));
     for (Py_ssize_t i = 0; i < nm; i++)
         if (forcing[i] == k - 1)
             top_root[root(parent, (int32_t)i)] = 1;
@@ -1048,8 +1024,9 @@ matching_facts(PyObject *self, PyObject *args)
     }
     PyObject *bond_obj = bond < 0 ? Py_NewRef(Py_None)
                                   : Py_BuildValue("(ii)", edges[bond] >> 6, edges[bond] & 63);
-    PyObject *jump_obj = jump_lo < 0 ? Py_NewRef(Py_None)
-                                     : Py_BuildValue("(ii)", (int)jump_lo, (int)jump_hi);
+    PyObject *jump_obj = jump == UINT64_MAX
+                             ? Py_NewRef(Py_None)
+                             : Py_BuildValue("(ii)", (int)(jump >> 32), (int)(uint32_t)jump);
     if (bond_obj != NULL && jump_obj != NULL)
         result = Py_BuildValue("(OOOOO)", counts, covered ? Py_True : Py_False,
                                bond_obj, jump_obj, reach ? Py_True : Py_False);
@@ -1065,7 +1042,7 @@ done:
     PyMem_Free(parent);
     PyMem_Free(switched);
     PyMem_Free(forcing);
-    PyMem_Free(pairs.ij);
+    PyMem_Free(pairs.keys);
     PyMem_Free(codes);
     return result;
 }
@@ -1170,7 +1147,7 @@ bicritical(PyObject *self, PyObject *args)
             every = order & 1 ? 0 : count2(&memo, full ^ (1ULL << u) ^ (1ULL << v));
     memo_free(&memo);
     if (every < 0)
-        return PyErr_NoMemory();
+        return PyErr_Occurred() ? NULL : PyErr_NoMemory();
     return PyBool_FromLong(every > 0);
 }
 
@@ -1180,7 +1157,7 @@ static PyMethodDef methods[] = {
     {"forcing_numbers", forcing_numbers, METH_VARARGS,
      "forcing_numbers(rows, matchings) -> list of forcing numbers"},
     {"switch_pass", switch_pass, METH_VARARGS,
-     "switch_pass(matchings) -> sorted adjacency"},
+     "switch_pass(matchings) -> sorted list of switch edges (i, j), i < j"},
     {"matching_facts", matching_facts, METH_VARARGS,
      "matching_facts(rows, matchings, forcing) -> "
      "(switched, covered, bond, jump, reach)"},

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .extend import deficiency_witness, is_bicritical, is_brick, is_l_extendable
+from .extend import deficiency_witness, is_bicritical, is_l_extendable
 from .forcing import forcing_profile
 from .graph import Graph, has_perfect_matching, vertex_connectivity
 from .graphio import (
@@ -104,10 +104,12 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _extendability_section(g: Graph) -> dict:
+    kappa = vertex_connectivity(g)
+    bicritical = is_bicritical(g)
     section: dict = {
-        "vertex_connectivity": vertex_connectivity(g),
-        "bicritical": is_bicritical(g),
-        "brick": is_brick(g),
+        "vertex_connectivity": kappa,
+        "bicritical": bicritical,
+        "brick": bicritical and kappa >= 3,  # is_brick, without new probes
     }
     levels = {}
     for level in (1, 2):

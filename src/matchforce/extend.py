@@ -4,7 +4,7 @@ The induced-subgraph matching counts all run through the host graph's
 kernel, so deleting vertices never copies the graph: factor-critical and
 extendability checks are mask manipulations here, and bicriticality is
 the kernel's own ``bicritical`` method, which ``native.c`` runs for
-graphs of order <= 64.
+graphs of order <= 64, save for bipartite graphs, which need no probe.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     _kernel,
     components_masks,
+    is_bipartite,
     is_connected,
     iter_bits,
     mask_of,
@@ -68,9 +69,13 @@ def _factor_critical(g: Graph, mask: int) -> bool:
 
 def is_bicritical(g: Graph) -> bool:
     """True iff g has an edge and every two-vertex deletion leaves a
-    perfect matching."""
+    perfect matching.  Of bipartite graphs only K2 is, with no probe: one
+    vertex off each side needs equal sides, two off a side of two or more
+    need that side two larger."""
     if g.edge_count() == 0 or g.order % 2:
         return False
+    if is_bipartite(g) is not None:
+        return g.order == 2
     return _kernel(g).bicritical()
 
 

@@ -107,7 +107,7 @@ class _GraphContext:
     @cached_property
     def facts(self):
         """The switch graph's facts (see `MatchingFacts`): one kernel pass
-        over the profile's matchings, with no adjacency built."""
+        over the profile's matchings, with no edge list built."""
         return build_switch_graph(self.g, profile=self.profile).facts
 
 

@@ -6,9 +6,9 @@ that is when they share all but two edges.  The symmetric difference of
 adjacent matchings is that cycle's edge set, so each switch edge is
 realized by exactly one cycle.  A `SwitchGraph` holds the profile's flat
 matchings, and the host graph's kernel reads the rest from them on first
-use: the adjacency (``switch_pass``), which ``analyze`` reports and
-``switch_path`` searches, or the facts that ``verify`` reads
-(``matching_facts``, see `MatchingFacts`), which need no adjacency.
+use: the sorted edges (``switch_pass``), which ``analyze`` reports and
+the searches derive their adjacency from, or the facts that ``verify``
+reads (``matching_facts``, see `MatchingFacts`), which need no edges.
 ``switch_path`` derives the cycle of each hop it takes from the hop's two
 matchings, so verifying or reporting a switch graph never builds a cycle,
 and `PerfectMatching` objects are made only for a path.
@@ -65,10 +65,9 @@ class SwitchGraph:
 
     ``matchings`` holds the nodes as flat tuples (u0, v0, u1, v1, ...) and
     ``forcing`` their forcing numbers.  The host's kernel reads the rest on
-    first use, each in one pass over the nodes' edge pairs: ``adjacency``,
-    the sorted neighbour indices, and ``facts`` (see `MatchingFacts`),
-    which builds no adjacency.  ``nodes`` holds the same matchings as
-    `PerfectMatching` objects; it is built on first use.
+    first use, each in one pass over the nodes' edge pairs: ``edges()`` and
+    ``facts`` (see `MatchingFacts`), which lists no edges.  ``adjacency``
+    and ``nodes`` are built in Python on first use.
     """
 
     matchings: tuple[tuple[int, ...], ...]
@@ -76,8 +75,18 @@ class SwitchGraph:
     host: Graph
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+    def _edges(self) -> list[tuple[int, int]]:
         return _kernel(self.host).switch_pass(self.matchings)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour indices per node, ascending: edge (i, j) precedes
+        every edge (j, x), so edge order sorts each row."""
+        rows: list[list[int]] = [[] for _ in self.matchings]
+        for i, j in self._edges:
+            rows[i].append(j)
+            rows[j].append(i)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def facts(self) -> MatchingFacts:
@@ -94,10 +103,8 @@ class SwitchGraph:
         return {m: i for i, m in enumerate(self.nodes)}
 
     def edges(self) -> list[tuple[int, int]]:
-        """Edges (i, j) with i < j, sorted."""
-        return [
-            (i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j
-        ]
+        """The kernel's edges (i, j), i < j, sorted; one list per graph."""
+        return self._edges
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +127,7 @@ def build_switch_graph(
     The nodes are the matchings of ``profile``, or of ``forcing_profile(g)``
     when none is given.  A profile holds every perfect matching, since
     `forcing_profile` raises `MatchingOverflowError` past its cap.  The
-    adjacency and the facts are left to the first read of each.
+    edges, the adjacency and the facts are left to the first read of each.
     """
     if profile is None:
         profile = forcing_profile(g)
@@ -171,7 +178,8 @@ def reaches_top(sg: SwitchGraph) -> bool:
     """Whether every node switches, in some number of steps, into a node
     of forcing number n - 1, for n = the number of edges per matching:
     the reach half of spectrum continuity (Theorem 5.7).  One search from
-    every top node at once marks what reaches them."""
+    every top node at once marks what reaches them; with no top node it
+    reads no adjacency."""
     top = len(sg.matchings[0]) // 2 - 1
     seen = [f == top for f in sg.forcing]
     stack = [i for i, is_top in enumerate(seen) if is_top]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchforce
-from matchforce import cli, graphio, harness, to_edge_list, to_graph6
+from matchforce import _core, cli, graphio, harness, to_edge_list, to_graph6
 from matchforce.cli import main
 
 from graphs import cycle_graph, path_graph, star_graph
@@ -84,6 +84,27 @@ class TestAnalyze:
         }
         assert record["sections"]["switch"]["reach_max"] is True
         assert record["sections"]["extendability"]["extendable"]["1"] is True
+
+    def test_extend_probes_bicriticality_once(self, capsys, monkeypatch, k6):
+        # the brick entry reuses the section's bicriticality and vertex
+        # connectivity, so the kernel runs its probes once
+        probed = []
+        for cls in (_core.pure.Kernel, _core.NativeKernel):
+            def counted(self, original=cls.__dict__["bicritical"]):
+                probed.append(type(self))
+                return original(self)
+
+            monkeypatch.setattr(cls, "bicritical", counted)
+        code, out, _ = run(
+            capsys,
+            ["analyze", "--format", "graph6", "--extend"],
+            stdin=to_graph6(k6) + "\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        section = json.loads(out)["sections"]["extendability"]
+        assert (section["bicritical"], section["brick"]) == (True, True)
+        assert probed == [type(_core.make_kernel(k6.rows))]
 
     def test_no_pm_exit_2(self, capsys, monkeypatch):
         code, _, err = run(

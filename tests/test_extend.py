@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from matchforce import (
     PreconditionError,
     deficiency_witness,
     enumerate_perfect_matchings,
+    gen_complete_multipartite,
     gen_knn_plus,
     gen_non_2_extendable,
     gen_random,
@@ -26,7 +28,8 @@ from matchforce.extend import (
     _independent_edges,
 )
 from matchforce.generate import enumerate_labeled_graphs
-from matchforce.graph import components_masks
+from matchforce._core import pure
+from matchforce.graph import components_masks, is_bipartite
 
 from graphs import cycle_graph, induced_subgraph, odd_component_count, path_graph
 from oracles import (
@@ -188,6 +191,31 @@ class TestBicritical:
     def test_even_matches_deletion_condition(self, seed):
         g = gen_random(8, "2/3", seed)
         assert is_bicritical(g) == oracle_is_bicritical(g)
+
+
+    def test_bipartite_rule_matches_the_probes(self):
+        # every bipartite labeled graph of order 2, 4 or 6 with an edge,
+        # answered without a probe, as the pure kernel's probes answer it
+        checked = 0
+        for order in (2, 4, 6):
+            for g in enumerate_labeled_graphs(order):
+                if g.edge_count() and is_bipartite(g) is not None:
+                    assert is_bicritical(g) == pure.Kernel(g.rows).bicritical()
+                    checked += 1
+        assert checked == 5217
+
+    @pytest.mark.parametrize("backend", ["loaded", "pure"])
+    def test_bipartite_needs_no_probe(self, request, backend):
+        # K32,32's first probe leaves K30,32, whose matching count walks
+        # the subsets of its larger side; as a bipartite graph it is
+        # answered at once, under either kernel
+        if backend == "pure":
+            request.getfixturevalue("pure_core")
+        k3232 = gen_complete_multipartite((32, 32))
+        start = time.perf_counter()
+        assert not is_bicritical(k3232)
+        assert not is_brick(k3232)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBrick:

@@ -29,6 +29,7 @@ from matchforce import _core, build_switch_graph
 from matchforce._core import pure
 from matchforce.cli import main
 from matchforce.errors import MatchingOverflowError
+from matchforce.extend import is_bicritical
 
 from graphs import complete_graph, cycle_graph
 
@@ -55,12 +56,16 @@ def _both(g: Graph):
 
 
 def _assert_same(graphs) -> int:
-    """Hold every graph's kernels to each other; the number of graphs
-    with a perfect matching."""
+    """Hold every graph's kernels to each other, and its switch pass to
+    a sorted list of edges (i, j), i < j; the number of graphs with a
+    perfect matching."""
     checked = 0
     for g in graphs:
         reference, made = _both(g)
         assert made == reference, to_graph6(g)
+        edges = reference[2]
+        assert type(edges) is list and edges == sorted(set(edges)), to_graph6(g)
+        assert all(i < j for i, j in edges), to_graph6(g)
         checked += bool(reference[0])
     return checked
 
@@ -82,7 +87,7 @@ def _enumerations(rows, cap) -> list:
 
 def _switch_passes(monkeypatch, g) -> list:
     """The classes whose ``switch_pass`` and ``matching_facts`` the switch
-    graph of g runs as it reads its adjacency and then its facts."""
+    graph of g runs as it reads its edges and then its facts."""
     ran = []
     for cls in (pure.Kernel, _core.NativeKernel):
         for name in ("switch_pass", "matching_facts"):
@@ -92,7 +97,8 @@ def _switch_passes(monkeypatch, g) -> list:
 
             monkeypatch.setattr(cls, name, counted)
     sg = build_switch_graph(g)
-    assert sg.adjacency and sg.facts
+    sg.edges()  # each read runs its kernel pass
+    sg.facts
     return ran
 
 
@@ -131,33 +137,37 @@ def test_order_64_takes_the_native_path(monkeypatch):
     ]
 
 
-# graphs at the native kernel's top orders, their vertex connectivity and
-# whether they are bicritical: K64's split network uses node 127, its top
-# bit; K32,32's first deletion leaves K30,32, whose count2 search walks the
-# subsets of its larger side, so its bicriticality is not asked; vertex 0
-# alone beside a K63 is disconnected; K63 leaves odd sets, which have no
-# perfect matching and are not searched
+# graphs at the native kernel's top orders, their vertex connectivity,
+# whether they are bicritical and whether the kernels' own probes are
+# asked: K64's split network uses node 127, its top bit; K32,32's first
+# probe leaves K30,32, whose count2 search walks the subsets of its larger
+# side, so only `is_bicritical`, which answers a bipartite graph without a
+# probe, is asked; vertex 0 alone beside a K63 is disconnected; K63 leaves
+# odd sets, which have no perfect matching and are not searched
 @pytest.mark.parametrize(
-    "order, pairs, kappa, bicritical",
+    "order, pairs, kappa, bicritical, probed",
     [
-        (64, [(u, v) for u in range(64) for v in range(u + 1, 64)], 63, True),
-        (64, [(u, v) for u in range(32) for v in range(32, 64)], 32, None),
-        (64, _CYCLE_64_CHORDS, 2, False),
-        (64, [(u, v) for u in range(1, 64) for v in range(u + 1, 64)], 0, False),
-        (63, [(u, v) for u in range(63) for v in range(u + 1, 63)], 62, False),
+        (64, [(u, v) for u in range(64) for v in range(u + 1, 64)], 63, True, True),
+        (64, [(u, v) for u in range(32) for v in range(32, 64)], 32, False, False),
+        (64, _CYCLE_64_CHORDS, 2, False, True),
+        (64, [(u, v) for u in range(1, 64) for v in range(u + 1, 64)], 0, False, True),
+        (63, [(u, v) for u in range(63) for v in range(u + 1, 63)], 62, False, True),
     ],
     ids=["k64", "k32-32", "cycle-64-chords", "isolated-and-k63", "k63"],
 )
-def test_connectivity_and_bicriticality_at_top_orders(order, pairs, kappa, bicritical):
-    rows = Graph.from_edges(order, pairs).rows
+def test_connectivity_and_bicriticality_at_top_orders(
+    order, pairs, kappa, bicritical, probed
+):
+    g = Graph.from_edges(order, pairs)
     classes = [pure.Kernel]
     if _core.kernel_backend() == "compiled":
         classes.append(_core.NativeKernel)
-        assert type(_core.make_kernel(rows)) is _core.NativeKernel
+        assert type(_core.make_kernel(g.rows)) is _core.NativeKernel
     for cls in classes:
-        assert cls(rows).vertex_connectivity() == kappa, cls
-        if bicritical is not None:
-            assert cls(rows).bicritical() == bicritical, cls
+        assert cls(g.rows).vertex_connectivity() == kappa, cls
+        if probed:
+            assert cls(g.rows).bicritical() == bicritical, cls
+    assert is_bicritical(g) == bicritical
 
 
 def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
@@ -195,7 +205,7 @@ def test_switch_edge_past_edge_rank_63():
     assert g.edge_count() == 79
     reference, made = _both(g)
     assert made == reference
-    assert reference[2] == ((1,), (0,))
+    assert reference[2] == [(0, 1)]
     switched, covered, bond, jump, reach = reference[3]
     assert (switched, bond, jump) == ((1, 1), (2, 14), None)
 
@@ -221,11 +231,13 @@ def test_enumeration_edges(rows, cap, expected):
     assert (len(first) if isinstance(expected, int) else first) == expected
 
 
-# a search for the perfect matchings of K_{31,33}, which has none but
-# leaves about 33!/2 dead ends to walk, stopped by a timer's signal
+# runs one kernel call on the graph made by argv[1] and prints the kernel
+# class's name when a timer's signal stops the call after 0.2 s, within
+# 10 s: a call that runs no pending signal ends first, and then its
+# handler raises
 _INTERRUPTED = """
-import signal
-from matchforce import _core
+import signal, sys, time
+from matchforce import _core, gen_random
 from matchforce.graph import Graph
 
 class Stop(Exception):
@@ -234,19 +246,22 @@ class Stop(Exception):
 def stop(*_):
     raise Stop
 
-g = Graph.from_edges(64, [(u, v) for u in range(31) for v in range(31, 64)])
+g = eval(sys.argv[1])
+kern = _core.make_kernel(g.rows)
 signal.signal(signal.SIGALRM, stop)
+start = time.perf_counter()
 signal.setitimer(signal.ITIMER_REAL, 0.2)
 try:
-    _core.make_kernel(g.rows).enumerate_pms(1)
+    eval(sys.argv[2])
 except Stop:
-    print(type(_core.make_kernel(g.rows)).__name__)
+    if time.perf_counter() - start < 10:
+        print(type(kern).__name__)
 """
 
 
-def test_enumeration_stops_on_a_signal():
+def _interrupted(graph: str, call: str) -> None:
     run = subprocess.run(
-        [sys.executable, "-c", _INTERRUPTED],
+        [sys.executable, "-c", _INTERRUPTED, graph, call],
         capture_output=True,
         text=True,
         timeout=60,
@@ -255,6 +270,22 @@ def test_enumeration_stops_on_a_signal():
     assert run.returncode == 0, run.stderr[-4000:]
     native = _core.kernel_backend() == "compiled"
     assert run.stdout == ("NativeKernel\n" if native else "Kernel\n")
+
+
+def test_enumeration_stops_on_a_signal():
+    # K_{31,33} has no perfect matching but leaves about 33!/2 dead ends
+    # to walk
+    _interrupted(
+        "Graph.from_edges(64, [(u, v) for u in range(31) for v in range(31, 64)])",
+        "kern.enumerate_pms(1)",
+    )
+
+
+def test_bicriticality_probes_stop_on_a_signal():
+    # the two-vertex deletion probes of this sparse order-44 graph take
+    # about half a minute uninterrupted; the count2 search runs the
+    # pending signals
+    _interrupted("gen_random(44, '1/4', 2)", "kern.bicritical()")
 
 
 def test_native_rejects_what_it_cannot_hold():
@@ -315,6 +346,7 @@ def test_native_takes_reversed_pairs():
     turned = [(3, 2, 1, 0), (2, 0, 3, 1), (1, 2, 0, 3)]
     assert native.forcing_numbers(k4, turned) == native.forcing_numbers(k4, flats)
     assert native.switch_pass(turned) == native.switch_pass(flats)
+    assert native.switch_pass(flats) == [(0, 1), (0, 2), (1, 2)]
     assert native.matching_facts(k4, [(1, 0, 3, 2)], [0])[2] == (0, 1)
 
 

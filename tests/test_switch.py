@@ -9,6 +9,7 @@ from matchforce import (
     PerfectMatching,
     PreconditionError,
     build_switch_graph,
+    builtin_corpus,
     enumerate_perfect_matchings,
     forcing_number,
     forcing_profile,
@@ -16,6 +17,8 @@ from matchforce import (
     gen_h_k,
     gen_minimal_from_signature,
     gen_random,
+    has_perfect_matching,
+    kernel_backend,
     reaches_top,
     switch_path,
 )
@@ -96,6 +99,23 @@ class TestSwitchGraph:
         sg = build_switch_graph(k4)
         assert len(sg.nodes) == 3
         assert all(len(adj) == 2 for adj in sg.adjacency)
+
+    @pytest.mark.parametrize("backend", ["loaded", "pure"])
+    def test_adjacency_holds_the_edges(self, request, backend):
+        # under the package's kernel and the pure one, on families-10: the
+        # rows ascend, and they hold each edge (i, j) from both ends and
+        # nothing else
+        if backend == "pure":
+            request.getfixturevalue("pure_core")
+            assert kernel_backend() == "pure"
+        for g in builtin_corpus("families-10"):
+            if not has_perfect_matching(g):
+                continue
+            sg = build_switch_graph(g)
+            assert all(list(row) == sorted(set(row)) for row in sg.adjacency)
+            pairs = {(i, j) for i, row in enumerate(sg.adjacency) for j in row}
+            assert pairs == {(j, i) for i, j in pairs}
+            assert sorted((i, j) for i, j in pairs if i < j) == sg.edges()
 
     def test_node_count_matches_enumeration(self):
         for seed in range(15):
@@ -234,6 +254,13 @@ class TestBoundAndContinuity:
     def test_c6_not_applicable(self, c6):
         # C6's two matchings both have f = 1 < n - 1 = 2: none is top
         assert self.continuity(c6) == (False, True, False)
+
+    def test_no_top_reads_no_adjacency(self, c6):
+        # with no top node the reach search has nowhere to start, so the
+        # adjacency is never built
+        sg = build_switch_graph(c6)
+        assert reaches_top(sg) is False
+        assert "adjacency" not in vars(sg)
 
     @pytest.mark.parametrize("g", ORACLE_GRAPHS + [gen_h_k(4, 1).graph])
     def test_reach_max_matches_components(self, g):
