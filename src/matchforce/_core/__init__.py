@@ -5,16 +5,17 @@ place that picks native or pure code.  `pure.Kernel` holds the matching
 counts and the six whole-graph methods ``enumerate_pms``,
 ``forcing_numbers``, ``switch_pass``, ``matching_facts``,
 ``vertex_connectivity`` and ``bicritical``; `NativeKernel` takes all six
-from ``native.c``, over the same flat data; ``switch_pass`` returns the
-sorted switch edges, and `SwitchGraph` derives an adjacency from them.
+from ``native.c``, passing its rows, as ``switch_pass(rows, matchings)``;
+that returns the sorted switch edges, from which `SwitchGraph` derives
+an adjacency.
 On first import this module compiles that file with the running
 interpreter's C compiler (sysconfig's ``CC``) and header directory into
 ``build/``, under a name that carries a CRC-32 of the source and the
 interpreter's extension suffix, and later imports load that file; a new
-build removes those of older sources.  A graph of order above 64 gets a `pure.Kernel`, and so
-does every graph when the build or the load fails; the pure code is also
-the reference the tests hold the native code to.  ``kernel_backend()``
-names the path a graph of order <= 64 takes.  Time them with
+build removes those of older sources.  A graph of order above 64 gets a
+`pure.Kernel`, and so does every graph when the build or the load fails;
+the pure code is also the reference the tests hold the native code to.
+``kernel_backend()`` names the path of a graph of order <= 64.  Time them with
 ``python3 perfbench/run.py --workload all --seed N --seconds 30 --trace 0|1``.
 """
 
@@ -100,7 +101,7 @@ class NativeKernel(pure.Kernel):
         return _native().forcing_numbers(self.rows, matchings)
 
     def switch_pass(self, matchings) -> list:
-        return _native().switch_pass(matchings)
+        return _native().switch_pass(self.rows, matchings)
 
     def matching_facts(self, matchings, forcing) -> tuple:
         return _native().matching_facts(self.rows, matchings, forcing)

@@ -5,16 +5,17 @@
    pure.Kernel.enumerate_pms does, returning None where that raises;
    forcing_numbers(rows, matchings) runs the two-ended search of
    pure.Kernel.forcing_numbers, with its own count2 memo, and
-   switch_pass(matchings) and matching_facts(rows, matchings, forcing) the
-   methods of those names, which share one loop over the matchings' edge
-   pairs, that of pure.Kernel._switch_pairs (switch_pass returns the
-   sorted switch edges and builds no adjacency); vertex_connectivity(rows)
-   runs the unit flows of pure.Kernel.vertex_connectivity on the split
-   network, and bicritical(rows) the two-vertex deletion probes of
-   pure.Kernel.bicritical through a count2 memo of its own.  The pure
-   docstrings say what is computed.  A vertex set is one 64-bit mask, a
-   set of split-network nodes one 128-bit mask; a set of the given
-   matchings is a bitset of `words` 64-bit words.  The package builds this
+   switch_pass(rows, matchings) and matching_facts(rows, matchings,
+   forcing) give what the methods of those names give, by looking up each
+   matching's 4-cycle neighbours by their edge-set keys (switch_pass
+   returns the sorted switch edges and builds no adjacency);
+   vertex_connectivity(rows) runs the unit flows of
+   pure.Kernel.vertex_connectivity on the split network, and
+   bicritical(rows) the two-vertex deletion probes of pure.Kernel.bicritical
+   through a count2 memo of its own.  The pure docstrings say what is
+   computed.  A vertex set is one 64-bit mask, a set of split-network nodes
+   one 128-bit mask; a set of the given matchings, or of a graph's edges,
+   is a bitset of `words` 64-bit words.  The package builds this
    file on first import and serves it through NativeKernel (see
    __init__.py).  */
 
@@ -68,9 +69,9 @@ parse_rows(PyObject *obj, u64 *rows, int *order)
     return 0;
 }
 
-/* Matchings as edge codes u * 64 + v, u < v, each matching's codes in
-   ascending order; `*edges` per matching, the same for all of them.  An
-   edge may come as (v, u); a vertex may not come twice in one matching.
+/* Matchings as edge codes u * 64 + v, u < v, in the order given; `*edges`
+   per matching, the same for all of them.  An edge may come as (v, u); a
+   vertex may not come twice in one matching.
    Returns a malloc'd array of count * edges codes, or NULL with an
    exception set.  `*count` is 0 for no matchings (and the result is a
    non-NULL empty array). */
@@ -130,13 +131,7 @@ parse_matchings(PyObject *obj, int order, Py_ssize_t *count, int *edges)
                 goto fail;
             }
             covered |= ends;
-            uint16_t code = u < v ? (uint16_t)(u * 64 + v) : (uint16_t)(v * 64 + u);
-            Py_ssize_t p = e;  /* insertion sort: matchings are short */
-            while (p > 0 && own[p - 1] > code) {
-                own[p] = own[p - 1];
-                p--;
-            }
-            own[p] = code;
+            own[e] = u < v ? (uint16_t)(u * 64 + v) : (uint16_t)(v * 64 + u);
         }
         Py_DECREF(flat);
     }
@@ -672,136 +667,186 @@ done:
 /* ---------------------------------------------------------------------
    switch pass and matching facts */
 
-/* A matching minus two of its edges, its "rest": the first matching seen
-   with it and which two of its edges are out, and the second matching. */
+/* The graph, its edges ranked in (u, v) order, and the matchings as edge
+   codes and as keys, the sets of their edges' ranks; then what the switch
+   pass finds: each switch edge (j, i), j < i, as the key j << 32 | i, so
+   that the keys sort as the edges do, and each matching's switched pairs. */
 typedef struct {
-    u64 hash;
-    int32_t first, second;  /* -1: none yet */
-    uint8_t a, b;
-} Rest;
+    u64 rows[MAX_ORDER];
+    int order;
+    Py_ssize_t nm;
+    int k;                        /* edges per matching */
+    uint16_t *codes;
+    int16_t rank[64 * 64];        /* of u-v at u * 64 + v and v * 64 + u */
+    uint16_t edges[64 * 63 / 2];  /* by rank, the codes */
+    int count;                    /* edges of the graph */
+    size_t words;
+    u64 *keys;                    /* nm keys, one after the other */
+    u64 *pairs;
+    size_t pairs_count, pairs_cap;
+    long *switched;
+} Switch;
 
-/* The switch edges found, each as the key j << 32 | i of its matchings
-   j < i, so that the keys sort as the edges (j, i) do. */
-typedef struct {
-    u64 *keys;
-    size_t count, cap;
-} Pairs;
-
-static u64
-edge_hash(uint16_t code)
+static void
+switch_free(Switch *s)
 {
-    u64 z = (u64)code * GOLDEN + GOLDEN;  /* splitmix64 */
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    PyMem_Free(s->switched);
+    PyMem_Free(s->pairs);
+    PyMem_Free(s->keys);
+    PyMem_Free(s->codes);
 }
 
-/* Whether matching i without its edges a, b and matching j without c, d
-   hold the same edges; both lists ascend, so they are walked together. */
+/* Parses the rows and matchings into a zeroed Switch, ranks the graph's
+   edges and keys the matchings; -1 with an exception set, also for a
+   matching edge not in the graph.  switch_free frees it either way. */
 static int
-same_rest(const uint16_t *codes, int k, int32_t i, int a, int b,
-          int32_t j, int c, int d)
+switch_input(PyObject *rows_obj, PyObject *matchings_obj, Switch *s)
 {
-    const uint16_t *x = codes + (size_t)i * k, *y = codes + (size_t)j * k;
-    int p = 0, q = 0;
-    for (;;) {
-        while (p == a || p == b)
-            p++;
-        while (q == c || q == d)
-            q++;
-        if (p >= k || q >= k)
-            return p >= k && q >= k;
-        if (x[p++] != y[q++])
-            return 0;
+    if (parse_rows(rows_obj, s->rows, &s->order) < 0)
+        return -1;
+    s->codes = parse_matchings(matchings_obj, s->order, &s->nm, &s->k);
+    if (s->codes == NULL)
+        return -1;
+    memset(s->rank, 0xff, sizeof s->rank);
+    for (int u = 0; u < s->order; u++)
+        for (u64 later = s->rows[u] >> u >> 1; later; later &= later - 1) {
+            int v = u + 1 + ctz(later);
+            s->rank[u * 64 + v] = s->rank[v * 64 + u] = (int16_t)s->count;
+            s->edges[s->count++] = (uint16_t)(u * 64 + v);
+        }
+    s->words = ((size_t)s->count + 63) / 64;
+    s->keys = PyMem_Calloc((size_t)s->nm * s->words + 1, sizeof *s->keys);
+    if (s->keys == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < s->nm * s->k; i++) {
+        int r = s->rank[s->codes[i]];
+        if (r < 0) {
+            PyErr_SetString(PyExc_ValueError, "matching edge not in the graph");
+            return -1;
+        }
+        s->keys[(size_t)(i / s->k) * s->words + r / 64] |= 1ULL << (r % 64);
+    }
+    return 0;
+}
+
+static void
+flip(u64 *key, int rank)
+{
+    key[rank / 64] ^= 1ULL << (rank % 64);
+}
+
+/* In a table of 2^bits matching indices, -1 for a free slot, open-addressed
+   by the matchings' keys: the slot that holds the matching with this key,
+   or the free slot where it would go. */
+static size_t
+key_slot(const int32_t *slots, int bits, const u64 *keys, size_t words,
+         const u64 *key)
+{
+    u64 h = 0;
+    for (size_t w = 0; w < words; w++)
+        h = (h ^ key[w]) * GOLDEN;
+    size_t mask = ((size_t)1 << bits) - 1;
+    for (size_t slot = (size_t)(h >> (64 - bits));; slot = (slot + 1) & mask) {
+        if (slots[slot] < 0)
+            return slot;
+        const u64 *held = keys + (size_t)slots[slot] * words;
+        size_t w = 0;
+        while (w < words && held[w] == key[w])
+            w++;
+        if (w == words)
+            return slot;
     }
 }
 
-/* The loop of pure.Kernel._switch_pairs over nm matchings of k edges: the
-   switch edges into `pairs` and the switched-pair counts into `switched`
-   (nm zeroed entries).  A rest is keyed by an XOR of per-edge hashes, and
-   a hash hit counts only when the two rests are equal.  -1 with an
-   exception set on failure. */
+/* The switch pass: the switch edges of the matchings into s->pairs and
+   their switched-pair counts into s->switched.  Each matching is keyed
+   once in a table of 4 to 8 * nm slots, sparse enough that a lookup
+   mostly probes one slot.  For each pair of its edges a-b, c-d, each
+   4-cycle a-b-d-c or a-b-c-d whose other two edges the graph has is
+   flipped into its key, and the key looked up: a hit is a neighbour, and
+   the pair is switched iff either cycle hits.  Two neighbours differ on
+   exactly one 4-cycle, so an edge (j, i), j < i, is found once, from i; a
+   matching missing from the list is a miss.  -1 with an exception set on
+   failure. */
 static int
-switch_pairs(const uint16_t *codes, Py_ssize_t nm, int k, Pairs *pairs,
-             long *switched)
+switch_pairs(Switch *s)
 {
-    if (nm > INT32_MAX / 2) {
+    if (s->nm > INT32_MAX / 2) {
         PyErr_SetString(PyExc_ValueError, "too many matchings");
         return -1;
     }
-    int result = -1;
-    u64 *hashes = PyMem_Malloc((size_t)k * sizeof *hashes + 1);
-    size_t rests = (size_t)nm * (size_t)(k * (k - 1) / 2);
-    size_t cap = 16;
-    while (cap < 2 * rests)
-        cap *= 2;
-    int shift = 64 - __builtin_ctzll(cap);
-    Rest *table = PyMem_Malloc(cap * sizeof *table);
-    pairs->count = 0;
-    pairs->cap = 1024;
-    pairs->keys = PyMem_Malloc(pairs->cap * sizeof *pairs->keys);
-    if (hashes == NULL || table == NULL || pairs->keys == NULL) {
+    const size_t words = s->words;  /* a size_t the stores below may alias */
+    int bits = 4;
+    while (((size_t)1 << bits) < 4 * (size_t)s->nm)
+        bits++;
+    int32_t *slots = PyMem_Malloc(((size_t)1 << bits) * sizeof *slots);
+    s->switched = PyMem_Calloc((size_t)s->nm + 1, sizeof *s->switched);
+    if (slots == NULL || s->switched == NULL) {
+        PyMem_Free(slots);
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    for (size_t s = 0; s < cap; s++)
-        table[s].first = -1;
+    memset(slots, 0xff, ((size_t)1 << bits) * sizeof *slots);
+    for (int32_t i = 0; i < s->nm; i++) {
+        size_t slot = key_slot(slots, bits, s->keys, words,
+                               s->keys + (size_t)i * words);
+        if (slots[slot] < 0)
+            slots[slot] = i;
+    }
 
-    for (int32_t i = 0; i < nm; i++) {
-        const uint16_t *own = codes + (size_t)i * k;
-        u64 key = 0;
-        for (int e = 0; e < k; e++) {
-            hashes[e] = edge_hash(own[e]);
-            key ^= hashes[e];
-        }
-        for (int a = 0; a < k; a++) {
-            for (int b = a + 1; b < k; b++) {
-                u64 h = key ^ hashes[a] ^ hashes[b];
-                size_t s = (size_t)((h * GOLDEN) >> shift);
-                while (table[s].first >= 0
-                       && !(table[s].hash == h
-                            && same_rest(codes, k, table[s].first, table[s].a,
-                                         table[s].b, i, a, b)))
-                    s = (s + 1) & (cap - 1);
-                Rest *r = &table[s];
-                if (r->first < 0) {
-                    r->hash = h;
-                    r->first = i;
-                    r->second = -1;
-                    r->a = (uint8_t)a;
-                    r->b = (uint8_t)b;
-                    continue;
-                }
-                /* i joins the first matching with this rest, and the
-                   second when there is one; at most three share a rest,
-                   the perfect matchings of the four vertices it leaves */
-                int32_t joined[2] = {r->first, r->second};
-                int links = r->second < 0 ? 1 : 2;
-                switched[i]++;
-                if (r->second < 0) {
-                    switched[r->first]++;
-                    r->second = i;
-                }
-                if (pairs->count + 2 > pairs->cap) {
-                    u64 *more = PyMem_Realloc(
-                        pairs->keys, pairs->cap * 2 * sizeof *pairs->keys);
-                    if (more == NULL) {
-                        PyErr_NoMemory();
-                        goto done;
-                    }
-                    pairs->keys = more;
-                    pairs->cap *= 2;
-                }
-                for (int l = 0; l < links; l++)
-                    pairs->keys[pairs->count++] = (u64)joined[l] << 32 | (u64)i;
+    u64 probe[64 * 63 / 2 / 64 + 1];
+    for (int32_t i = 0; i < s->nm; i++) {
+        /* room for an edge from each 4-cycle of each pair of edges */
+        size_t room = s->pairs_count + (size_t)s->k * s->k;
+        if (room > s->pairs_cap) {
+            u64 *more = PyMem_Realloc(s->pairs, 2 * room * sizeof *more);
+            if (more == NULL) {
+                PyMem_Free(slots);
+                PyErr_NoMemory();
+                return -1;
             }
+            s->pairs = more;
+            s->pairs_cap = 2 * room;
         }
+        u64 *found = s->pairs;
+        size_t count = s->pairs_count;
+        long pairs_hit = 0;
+        const uint16_t *own = s->codes + (size_t)i * s->k;
+        memcpy(probe, s->keys + (size_t)i * words, words * sizeof *probe);
+        for (int x = 0; x < s->k; x++) {
+            int a = own[x] >> 6, b = own[x] & 63;
+            flip(probe, s->rank[own[x]]);
+            for (int y = x + 1; y < s->k; y++) {
+                int c = own[y] >> 6, d = own[y] & 63;
+                int hit = 0;
+                flip(probe, s->rank[own[y]]);
+                for (int cycle = 0; cycle < 2; cycle++) {
+                    int p = s->rank[a * 64 + (cycle ? d : c)];
+                    int q = s->rank[b * 64 + (cycle ? c : d)];
+                    if (p < 0 || q < 0)
+                        continue;
+                    flip(probe, p);
+                    flip(probe, q);
+                    size_t slot = key_slot(slots, bits, s->keys, words, probe);
+                    int32_t j = slots[slot];
+                    flip(probe, p);
+                    flip(probe, q);
+                    hit |= j >= 0;
+                    found[count] = (u64)j << 32 | (u64)i;
+                    count += j >= 0 && j < i;
+                }
+                flip(probe, s->rank[own[y]]);
+                pairs_hit += hit;
+            }
+            flip(probe, s->rank[own[x]]);
+        }
+        s->pairs_count = count;
+        s->switched[i] = pairs_hit;
     }
-    result = 0;
-done:
-    PyMem_Free(table);
-    PyMem_Free(hashes);
-    return result;
+    PyMem_Free(slots);
+    return 0;
 }
 
 /* The switch edges (j, i), j < i, sorted by their keys, as one list of
@@ -809,40 +854,30 @@ done:
 static PyObject *
 switch_pass(PyObject *self, PyObject *args)
 {
-    PyObject *matchings_obj;
-    if (!PyArg_ParseTuple(args, "O", &matchings_obj))
+    PyObject *rows_obj, *matchings_obj;
+    if (!PyArg_ParseTuple(args, "OO", &rows_obj, &matchings_obj))
         return NULL;
-    Py_ssize_t nm;
-    int k;
-    uint16_t *codes = parse_matchings(matchings_obj, MAX_ORDER, &nm, &k);
-    if (codes == NULL)
-        return NULL;
-
+    Switch s = {0};
     PyObject *edges = NULL;
     PyObject **ints = NULL;
-    Pairs pairs = {0};
-    long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
-    if (switched == NULL) {
-        PyErr_NoMemory();
+    if (switch_input(rows_obj, matchings_obj, &s) < 0 || switch_pairs(&s) < 0)
         goto done;
-    }
-    if (switch_pairs(codes, nm, k, &pairs, switched) < 0)
-        goto done;
-    qsort(pairs.keys, pairs.count, sizeof *pairs.keys, cmp_u64);
-    ints = PyMem_Calloc((size_t)nm + 1, sizeof *ints);
+    if (s.pairs_count > 0)  /* qsort takes no NULL array */
+        qsort(s.pairs, s.pairs_count, sizeof *s.pairs, cmp_u64);
+    ints = PyMem_Calloc((size_t)s.nm + 1, sizeof *ints);
     if (ints == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t i = 0; i < nm; i++)
+    for (Py_ssize_t i = 0; i < s.nm; i++)
         if ((ints[i] = PyLong_FromSsize_t(i)) == NULL)
             goto done;
 
-    edges = PyList_New((Py_ssize_t)pairs.count);
+    edges = PyList_New((Py_ssize_t)s.pairs_count);
     if (edges == NULL)
         goto done;
-    for (size_t p = 0; p < pairs.count; p++) {
-        u64 key = pairs.keys[p];
+    for (size_t p = 0; p < s.pairs_count; p++) {
+        u64 key = s.pairs[p];
         PyObject *edge = PyTuple_Pack(2, ints[key >> 32], ints[(uint32_t)key]);
         if (edge == NULL) {
             Py_CLEAR(edges);
@@ -852,12 +887,10 @@ switch_pass(PyObject *self, PyObject *args)
     }
 done:
     if (ints != NULL)
-        for (Py_ssize_t i = 0; i < nm; i++)
+        for (Py_ssize_t i = 0; i < s.nm; i++)
             Py_XDECREF(ints[i]);
     PyMem_Free(ints);
-    PyMem_Free(pairs.keys);
-    PyMem_Free(switched);
-    PyMem_Free(codes);
+    switch_free(&s);
     return edges;
 }
 
@@ -892,68 +925,43 @@ root(int32_t *parent, int32_t i)
     return i;
 }
 
-/* pure.Kernel.matching_facts, whose docstring says what is computed.  The
-   graph's edges are ranked in (u, v) order; a set of them is a bitset of
-   `words` 64-bit words. */
+/* pure.Kernel.matching_facts, whose docstring says what is computed. */
 static PyObject *
 matching_facts(PyObject *self, PyObject *args)
 {
     PyObject *rows_obj, *matchings_obj, *forcing_obj;
     if (!PyArg_ParseTuple(args, "OOO", &rows_obj, &matchings_obj, &forcing_obj))
         return NULL;
-    u64 rows[MAX_ORDER];
-    int order;
-    if (parse_rows(rows_obj, rows, &order) < 0)
-        return NULL;
-    Py_ssize_t nm;
-    int k;
-    uint16_t *codes = parse_matchings(matchings_obj, order, &nm, &k);
-    if (codes == NULL)
-        return NULL;
-
+    Switch s = {0};
     PyObject *result = NULL;
-    Pairs pairs = {0};
-    int16_t rank[64 * 64];
-    uint16_t edges[64 * 63 / 2];
-    int count = 0;
-    memset(rank, 0xff, sizeof rank);
-    for (int u = 0; u < order; u++)
-        for (u64 later = rows[u] >> u >> 1; later; later &= later - 1) {
-            int v = u + 1 + ctz(later);
-            rank[u * 64 + v] = (int16_t)count;
-            edges[count++] = (uint16_t)(u * 64 + v);
-        }
-    size_t words = ((size_t)count + 63) / 64;
-    long *forcing = PyMem_Malloc(((size_t)nm + 1) * sizeof *forcing);
-    long *switched = PyMem_Calloc((size_t)nm + 1, sizeof *switched);
-    int32_t *parent = PyMem_Malloc(((size_t)nm + 1) * sizeof *parent);
-    uint8_t *top_root = PyMem_Calloc((size_t)nm + 1, 1);
+    long *forcing = NULL;
+    int32_t *parent = NULL;
+    uint8_t *top_root = NULL;
+    u64 *holders = NULL, *touching = NULL, *common = NULL;
+    if (switch_input(rows_obj, matchings_obj, &s) < 0)
+        goto done;
+    Py_ssize_t nm = s.nm;
+    size_t words = s.words;
+    forcing = PyMem_Malloc(((size_t)nm + 1) * sizeof *forcing);
+    parent = PyMem_Malloc(((size_t)nm + 1) * sizeof *parent);
+    top_root = PyMem_Calloc((size_t)nm + 1, 1);
     /* per edge, the edges of the matchings that hold it; per vertex, the
-       edges at it; the edges common to all matchings; one matching's */
-    u64 *holders = PyMem_Calloc((size_t)count * words + 1, sizeof *holders);
-    u64 *touching = PyMem_Calloc((size_t)order * words + 1, sizeof *touching);
-    u64 *common = PyMem_Malloc((words + 1) * sizeof *common);
-    u64 *key = PyMem_Malloc((words + 1) * sizeof *key);
-    if (forcing == NULL || switched == NULL || parent == NULL || top_root == NULL
-        || holders == NULL || touching == NULL || common == NULL || key == NULL) {
+       edges at it; the edges common to all matchings */
+    holders = PyMem_Calloc((size_t)s.count * words + 1, sizeof *holders);
+    touching = PyMem_Calloc((size_t)s.order * words + 1, sizeof *touching);
+    common = PyMem_Malloc((words + 1) * sizeof *common);
+    if (forcing == NULL || parent == NULL || top_root == NULL
+        || holders == NULL || touching == NULL || common == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (parse_forcing(forcing_obj, nm, forcing) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < nm * k; i++) {
-        if (rank[codes[i]] < 0) {
-            PyErr_SetString(PyExc_ValueError, "matching edge not in the graph");
-            goto done;
-        }
-    }
-    if (switch_pairs(codes, nm, k, &pairs, switched) < 0)
+    if (parse_forcing(forcing_obj, nm, forcing) < 0 || switch_pairs(&s) < 0)
         goto done;
 
     /* the first switch edge, in key order, that jumps more than 1 */
     u64 jump = UINT64_MAX;
-    for (size_t p = 0; p < pairs.count; p++) {
-        u64 key = pairs.keys[p];
+    for (size_t p = 0; p < s.pairs_count; p++) {
+        u64 key = s.pairs[p];
         long fj = forcing[key >> 32], fi = forcing[(uint32_t)key];
         unsigned long gap = fj > fi ? (unsigned long)fj - (unsigned long)fi
                                     : (unsigned long)fi - (unsigned long)fj;
@@ -964,11 +972,11 @@ matching_facts(PyObject *self, PyObject *args)
     /* switch components by union-find, and which hold a top matching */
     for (Py_ssize_t i = 0; i < nm; i++)
         parent[i] = (int32_t)i;
-    for (size_t p = 0; p < pairs.count; p++)
-        parent[root(parent, (int32_t)(uint32_t)pairs.keys[p])] =
-            root(parent, (int32_t)(pairs.keys[p] >> 32));
+    for (size_t p = 0; p < s.pairs_count; p++)
+        parent[root(parent, (int32_t)(uint32_t)s.pairs[p])] =
+            root(parent, (int32_t)(s.pairs[p] >> 32));
     for (Py_ssize_t i = 0; i < nm; i++)
-        if (forcing[i] == k - 1)
+        if (forcing[i] == s.k - 1)
             top_root[root(parent, (int32_t)i)] = 1;
     int reach = 1;
     for (Py_ssize_t i = 0; i < nm && reach; i++)
@@ -978,31 +986,29 @@ matching_facts(PyObject *self, PyObject *args)
     for (size_t w = 0; w < words; w++)
         common[w] = nm > 0 ? ~0ULL : 0;
     for (Py_ssize_t i = 0; i < nm; i++) {
-        const uint16_t *own = codes + (size_t)i * k;
-        memset(key, 0, words * sizeof *key);
-        for (int e = 0; e < k; e++)
-            key[rank[own[e]] / 64] |= 1ULL << (rank[own[e]] % 64);
+        const uint16_t *own = s.codes + (size_t)i * s.k;
+        const u64 *key = s.keys + (size_t)i * words;
         for (size_t w = 0; w < words; w++)
             common[w] &= key[w];
-        for (int e = 0; e < k; e++) {
-            u64 *h = holders + (size_t)rank[own[e]] * words;
+        for (int e = 0; e < s.k; e++) {
+            u64 *h = holders + (size_t)s.rank[own[e]] * words;
             for (size_t w = 0; w < words; w++)
                 h[w] |= key[w];
         }
     }
-    for (int r = 0; r < count; r++) {
-        int u = edges[r] >> 6, v = edges[r] & 63;
+    for (int r = 0; r < s.count; r++) {
+        int u = s.edges[r] >> 6, v = s.edges[r] & 63;
         touching[(size_t)u * words + r / 64] |= 1ULL << (r % 64);
         touching[(size_t)v * words + r / 64] |= 1ULL << (r % 64);
     }
     int covered = 1;
-    for (int r = 0; r < count && covered; r++) {
+    for (int r = 0; r < s.count && covered; r++) {
         const u64 *h = holders + (size_t)r * words;
-        const u64 *tu = touching + (size_t)(edges[r] >> 6) * words;
-        const u64 *tv = touching + (size_t)(edges[r] & 63) * words;
+        const u64 *tu = touching + (size_t)(s.edges[r] >> 6) * words;
+        const u64 *tv = touching + (size_t)(s.edges[r] & 63) * words;
         for (size_t w = 0; w < words && covered; w++) {
-            u64 every = w + 1 < words || count % 64 == 0
-                            ? ~0ULL : (1ULL << (count % 64)) - 1;
+            u64 every = w + 1 < words || s.count % 64 == 0
+                            ? ~0ULL : (1ULL << (s.count % 64)) - 1;
             covered = !(every & ~(tu[w] | tv[w] | h[w]));
         }
     }
@@ -1015,7 +1021,7 @@ matching_facts(PyObject *self, PyObject *args)
     if (counts == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < nm; i++) {
-        PyObject *c = PyLong_FromLong(switched[i]);
+        PyObject *c = PyLong_FromLong(s.switched[i]);
         if (c == NULL) {
             Py_DECREF(counts);
             goto done;
@@ -1023,7 +1029,8 @@ matching_facts(PyObject *self, PyObject *args)
         PyTuple_SET_ITEM(counts, i, c);
     }
     PyObject *bond_obj = bond < 0 ? Py_NewRef(Py_None)
-                                  : Py_BuildValue("(ii)", edges[bond] >> 6, edges[bond] & 63);
+                                  : Py_BuildValue("(ii)", s.edges[bond] >> 6,
+                                                  s.edges[bond] & 63);
     PyObject *jump_obj = jump == UINT64_MAX
                              ? Py_NewRef(Py_None)
                              : Py_BuildValue("(ii)", (int)(jump >> 32), (int)(uint32_t)jump);
@@ -1034,16 +1041,13 @@ matching_facts(PyObject *self, PyObject *args)
     Py_XDECREF(bond_obj);
     Py_XDECREF(jump_obj);
 done:
-    PyMem_Free(key);
     PyMem_Free(common);
     PyMem_Free(touching);
     PyMem_Free(holders);
     PyMem_Free(top_root);
     PyMem_Free(parent);
-    PyMem_Free(switched);
     PyMem_Free(forcing);
-    PyMem_Free(pairs.keys);
-    PyMem_Free(codes);
+    switch_free(&s);
     return result;
 }
 
@@ -1157,7 +1161,7 @@ static PyMethodDef methods[] = {
     {"forcing_numbers", forcing_numbers, METH_VARARGS,
      "forcing_numbers(rows, matchings) -> list of forcing numbers"},
     {"switch_pass", switch_pass, METH_VARARGS,
-     "switch_pass(matchings) -> sorted list of switch edges (i, j), i < j"},
+     "switch_pass(rows, matchings) -> sorted list of switch edges (i, j), i < j"},
     {"matching_facts", matching_facts, METH_VARARGS,
      "matching_facts(rows, matchings, forcing) -> "
      "(switched, covered, bond, jump, reach)"},

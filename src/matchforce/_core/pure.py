@@ -226,11 +226,9 @@ class Kernel:
         With ``matchings`` all the perfect matchings of a connected graph
         of order >= 6, ``covered`` says whether it is 2-extendable.
 
-        Memory, here and in `switch_pass`: the pass keys all C(k, 2) rests
-        of each of the N matchings at once, and nothing bounds it.
-        ``native.c``'s table of them takes 24 * 2**ceil(log2(2 * N *
-        C(k, 2))) bytes: one native call on the 284,023 matchings of an
-        order-16 top-forcing graph raised peak RSS from 70 to 498 MB.
+        Memory: see `_switch_pairs` for this pass.  ``native.c`` keys each
+        of the N matchings in ceil(|E| / 64) 64-bit words, looks them up
+        in at most 8N int32 slots, and keeps 8 B per switch edge found.
         """
         bit, edges = self._edge_ranks()
         bits_of = _edge_bits(matchings, bit)
@@ -339,7 +337,8 @@ class Kernel:
         rests, so every switch edge is found once.  A rest that a second
         matching shares is a switched pair of both, and of a third as it
         comes: a pair of a matching's edges is switched iff it spans an
-        alternating 4-cycle.
+        alternating 4-cycle.  The dicts hold every rest at once, so
+        nothing bounds the memory (``native.c`` looks neighbours up).
         """
         first: dict[int, int] = {}
         second: dict[int, int] = {}

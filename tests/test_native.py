@@ -36,8 +36,9 @@ from graphs import complete_graph, cycle_graph
 
 def _both(g: Graph):
     """(pure, package) matchings of g, the forcing numbers, switch pass
-    and matching facts of the pure kernel's matchings, and g's vertex
-    connectivity and bicriticality."""
+    and matching facts of the pure kernel's matchings, the switch pass and
+    matching facts of every other one of them, and g's vertex connectivity
+    and bicriticality."""
     reference = pure.Kernel(g.rows)
     made = _core.make_kernel(g.rows)
     flats = reference.enumerate_pms(10**6)
@@ -48,6 +49,8 @@ def _both(g: Graph):
             kern.forcing_numbers(flats),
             kern.switch_pass(flats),
             kern.matching_facts(flats, forcing),
+            kern.switch_pass(flats[::2]),
+            kern.matching_facts(flats[::2], forcing[::2]),
             kern.vertex_connectivity(),
             kern.bicritical(),
         )
@@ -56,9 +59,10 @@ def _both(g: Graph):
 
 
 def _assert_same(graphs) -> int:
-    """Hold every graph's kernels to each other, and its switch pass to
-    a sorted list of edges (i, j), i < j; the number of graphs with a
-    perfect matching."""
+    """Hold every graph's kernels to each other, its switch pass to a
+    sorted list of edges (i, j), i < j, and the pass on every other
+    matching to the edges between those matchings alone; the number of
+    graphs with a perfect matching."""
     checked = 0
     for g in graphs:
         reference, made = _both(g)
@@ -66,6 +70,8 @@ def _assert_same(graphs) -> int:
         edges = reference[2]
         assert type(edges) is list and edges == sorted(set(edges)), to_graph6(g)
         assert all(i < j for i, j in edges), to_graph6(g)
+        kept = [(i // 2, j // 2) for i, j in edges if i % 2 == j % 2 == 0]
+        assert reference[4] == kept, to_graph6(g)
         checked += bool(reference[0])
     return checked
 
@@ -194,14 +200,20 @@ def test_order_66_cycle_takes_the_pure_path(monkeypatch, capsys):
     ]
 
 
-def test_switch_edge_past_edge_rank_63():
-    # K12 on 0..11, a pendant 12 + i at each i, and the edge 12-13: 79
-    # edges and two matchings, which differ on the 4-cycle 0-1-13-12 and
-    # whose one switch edge needs the last edge rank, 78; they share the
-    # pendant edges 2-14 .. 11-23, and the lowest of those is the bond
+def _past_rank_63() -> Graph:
+    """K12 on 0..11, a pendant 12 + i at each i, and the edge 12-13: 79
+    edges, so a key takes two words, and two matchings, which differ on
+    the 4-cycle 0-1-13-12, whose edge 12-13 has the last rank, 78."""
     pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
     pairs += [(i, 12 + i) for i in range(12)] + [(12, 13)]
-    g = Graph.from_edges(24, pairs)
+    return Graph.from_edges(24, pairs)
+
+
+def test_switch_edge_past_edge_rank_63():
+    # the two matchings' one switch edge needs the last edge rank; they
+    # share the pendant edges 2-14 .. 11-23, and the lowest of those is
+    # the bond
+    g = _past_rank_63()
     assert g.edge_count() == 79
     reference, made = _both(g)
     assert made == reference
@@ -294,11 +306,15 @@ def test_native_rejects_what_it_cannot_hold():
         return  # no compiler: nothing native to check
     with pytest.raises(ValueError):
         native.forcing_numbers((0,) * 65, [()])
-    with pytest.raises(ValueError):
-        native.switch_pass([(0, 1), (0, 1, 2, 3)])
-    with pytest.raises(ValueError):
-        native.switch_pass([(0, 64)])
     k4 = complete_graph(4).rows
+    with pytest.raises(ValueError, match="differ in length"):
+        native.switch_pass(k4, [(0, 1), (0, 1, 2, 3)])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        native.switch_pass((0,) * 64, [(0, 64)])
+    with pytest.raises(ValueError, match="order above 64"):
+        native.switch_pass((0,) * 65, [()])
+    with pytest.raises(ValueError, match="not in the graph"):
+        native.switch_pass((0b10, 0b01, 0, 0), [(0, 1, 2, 3)])
     with pytest.raises(ValueError, match="one forcing number per matching"):
         native.matching_facts(k4, [(0, 1, 2, 3)], [1, 1])
     with pytest.raises(ValueError, match="order above 64"):
@@ -310,7 +326,7 @@ def test_native_rejects_what_it_cannot_hold():
     with pytest.raises(ValueError, match="not in the graph"):
         native.matching_facts((0b10, 0b01, 0, 0), [(0, 1, 2, 3)], [0])
     with pytest.raises(ValueError, match="vertex repeated"):
-        native.switch_pass([(0, 1, 0, 2)])
+        native.switch_pass(k4, [(0, 1, 0, 2)])
     with pytest.raises(ValueError, match="vertex repeated"):
         native.forcing_numbers(k4, [(0, 1, 2, 3), (0, 2, 1, 2)])
     with pytest.raises(ValueError, match="order above 64"):
@@ -325,6 +341,7 @@ def test_native_rejects_what_it_cannot_hold():
     for call in (
         lambda: native.enumerate_pms(phantom, 10),
         lambda: native.forcing_numbers(phantom, [(0, 1, 2, 3)]),
+        lambda: native.switch_pass(phantom, [(0, 1, 2, 3)]),
         lambda: native.matching_facts(phantom, [(0, 1, 2, 3)], [0]),
         lambda: native.vertex_connectivity(phantom),
         lambda: native.bicritical(phantom),
@@ -333,6 +350,48 @@ def test_native_rejects_what_it_cannot_hold():
     ):
         with pytest.raises(ValueError, match="row bit at or above the order"):
             call()
+
+
+# runs one matching_facts call, forcing numbers all 0, on the perfect
+# matchings of the graph6 argv[1], and prints the kernel class's name, the
+# matching count and how far the call raised the process's peak RSS in kB;
+# VmHWM restarts at exec, where ru_maxrss keeps the spawning process's mark
+_PEAK_RSS = """
+import sys
+from matchforce import _core, parse_graph6
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+kern = _core.make_kernel(parse_graph6(sys.argv[1]).rows)
+flats = kern.enumerate_pms(10**6)
+forcing = [0] * len(flats)
+before = peak()
+kern.matching_facts(flats, forcing)
+print(type(kern).__name__, len(flats), peak() - before)
+"""
+
+
+def test_facts_memory_is_linear_in_the_matchings():
+    # the 284,023 matchings of an order-16 top-forcing graph with 94 edges:
+    # keyed once each, they take a few MB, the lookup table a few more, and
+    # the switch edges found 8 B each (4,691,175 of them).  With no
+    # compiler the package takes the pure path.
+    if not shutil.which(_cc()[0]):
+        assert _core.kernel_backend() == "pure"
+        return
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, r"O^v|vfvbz~~\]^bzvzn~U"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(_core.__file__).parents[2])},
+    )
+    assert run.returncode == 0, run.stderr[-4000:]
+    name, count, rise = run.stdout.split()
+    assert (name, int(count)) == ("NativeKernel", 284023)
+    assert int(rise) < 200 * 1024
 
 
 def test_native_takes_reversed_pairs():
@@ -345,8 +404,8 @@ def test_native_takes_reversed_pairs():
     flats = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)]
     turned = [(3, 2, 1, 0), (2, 0, 3, 1), (1, 2, 0, 3)]
     assert native.forcing_numbers(k4, turned) == native.forcing_numbers(k4, flats)
-    assert native.switch_pass(turned) == native.switch_pass(flats)
-    assert native.switch_pass(flats) == [(0, 1), (0, 2), (1, 2)]
+    assert native.switch_pass(k4, turned) == native.switch_pass(k4, flats)
+    assert native.switch_pass(k4, flats) == [(0, 1), (0, 2), (1, 2)]
     assert native.matching_facts(k4, [(1, 0, 3, 2)], [0])[2] == (0, 1)
 
 
@@ -450,8 +509,9 @@ for rows, flats in cases:
     forcing = native.forcing_numbers(rows, flats)
     out.append((native.enumerate_pms(rows, len(flats)),
                 native.enumerate_pms(rows, len(flats) - 1), forcing,
-                native.switch_pass(flats),
+                native.switch_pass(rows, flats),
                 native.matching_facts(rows, flats, forcing),
+                native.switch_pass(rows, flats[::2]),
                 native.vertex_connectivity(rows), native.bicritical(rows)))
 json.dump(out, sys.stdout)
 """
@@ -473,8 +533,9 @@ def test_native_under_sanitizers(tmp_path):
     # native.c built with AddressSanitizer and UBSan gives the pure
     # kernel's matchings (and None with a cap one short of them), forcing
     # numbers, switch pass, matching facts, vertex connectivity and
-    # bicriticality, computed here, on
-    # families-10 and random graphs of order 12-16 (233 graphs, 36,109
+    # bicriticality, computed here, and the switch pass on every other
+    # matching, on families-10, random graphs of order 12-16 and the
+    # 79-edge graph whose keys take two words (234 graphs, 36,111
     # matchings), and the run ends with no sanitizer report.  PYTHONMALLOC
     # sends the PyMem blocks through ASan's allocator.  With no compiler
     # the package takes the pure path; with no sanitizer runtimes the same
@@ -503,6 +564,7 @@ def test_native_under_sanitizers(tmp_path):
     graphs = [
         *builtin_corpus("families-10"),
         *(gen_random(n, "1/2", seed) for n in (12, 14, 16) for seed in range(3)),
+        _past_rank_63(),
     ]
     cases, expected = [], []
     for g in graphs:
@@ -514,9 +576,10 @@ def test_native_under_sanitizers(tmp_path):
             expected.append((
                 flats, None, forcing,
                 kern.switch_pass(flats), kern.matching_facts(flats, forcing),
+                kern.switch_pass(flats[::2]),
                 kern.vertex_connectivity(), kern.bicritical(),
             ))
-    assert (len(cases), sum(len(flats) for _, flats in cases)) == (233, 36109)
+    assert (len(cases), sum(len(flats) for _, flats in cases)) == (234, 36111)
     inputs = tmp_path / "cases.json"
     inputs.write_text(json.dumps(cases))
     run = subprocess.run(
