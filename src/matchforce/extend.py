@@ -36,7 +36,6 @@ class DeficiencyWitness:
     s: tuple[int, ...]
     independent_edges: tuple[Edge, ...]
     components: tuple[tuple[int, ...], ...]
-    factor_critical: tuple[bool, ...]
     l: int
 
 
@@ -159,7 +158,6 @@ def deficiency_witness(g: Graph, l: int) -> Optional[DeficiencyWitness]:
                 tuple(combo),
                 edges,
                 tuple(tuple(iter_bits(c)) for c in comps),
-                (True,) * len(comps),
                 l,
             )
     raise AssertionError("no witness found although the graph is not l-extendable")

@@ -18,10 +18,12 @@ from __future__ import annotations
 import json
 
 SCHEMA = "matchforce-report/v1"
+ANALYSIS_SCHEMA = "matchforce-report/v2"  # v1 less two constant fields
 
 
 def make_record(kind: str, payload: dict) -> dict:
-    return {"schema": SCHEMA, "kind": kind, **payload}
+    schema = ANALYSIS_SCHEMA if kind == "analysis" else SCHEMA
+    return {"schema": schema, "kind": kind, **payload}
 
 
 def dumps(record: dict) -> str:
@@ -79,7 +81,6 @@ def deficiency_payload(witness) -> dict:
         "s": list(witness.s),
         "independent_edges": [[e.u, e.v] for e in witness.independent_edges],
         "components": [list(c) for c in witness.components],
-        "factor_critical": list(witness.factor_critical),
         "level": witness.l,
     }
 
@@ -89,14 +90,10 @@ def switch_payload(sg, profile, reach_max: bool) -> dict:
     forcing number is n - 1 (``applicable``), whether the spectrum is an
     interval, and whether every node reaches a top node."""
     n = profile.order // 2
-    edges = sg.edges()
     return {
         "nodes": [matching_payload(m) for m in sg.matchings],
         "forcing": list(sg.forcing),
-        "edges": edges,
-        # adjacent matchings differ by exactly one 4-cycle, their symmetric
-        # difference, so every edge is realized once
-        "cycle_multiplicity": {f"{i}-{j}": 1 for i, j in edges},
+        "edges": sg.edges(),
         "applicable": n >= 1 and profile.max_forcing == n - 1,
         "spectrum_continuous": profile.continuous,
         "reach_max": reach_max,

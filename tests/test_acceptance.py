@@ -121,8 +121,8 @@ def _indented_sha256(out: str) -> str:
 # sha256 of `matchforce analyze --format graph6` on H(6,2) (440 matchings):
 # the profile, classification, extendability and switch sections.
 H62_GRAPH6 = "K`?Dz~kvNw^_"
-H62_ANALYZE_SHA256 = "a4fc722ecb6fde1de26fa893178d2d4ebd11ae2bdb76ed119e87c5f059847cd1"
-H62_INDENTED_SHA256 = "91d266a3083ffc2a34301f5f799bd15825ddec7a12ed0e858b30fd3f6acde9be"
+H62_ANALYZE_SHA256 = "07abbbc75e9367653dfab67dc05e456e0b3fe0e9ab5b810af12bda6fc81bce02"
+H62_INDENTED_SHA256 = "b7ab171bbf00e7a10d9a233b8cb4613009c15fa00fe3b3ceccdb7dac867b3111"
 
 
 def test_analyze_report_bytes_pinned(tmp_path, capsys):
@@ -138,8 +138,8 @@ def test_analyze_report_bytes_pinned(tmp_path, capsys):
 # sha256 of `matchforce analyze --format graph6 --profile --switch` on
 # gen_random(12, "2/3", 1): 715 matchings and 3787 switch edges.
 R12_GRAPH6 = "Kj~rbmveXtwp"
-R12_SWITCH_SHA256 = "e2751fe1fa82f14ba27f4d37ab11f260f0dcdd9f83e68bafdaacd0440eb7af6b"
-R12_INDENTED_SHA256 = "7932dd4f81577a108028d1be8dc828da75239408e05725200eba5d69b696c29e"
+R12_SWITCH_SHA256 = "fd87231c12852e3192897b067834252efbf0ee2dbe52afa0aa5cc14b66233734"
+R12_INDENTED_SHA256 = "49e399a067830c6e37b99726e0bd277c8f51a266eea1ff1d25ff7058b2502862"
 
 
 def test_dense_switch_report_bytes_pinned(tmp_path, capsys):

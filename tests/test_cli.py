@@ -51,7 +51,7 @@ class TestAnalyze:
         )
         assert code == 0
         record = json.loads(out)
-        assert record["schema"] == "matchforce-report/v1"
+        assert record["schema"] == "matchforce-report/v2"
         assert record["sections"]["profile"]["spectrum"] == [2]
         assert record["sections"]["classification"]["tag"] == "CompleteMultipartite"
 
