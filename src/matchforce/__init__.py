@@ -73,7 +73,6 @@ from .switch import (
     SwitchGraph,
     SwitchPath,
     build_switch_graph,
-    reaches_top,
     switch_path,
 )
 from .harness import (

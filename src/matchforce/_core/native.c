@@ -37,6 +37,13 @@ ctz(u64 x)
     return __builtin_ctzll(x);
 }
 
+/* Every vertex of a graph of the given order; a shift by 64 is undefined. */
+static u64
+full_mask(int order)
+{
+    return order == 64 ? ~0ULL : (1ULL << order) - 1;
+}
+
 /* ---------------------------------------------------------------------
    input: adjacency rows and flat matchings */
 
@@ -203,7 +210,7 @@ enumerate_pms(PyObject *self, PyObject *args)
     int k = order / 2, d = 0, entered = 1;  /* entered: depth d is new */
     u64 left[MAX_ORDER / 2 + 1], todo[MAX_ORDER / 2];
     uint8_t flat[MAX_ORDER];
-    left[0] = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    left[0] = full_mask(order);
     unsigned long steps = 0;
     while (d >= 0) {
         if (++steps % 65536 == 0 && PyErr_CheckSignals() < 0)
@@ -636,7 +643,7 @@ forcing_numbers(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     long *out = PyMem_Calloc((size_t)nm + 1, sizeof *out);
     Search s = {0};
-    s.full = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    s.full = full_mask(order);
     if (out == NULL || memo_init(&s.memo, rows) < 0) {
         PyErr_NoMemory();
         goto done;
@@ -1120,7 +1127,7 @@ vertex_connectivity(PyObject *self, PyObject *args)
         for (u64 row = rows[v]; row; row &= row - 1)
             net[2 * v + 1] |= (u128)1 << (2 * ctz(row));
     }
-    u64 full = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    u64 full = full_mask(order);
     int best = order - 1;
     for (int s = 0; s < order && best > 0; s++)
         for (u64 later = full & ~rows[s] & ~((2ULL << s) - 1); later && best > 0;
@@ -1144,7 +1151,7 @@ bicritical(PyObject *self, PyObject *args)
         memo_free(&memo);
         return PyErr_NoMemory();
     }
-    u64 full = order == 64 ? ~0ULL : (1ULL << order) - 1;
+    u64 full = full_mask(order);
     int every = 1;  /* an odd set has no perfect matching, as in count2 */
     for (int u = 0; u < order && every > 0; u++)
         for (int v = u + 1; v < order && every > 0; v++)

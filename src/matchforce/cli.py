@@ -49,7 +49,7 @@ from .generate import (
 )
 from .harness import THEOREM_IDS, builtin_corpus, verify_graphs
 from .structure import classify_min_forcing
-from .switch import build_switch_graph, reaches_top
+from .switch import build_switch_graph
 
 
 class _UsageError(Exception):
@@ -169,7 +169,7 @@ def _cmd_analyze(args) -> int:
         sections["extendability"] = _extendability_section(g)
     if "switch" in wanted:
         sg = build_switch_graph(g, profile=profile)
-        sections["switch"] = records.switch_payload(sg, profile, reaches_top(sg))
+        sections["switch"] = records.switch_payload(sg, profile)
 
     record = records.make_record(
         "analysis",

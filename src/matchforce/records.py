@@ -85,18 +85,21 @@ def deficiency_payload(witness) -> dict:
     }
 
 
-def switch_payload(sg, profile, reach_max: bool) -> dict:
+def switch_payload(sg, profile) -> dict:
     """The switch graph, with Theorem 5.7's facts: whether the maximum
     forcing number is n - 1 (``applicable``), whether the spectrum is an
-    interval, and whether every node reaches a top node."""
+    interval, and whether every node reaches a top node (``reach_max``).
+    The reach is the kernel's fact pass, ``sg.facts.reaches_top``, read
+    only where a top matching exists: with none, no node reaches one."""
     n = profile.order // 2
+    applicable = n >= 1 and profile.max_forcing == n - 1
     return {
         "nodes": [matching_payload(m) for m in sg.matchings],
         "forcing": list(sg.forcing),
         "edges": sg.edges(),
-        "applicable": n >= 1 and profile.max_forcing == n - 1,
+        "applicable": applicable,
         "spectrum_continuous": profile.continuous,
-        "reach_max": reach_max,
+        "reach_max": applicable and sg.facts.reaches_top,
     }
 
 

@@ -6,12 +6,13 @@ that is when they share all but two edges.  The symmetric difference of
 adjacent matchings is that cycle's edge set, so each switch edge is
 realized by exactly one cycle.  A `SwitchGraph` holds the profile's flat
 matchings, and the host graph's kernel reads the rest from them on first
-use: the sorted edges (``switch_pass``), which ``analyze`` reports and
-the searches derive their adjacency from, or the facts that ``verify``
-reads (``matching_facts``, see `MatchingFacts`), which need no edges.
-``switch_path`` derives the cycle of each hop it takes from the hop's two
-matchings, so verifying or reporting a switch graph never builds a cycle,
-and `PerfectMatching` objects are made only for a path.
+use: the sorted edges (``switch_pass``), which ``analyze`` reports, or
+the facts that ``verify`` and ``analyze`` read (``matching_facts``, see
+`MatchingFacts`), which need no edges.  ``switch_path`` is the one reader
+of the adjacency, the `PerfectMatching` nodes and their index, and it
+derives the cycle of each hop it takes from the hop's two matchings, so
+verifying or reporting a switch graph never builds a cycle or a
+`PerfectMatching`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .graph import (
 
 @dataclass(frozen=True, slots=True)
 class MatchingFacts:
-    """What verify reads off a graph's perfect matchings, from the kernel's
-    ``matching_facts`` pass.
+    """What verify reads off a graph's perfect matchings, and analyze the
+    reach, from the kernel's ``matching_facts`` pass.
 
     - ``switched_pairs``: per node, the pairs of its edges that span an
       alternating 4-cycle, so Lemma 2.2 reads node i as maximal iff all
@@ -66,8 +67,9 @@ class SwitchGraph:
     ``matchings`` holds the nodes as flat tuples (u0, v0, u1, v1, ...) and
     ``forcing`` their forcing numbers.  The host's kernel reads the rest on
     first use, each in one pass over the nodes' edge pairs: ``edges()`` and
-    ``facts`` (see `MatchingFacts`), which lists no edges.  ``adjacency``
-    and ``nodes`` are built in Python on first use.
+    ``facts`` (see `MatchingFacts`), which lists no edges.  ``adjacency``,
+    ``nodes`` and ``node_index`` are built in Python on first use, and only
+    `switch_path` reads them.
     """
 
     matchings: tuple[tuple[int, ...], ...]
@@ -173,19 +175,3 @@ def switch_path(
         cycles.append(AlternatingCycle.canonical((a, b, w, y)))
     return SwitchPath(matchings, tuple(cycles))
 
-
-def reaches_top(sg: SwitchGraph) -> bool:
-    """Whether every node switches, in some number of steps, into a node
-    of forcing number n - 1, for n = the number of edges per matching:
-    the reach half of spectrum continuity (Theorem 5.7).  One search from
-    every top node at once marks what reaches them; with no top node it
-    reads no adjacency."""
-    top = len(sg.matchings[0]) // 2 - 1
-    seen = [f == top for f in sg.forcing]
-    stack = [i for i, is_top in enumerate(seen) if is_top]
-    while stack:
-        for j in sg.adjacency[stack.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return all(seen)

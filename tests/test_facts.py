@@ -13,8 +13,7 @@ builds, the native one:
 - the fixed bond: the lowest edge common to all the matchings;
 - the first jump: the first violation of the switch bound, in
   ``SwitchGraph.edges()`` order;
-- the reach: `reaches_top`, a search of the switch adjacency from its top
-  nodes.
+- the reach: every component of the switch adjacency holds a top node.
 """
 
 from dataclasses import replace
@@ -33,13 +32,17 @@ from matchforce import (
     has_perfect_matching,
     is_connected,
     is_l_extendable,
-    reaches_top,
 )
 from matchforce import _core
 from matchforce._core import pure
 
 from graphs import complete_graph, cycle_graph, top_forcing_strategy
-from oracles import oracle_fixed_double_bond, oracle_switch_bound, oracle_switched_pairs
+from oracles import (
+    oracle_component_masks,
+    oracle_fixed_double_bond,
+    oracle_switch_bound,
+    oracle_switched_pairs,
+)
 from test_acceptance import top_graphs_with_extra_edges
 
 KERNELS = [pure.Kernel]
@@ -67,12 +70,13 @@ def _readings(g: Graph, profile) -> tuple:
     if g.order >= 6 and is_connected(g):
         assert covered == is_l_extendable(g, 2)
     ok, violation = oracle_switch_bound(sg)
+    top = sum(1 << i for i, f in enumerate(profile.forcing) if f == g.order // 2 - 1)
     return (
         tuple(oracle_switched_pairs(g, flat) for flat in profile.matchings),
         covered,
         oracle_fixed_double_bond(profile),
         None if ok else tuple(sg.node_index[m] for m in violation),
-        reaches_top(sg),
+        all(c & top for c in oracle_component_masks(sg.adjacency)),
     )
 
 

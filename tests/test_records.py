@@ -15,7 +15,6 @@ from matchforce import (
     gen_h_k,
     gen_knn_plus,
     gen_non_2_extendable,
-    reaches_top,
     to_graph6,
 )
 from matchforce import records
@@ -65,7 +64,7 @@ def test_deficiency_payload():
 def test_switch_payloads(k33):
     profile = forcing_profile(k33)
     sg = build_switch_graph(k33, profile=profile)
-    payload = roundtrips(records.switch_payload(sg, profile, reaches_top(sg)))
+    payload = roundtrips(records.switch_payload(sg, profile))
     assert len(payload["nodes"]) == 6
     assert payload["reach_max"] is True
     # adjacent matchings differ on exactly one 4-cycle, so each edge is

@@ -1,6 +1,5 @@
 from dataclasses import replace
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,11 +18,13 @@ from matchforce import (
     gen_random,
     has_perfect_matching,
     kernel_backend,
-    reaches_top,
     switch_path,
 )
+from matchforce import _core
+from matchforce._core import pure
 from matchforce.records import switch_payload
 
+from graphs import cycle_graph
 from oracles import (
     oracle_alternating_cycles,
     oracle_component_masks,
@@ -33,6 +34,10 @@ from oracles import (
     oracle_switch_bound,
     oracle_switch_edges,
 )
+
+KERNELS = [pure.Kernel]
+if kernel_backend() == "compiled":  # no compiler: the pure kernel alone
+    KERNELS.append(_core.NativeKernel)
 
 
 def _signature_graph(n, mask):
@@ -242,7 +247,7 @@ class TestBoundAndContinuity:
         """The continuity keys of g's switch record."""
         profile = forcing_profile(g)
         sg = build_switch_graph(g, profile=profile)
-        rec = switch_payload(sg, profile, reaches_top(sg))
+        rec = switch_payload(sg, profile)
         return rec["applicable"], rec["spectrum_continuous"], rec["reach_max"]
 
     def test_h41_reaches_max(self):
@@ -255,30 +260,53 @@ class TestBoundAndContinuity:
         # C6's two matchings both have f = 1 < n - 1 = 2: none is top
         assert self.continuity(c6) == (False, True, False)
 
-    def test_no_top_reads_no_adjacency(self, c6):
-        # with no top node the reach search has nowhere to start, so the
-        # adjacency is never built
-        sg = build_switch_graph(c6)
-        assert reaches_top(sg) is False
-        assert "adjacency" not in vars(sg)
+    @pytest.mark.parametrize("backend", ["loaded", "pure"])
+    def test_fact_pass_runs_only_where_a_top_exists(
+        self, request, monkeypatch, c6, k33, backend
+    ):
+        # the kernel calls that analyze's switch record makes: on C6, with
+        # no top matching, none; on K3,3 one fact pass.  Neither reads the
+        # adjacency
+        if backend == "pure":
+            request.getfixturevalue("pure_core")
+        kernel = pure.Kernel if kernel_backend() == "pure" else _core.NativeKernel
+        calls = []
+        for cls in (pure.Kernel, _core.NativeKernel):
+            def spy(self, *args, _fn=cls.matching_facts):
+                calls.append(type(self))
+                return _fn(self, *args)
+
+            monkeypatch.setattr(cls, "matching_facts", spy)
+        for g, expected in ((c6, []), (k33, [kernel])):
+            calls.clear()
+            profile = forcing_profile(g)
+            sg = build_switch_graph(g, profile=profile)
+            switch_payload(sg, profile)
+            assert calls == expected
+            assert "adjacency" not in vars(sg)
 
     @pytest.mark.parametrize("g", ORACLE_GRAPHS + [gen_h_k(4, 1).graph])
     def test_reach_max_matches_components(self, g):
-        # every component of the switch graph holds a top matching
+        # every component of the switch graph holds a top matching, under
+        # the package's kernel and the pure one
         if not enumerate_perfect_matchings(g):
             return
         sg = build_switch_graph(g)
         n = g.order // 2
         top = sum(1 << i for i, f in enumerate(sg.forcing) if f == n - 1)
         expected = all(c & top for c in oracle_component_masks(sg.adjacency))
-        assert reaches_top(sg) == expected
+        assert sg.facts.reaches_top == expected
+        facts = pure.Kernel(g.rows).matching_facts(sg.matchings, sg.forcing)
+        assert facts[4] == expected
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
     @pytest.mark.parametrize(
-        "adjacency, reach", [(((), ()), False), (((1,), (0,)), True)]
+        "order, forcing, reach", [(6, (2, 1), False), (4, (1, 0), True)], ids=["c6", "c4"]
     )
-    def test_reach_max_needs_a_top_in_every_component(self, c6, adjacency, reach):
-        # C6's two matchings, the first relabelled top (n - 1 = 2): the other
-        # reaches the top only through a switch edge
-        sg = build_switch_graph(c6)
-        sg = SimpleNamespace(matchings=sg.matchings, forcing=(2, 1), adjacency=adjacency)
-        assert reaches_top(sg) is reach
+    def test_reach_max_needs_a_top_in_every_component(self, kernel, order, forcing, reach):
+        # two matchings, the first relabelled top (n - 1): C6's share no
+        # 4-cycle, so the other is cut off from the top; C4's differ by one,
+        # so the other reaches it through their switch edge
+        g = cycle_graph(order)
+        matchings = forcing_profile(g).matchings
+        assert kernel(g.rows).matching_facts(matchings, forcing)[4] is reach
